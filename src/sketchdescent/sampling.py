@@ -179,20 +179,28 @@ def subset_max_expectation(values: np.ndarray, tau: int) -> float:
 
 
 def capped_threshold(losses: np.ndarray, rule: CappedRule) -> float:
-    """Admission threshold for the capped rule at the current losses."""
+    """Admission threshold for the capped rule at the current losses.
+
+    Exact mode sorts the losses once for both subset-max expectations.
+    """
+    if not rule.exact:
+        return float(np.mean(losses))
     q = losses.size
-    if rule.exact:
-        tau1 = GreedyRule(rule.tau1).resolve_tau(q)
-        tau2 = GreedyRule(rule.tau2).resolve_tau(q)
-        e1 = subset_max_expectation(losses, tau1)
-        e2 = subset_max_expectation(losses, tau2)
-        return rule.theta * e1 + (1.0 - rule.theta) * e2
-    return float(np.mean(losses))
+    v = np.sort(np.asarray(losses, dtype=np.float64))
+    e1, e2 = (float(gs_expectation_weights(q, tau) @ v[tau - 1:])
+              for tau in (GreedyRule(rule.tau1).resolve_tau(q),
+                          GreedyRule(rule.tau2).resolve_tau(q)))
+    return rule.theta * e1 + (1.0 - rule.theta) * e2
 
 
-def capped_candidates(losses: np.ndarray, rule: CappedRule) -> np.ndarray:
-    """Indices admitted by the capped threshold. Never empty."""
-    thr = capped_threshold(losses, rule)
+def capped_candidates(losses: np.ndarray, rule: CappedRule,
+                      threshold: float | None = None) -> np.ndarray:
+    """Indices admitted by the capped threshold. Never empty.
+
+    threshold, when given, must be capped_threshold(losses, rule); passing
+    it saves recomputing it.
+    """
+    thr = capped_threshold(losses, rule) if threshold is None else threshold
     cand = np.nonzero(losses >= thr)[0]
     if cand.size == 0:
         # The max always clears the threshold in exact arithmetic; this
@@ -245,17 +253,23 @@ class Selection:
     """Outcome of one selection step.
 
     index is None only when the rule evaluated every loss and found them all
-    zero, i.e. the iterate already solves the system. zero_losses counts
-    exact zeros among the evaluated losses; the rate certificates use it.
-    chosen_loss is the loss of the selected index at selection time.
+    zero, i.e. the iterate already solves the system. A greedy sample of
+    tau < q indices whose losses are all zero still returns its smallest
+    index; the update there is a no-op. losses holds the evaluated losses:
+    all q of them for full scans, else those of the ascending sample.
+    zero_losses counts exact zeros among them; the rate certificates use
+    it. chosen_loss is the loss of the selected index at selection time.
+    The capped rule also reports its admission threshold and its
+    rule-expected loss, the mean loss over its candidate set, which equals
+    rule_expectation(losses, rule).
     """
 
     index: int | None
-    indices: np.ndarray
     losses: np.ndarray
     zero_losses: int
     threshold: float | None = None
     chosen_loss: float | None = None
+    expected_loss: float | None = None
 
 
 def select(rule, family, x: np.ndarray, rng: np.random.Generator) -> Selection:
@@ -263,25 +277,29 @@ def select(rule, family, x: np.ndarray, rng: np.random.Generator) -> Selection:
 
     Greedy ties (equal losses in the sample) break to the smallest index;
     the sample is kept in ascending order so argmax does that on its own.
+    Full scans (tau = q, capped) let the family read every loss without
+    gathering an index array; a capped step computes its threshold once.
     """
     q = family.q
     if isinstance(rule, GreedyRule):
         tau = rule.resolve_tau(q)
-        indices = np.arange(q) if tau == q else draw_sample(q, tau, rng)
-        losses = family.losses(x, indices)
+        sample = None if tau == q else draw_sample(q, tau, rng)
+        losses = family.losses(x, sample)
         zero = int(np.count_nonzero(losses == 0.0))
         if zero == q:
-            return Selection(None, indices, losses, zero)
-        pick = greedy_select(losses, indices)
-        return Selection(pick, indices, losses, zero,
-                         chosen_loss=float(np.max(losses)))
+            return Selection(None, losses, zero)
+        j = int(np.argmax(losses))
+        pick = j if sample is None else int(sample[j])
+        return Selection(pick, losses, zero, chosen_loss=float(losses[j]))
     if isinstance(rule, CappedRule):
         losses = family.losses(x)
         zero = int(np.count_nonzero(losses == 0.0))
-        pick = capped_select(losses, rule, rng)
-        if pick is None:
-            return Selection(None, np.arange(q), losses, zero)
-        return Selection(pick, np.arange(q), losses, zero,
-                         threshold=capped_threshold(losses, rule),
-                         chosen_loss=float(losses[pick]))
+        if not np.any(losses > 0.0):
+            return Selection(None, losses, zero)
+        thr = capped_threshold(losses, rule)
+        cand = capped_candidates(losses, rule, thr)
+        pick = int(cand[rng.integers(cand.size)])
+        return Selection(pick, losses, zero, threshold=thr,
+                         chosen_loss=float(losses[pick]),
+                         expected_loss=float(np.mean(losses[cand])))
     raise InvalidConfigError(f"unknown rule type {type(rule).__name__}")

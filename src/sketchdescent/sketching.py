@@ -13,8 +13,13 @@ least-squares columns (coordinate descent on the normal equations),
 contiguous row blocks, eigenvector sketches of an SPD matrix, and the full
 sketch S_1 = A that yields plain steepest descent.
 
-Every family precomputes its scalar denominators at construction so that one
-iteration touches O(n) data for the vector families. A slow reference path
+The vector families (row, lsqcol, spectral) do their setup once, at
+construction: the scalar denominators d_i, and the direction matrix
+D = G^{-1} W, where column i of W is w_i = A' S_i. The G-gradient of f_i
+is (c_i / d_i) D[:, i] with c_i = S_i' (A x - b). When G = I, D is W. One
+iteration then costs one scan of the losses plus an O(n) update, and no
+solve with G. A scan over all q indices reads A, A' or U in place, with no
+gathered copy. A slow reference path
 (:meth:`SketchFamily.generic_evaluate`) materializes S_i and H_i explicitly
 and exists so tests can pin the fast paths against it.
 """
@@ -90,23 +95,26 @@ class SketchFamily:
         Bf = system.B_factor
         self._Gf = system.G_factor
 
+        # The vector kinds set W, whose column i is w_i = A' S_i, the
+        # denominators d_i = w_i' B^{-1} w_i, and B^{-1} W.
         if kind == "row":
             self.q = m
-            # w_i = A' e_i is row i of A; d_i = a_i' B^{-1} a_i.
-            self._w = A.T
+            W = A.T  # w_i = A' e_i is row i of A
             if Bf.is_identity:
+                Binv_W = W
                 self._d = np.einsum("ij,ij->i", A, A)
             else:
-                self._d = np.einsum("ij,ij->i", A, Bf.solve(A.T).T)
+                Binv_W = Bf.solve(W)
+                self._d = np.einsum("ij,ij->i", A, Binv_W.T)
         elif kind == "lsqcol":
             self.q = n
-            AtA = A.T @ A
-            self._AtA = AtA
-            self._w = AtA  # column i is A' A e_i
+            W = A.T @ A  # column i is A' A e_i
             if Bf.is_identity:
-                self._d = np.einsum("ij,ij->i", AtA, AtA)
+                Binv_W = W
+                self._d = np.einsum("ij,ij->i", W, W)
             else:
-                self._d = np.einsum("ji,ji->i", AtA, Bf.solve(AtA))
+                Binv_W = Bf.solve(W)
+                self._d = np.einsum("ji,ji->i", W, Binv_W)
         elif kind == "spectral":
             require_spd(A, "spectral sketches")
             self.q = n
@@ -116,12 +124,14 @@ class SketchFamily:
             self.eigvals = lam
             self.eigvecs = U
             self._Utb = U.T @ system.b
-            self._w = U * lam  # w_i = lambda_i u_i
+            W = U * lam  # w_i = lambda_i u_i, not kept: see w_matrix
             if Bf.is_identity:
+                Binv_W = W
                 self._d = lam * lam
             else:
-                Binv_U = Bf.solve(U)
-                self._d = lam * lam * np.einsum("ij,ij->j", U, Binv_U)
+                Binv_W = Bf.solve(U)  # B^{-1} U until scaled by lam below
+                self._d = lam * lam * np.einsum("ij,ij->j", U, Binv_W)
+                Binv_W *= lam
         elif kind == "block":
             if block_size is None or block_size < 1:
                 raise InvalidConfigError("block sketches need block_size >= 1")
@@ -149,31 +159,37 @@ class SketchFamily:
                     f"{kind} sketch has a zero denominator; "
                     "the system has a degenerate row or column"
                 )
-            if self.g_equals_b:
-                self._e = None
-            else:
-                Ginv_w = self._Gf.solve(self._w)
-                self._e = np.einsum("ij,ij->j", self._w, Ginv_w)
+            if kind != "spectral":
+                self._w = W
+            # D = G^{-1} W: one batched solve, or none when G = B (it is
+            # B^{-1} W, solved above) or G = I (it is W itself, uncopied).
+            self._dirs = Binv_W if self.g_equals_b else self._Gf.solve(W)
+            self._e = (None if self.g_equals_b
+                       else np.einsum("ij,ij->j", W, self._dirs))
 
     # -- fast paths --------------------------------------------------------
 
-    def _linear_values(self, x: np.ndarray, indices: np.ndarray) -> np.ndarray:
-        """s_i' (A x - b) for the vector kinds, batched over indices."""
+    def _linear_values(self, x: np.ndarray, indices=None) -> np.ndarray:
+        """s_i' (A x - b) for the vector kinds, batched over indices.
+
+        indices = None means all q, read straight from the matrices.
+        """
         A, b = self.system.A, self.system.b
         if self.kind == "row":
+            if indices is None:
+                return A @ x - b
             return A[indices] @ x - b[indices]
         if self.kind == "lsqcol":
             res = A @ x - b
-            return A[:, indices].T @ res
-        # spectral
-        U = self.eigvecs[:, indices]
-        return self.eigvals[indices] * (U.T @ x) - self._Utb[indices]
+            return (A if indices is None else A[:, indices]).T @ res
+        lam, U, Utb = self.eigvals, self.eigvecs, self._Utb
+        if indices is not None:
+            lam, U, Utb = lam[indices], U[:, indices], Utb[indices]
+        return lam * (U.T @ x) - Utb
 
     def losses(self, x: np.ndarray, indices=None) -> np.ndarray:
         """Index losses f_i(x) for the given indices (all q by default)."""
-        if indices is None:
-            indices = np.arange(self.q)
-        else:
+        if indices is not None:
             indices = np.asarray(indices, dtype=np.intp)
             if indices.size and (indices.min() < 0 or indices.max() >= self.q):
                 raise InvalidInputError(
@@ -181,7 +197,9 @@ class SketchFamily:
                 )
         if self.kind in VECTOR_KINDS:
             c = self._linear_values(x, indices)
-            return 0.5 * c * c / self._d[indices]
+            return 0.5 * c * c / (self._d if indices is None else self._d[indices])
+        if indices is None:
+            indices = np.arange(self.q)
         A, b = self.system.A, self.system.b
         out = np.empty(indices.size)
         if self.kind == "block":
@@ -213,7 +231,7 @@ class SketchFamily:
             loss = 0.5 * c * c / d
             if c == 0.0:
                 return SketchEval(i, 0.0, np.zeros(sys.n), None)
-            direction = (c / d) * self._Gf.solve(self._w[:, i])
+            direction = (c / d) * self._dirs[:, i]
             step = 1.0 if self.g_equals_b else d / self._e[i]
             return SketchEval(i, loss, direction, step)
         if self.kind == "block":
@@ -299,10 +317,25 @@ class SketchFamily:
 
     @property
     def w_matrix(self) -> np.ndarray:
-        """n x q matrix whose column i is A' S_i, for the vector kinds."""
+        """n x q matrix whose column i is A' S_i, for the vector kinds.
+
+        The spectral family forms it from its eigenpairs on every call
+        (w_i = lambda_i u_i), so it holds no n x q array besides the cached
+        directions.
+        """
         if self.kind not in VECTOR_KINDS:
             raise InvalidInputError(f"w_matrix undefined for kind {self.kind!r}")
+        if self.kind == "spectral":
+            return self.eigvecs * self.eigvals
         return self._w
+
+    @property
+    def direction_matrix(self) -> np.ndarray:
+        """n x q matrix G^{-1} W cached at construction, for the vector kinds."""
+        if self.kind not in VECTOR_KINDS:
+            raise InvalidInputError(
+                f"direction_matrix undefined for kind {self.kind!r}")
+        return self._dirs
 
     @property
     def denominators(self) -> np.ndarray:
@@ -314,7 +347,8 @@ class SketchFamily:
         """Z_i = A' H_i A, the Hessian of f_i, as a dense n x n matrix."""
         sys = self.system
         if self.kind in VECTOR_KINDS:
-            w = self._w[:, i]
+            w = (self.eigvecs[:, i] * self.eigvals[i] if self.kind == "spectral"
+                 else self._w[:, i])
             return np.outer(w, w) / self._d[i]
         if self.kind == "block":
             Ac = sys.A[self.blocks[i]]

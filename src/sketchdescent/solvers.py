@@ -256,10 +256,7 @@ def _run_sketched(method: str, system: LinearSystem, family: SketchFamily,
             k -= 1
             break
         last_sel = sel.index
-        if exact_f:
-            last_f = rule_expectation(sel.losses, rule)
-        else:
-            last_f = sel.chosen_loss
+        last_f = sel.expected_loss if exact_f else sel.chosen_loss
         ev = family.evaluate(sel.index, x)
         x_next = apply_update(x, ev, cfg.omega)
         if gamma != 0.0:

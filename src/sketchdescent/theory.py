@@ -163,10 +163,7 @@ def _index_spectra(family: SketchFamily):
     if family.kind in VECTOR_KINDS:
         W = family.w_matrix
         d = family.denominators
-        if sys.G_factor.is_identity:
-            e = np.einsum("ij,ij->j", W, W)
-        else:
-            e = np.einsum("ij,ij->j", W, sys.G_factor.solve(W))
+        e = np.einsum("ij,ij->j", W, family.direction_matrix)
         top = e / d
         eig_max = top
         eig_min_pos = top.copy()

@@ -271,3 +271,23 @@ class TestSelect:
         sel = skd.select(skd.max_distance(), fam, x, make_rng(0))
         assert sel.index == 0
         assert sel.zero_losses == 3
+
+    def test_greedy_all_zero_sample_still_picks(self):
+        # Only row 0 has a nonzero loss at x = 0, so most 2-subsets see only
+        # zeros. Such a sample is not a proof of convergence: select must
+        # still return an index (the smallest sampled one).
+        system = skd.LinearSystem(A=np.eye(6), b=np.eye(6)[0])
+        fam = skd.SketchFamily("row", system)
+        x = np.zeros(6)
+        rng = make_rng(3)
+        all_zero = 0
+        for _ in range(50):
+            sel = skd.select(skd.greedy(2), fam, x, rng)
+            assert sel.index is not None
+            if sel.zero_losses == 2:
+                all_zero += 1
+                assert sel.index != 0
+                assert sel.chosen_loss == 0.0
+            else:
+                assert sel.index == 0
+        assert all_zero > 0

@@ -141,12 +141,30 @@ class TestClosedFormMatchesGeneric:
                 if fast.step is not None and slow.step is not None:
                     assert fast.step == pytest.approx(slow.step, rel=1e-9)
 
-    def test_losses_batch_matches_evaluate(self):
-        system, fam = family_on("row", 15, 6, seed=9)
-        x = np.random.default_rng(4).standard_normal(6)
+    # Row sketches under the identity metric run on a 15 x 6 Gaussian
+    # instance; the square SPD instances carry the system (B = G = A),
+    # normal (B = G = A'A) and steepest (B = A, G = I, so G != B)
+    # geometries. losses(x) scans in place, losses(x, arange(q)) gathers.
+    @pytest.mark.parametrize("kind", VECTOR_KINDS)
+    @pytest.mark.parametrize("metric", ["identity", "system", "normal", "steepest"])
+    def test_losses_batch_matches_evaluate(self, kind, metric):
+        spd = kind == "spectral" or metric in ("system", "steepest")
+        m, n = (20, 8) if spd else (15, 6)
+        system = gaussian_system(m, n, seed=9, spd=spd, metric=metric)
+        fam = skd.SketchFamily(kind, system)
+        x = np.random.default_rng(4).standard_normal(system.n)
         batch = fam.losses(x)
+        gathered = fam.losses(x, np.arange(fam.q))
+        np.testing.assert_allclose(batch, gathered, rtol=1e-13, atol=0.0)
         for i in range(fam.q):
-            assert batch[i] == pytest.approx(fam.evaluate(i, x).loss, rel=1e-12)
+            fast = fam.evaluate(i, x)
+            assert batch[i] == pytest.approx(fast.loss, rel=1e-12)
+            assert gathered[i] == pytest.approx(fast.loss, rel=1e-12)
+            slow = fam.generic_evaluate(i, x)
+            assert np.allclose(fast.direction, slow.direction,
+                               rtol=1e-9, atol=1e-9)
+            if fast.step is not None and slow.step is not None:
+                assert fast.step == pytest.approx(slow.step, rel=1e-9)
 
 
 class TestApplyUpdate:

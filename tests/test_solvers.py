@@ -178,6 +178,30 @@ class TestSketchedSolver:
         assert trace.iterations == 3
         assert trace.final_residual() > cfg.tol
 
+    def test_all_zero_greedy_sample_skips_update_without_converging(self):
+        # Only row 0 is violated at x0 = 0; a first sample that misses it
+        # sees only zero losses. That step must be a no-op, and the run
+        # must not call itself converged while the residual is still 1.
+        system = skd.LinearSystem(A=np.eye(6), b=np.eye(6)[0])
+        fam = skd.SketchFamily("row", system)
+        seed = next(s for s in range(100)
+                    if 0 not in skd.draw_sample(6, 2, skd.make_rng(s)))
+        cfg = skd.SolverConfig(seed=seed, x0=np.zeros(6), max_iters=1,
+                               check_every=1, tol=1e-12)
+        trace = skd.run_ssd(system, fam, skd.greedy(2), cfg)
+        assert not trace.converged
+        assert trace.iterations == 1
+        assert trace.selected[-1] not in (-1, 0)
+        assert trace.f_values[-1] == 0.0
+        assert np.array_equal(trace.x_final, np.zeros(6))
+        assert trace.final_residual() == 1.0
+        cfg.max_iters = 1000
+        trace = skd.run_ssd(system, fam, skd.greedy(2), cfg)
+        assert trace.converged
+        assert trace.iterations > 1
+        assert trace.final_residual() <= cfg.tol
+        assert np.all(trace.residuals[:-1] > cfg.tol)
+
     def test_checkpoint_spacing(self):
         system, fam = family_on("row", 30, 12, seed=12)
         cfg = skd.SolverConfig(max_iters=50, check_every=7, tol=0.0)
