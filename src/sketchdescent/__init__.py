@@ -61,7 +61,6 @@ from .sampling import (
     GreedyRule,
     Selection,
     capped,
-    capped_select,
     draw_sample,
     greedy,
     greedy_select,
@@ -125,7 +124,7 @@ __all__ = [
     "GreedyRule", "CappedRule", "Selection", "uniform", "greedy",
     "max_distance", "capped", "parse_rule", "gs_expectation_weights",
     "subset_max_expectation", "rule_expectation", "draw_sample",
-    "greedy_select", "capped_select", "select",
+    "greedy_select", "select",
     "SolverConfig", "IterationTrace", "run_ssd", "run_ssdm", "run_sd",
     "run_cg_momentum", "run_method", "project_onto_gradient_span",
     "SpectralReport", "RateBundle", "MomentumRate", "InequalityReport",

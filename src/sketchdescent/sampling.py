@@ -30,7 +30,7 @@ __all__ = [
     "uniform", "greedy", "max_distance", "capped", "parse_rule",
     "gs_expectation_weights", "subset_max_expectation",
     "capped_threshold", "capped_candidates", "rule_expectation",
-    "draw_sample", "greedy_select", "capped_select", "select",
+    "draw_sample", "greedy_select", "select",
 ]
 
 
@@ -171,11 +171,15 @@ def gs_expectation_weights(q: int, tau: int) -> np.ndarray:
     return w
 
 
+def _sorted_max_expectation(v: np.ndarray, tau: int) -> float:
+    """subset_max_expectation over values already sorted ascending."""
+    return float(gs_expectation_weights(v.size, tau) @ v[tau - 1:])
+
+
 def subset_max_expectation(values: np.ndarray, tau: int) -> float:
     """Expected maximum of a uniform tau-subset of the given values."""
-    v = np.sort(np.asarray(values, dtype=np.float64))
-    w = gs_expectation_weights(v.size, tau)
-    return float(w @ v[tau - 1:])
+    return _sorted_max_expectation(
+        np.sort(np.asarray(values, dtype=np.float64)), tau)
 
 
 def capped_threshold(losses: np.ndarray, rule: CappedRule) -> float:
@@ -187,18 +191,17 @@ def capped_threshold(losses: np.ndarray, rule: CappedRule) -> float:
         return float(np.mean(losses))
     q = losses.size
     v = np.sort(np.asarray(losses, dtype=np.float64))
-    e1, e2 = (float(gs_expectation_weights(q, tau) @ v[tau - 1:])
-              for tau in (GreedyRule(rule.tau1).resolve_tau(q),
-                          GreedyRule(rule.tau2).resolve_tau(q)))
+    e1 = _sorted_max_expectation(v, GreedyRule(rule.tau1).resolve_tau(q))
+    e2 = _sorted_max_expectation(v, GreedyRule(rule.tau2).resolve_tau(q))
     return rule.theta * e1 + (1.0 - rule.theta) * e2
 
 
 def capped_candidates(losses: np.ndarray, rule: CappedRule,
                       threshold: float | None = None) -> np.ndarray:
-    """Indices admitted by the capped threshold. Never empty.
+    """Indices whose loss reaches the threshold. Never empty.
 
-    threshold, when given, must be capped_threshold(losses, rule); passing
-    it saves recomputing it.
+    The threshold defaults to capped_threshold(losses, rule); select passes
+    the one it has already computed, so a capped step sorts only once.
     """
     thr = capped_threshold(losses, rule) if threshold is None else threshold
     cand = np.nonzero(losses >= thr)[0]
@@ -225,27 +228,16 @@ def draw_sample(q: int, tau: int, rng: np.random.Generator) -> np.ndarray:
     return np.sort(rng.choice(q, size=tau, replace=False))
 
 
-def greedy_select(losses: np.ndarray, sample: np.ndarray) -> int:
-    """Sample index with the largest loss; ties break to the smallest index.
+def greedy_select(losses: np.ndarray, sample: np.ndarray | None = None) -> int:
+    """Index with the largest loss; ties break to the smallest index.
 
-    The sample is kept ascending, so the first maximum is the smallest.
+    losses belong to the ascending sample, or to all q indices in order
+    when sample is None; either way the first maximum is the smallest index.
     """
-    if len(sample) == 0:
+    if len(losses) == 0:
         raise InvalidConfigError("empty sample")
-    return int(sample[int(np.argmax(losses))])
-
-
-def capped_select(all_losses: np.ndarray, rule: CappedRule,
-                  rng: np.random.Generator) -> int | None:
-    """Uniform draw from the indices clearing the capped threshold.
-
-    Returns None when every loss is zero, i.e. the iterate already solves
-    the system.
-    """
-    if not np.any(all_losses > 0.0):
-        return None
-    cand = capped_candidates(all_losses, rule)
-    return int(cand[rng.integers(cand.size)])
+    j = int(np.argmax(losses))
+    return j if sample is None else int(sample[j])
 
 
 @dataclass
@@ -288,9 +280,10 @@ def select(rule, family, x: np.ndarray, rng: np.random.Generator) -> Selection:
         zero = int(np.count_nonzero(losses == 0.0))
         if zero == q:
             return Selection(None, losses, zero)
-        j = int(np.argmax(losses))
-        pick = j if sample is None else int(sample[j])
-        return Selection(pick, losses, zero, chosen_loss=float(losses[j]))
+        pick = greedy_select(losses, sample)
+        # a full scan's losses are indexed by the family index itself
+        top = losses[pick] if sample is None else np.max(losses)
+        return Selection(pick, losses, zero, chosen_loss=float(top))
     if isinstance(rule, CappedRule):
         losses = family.losses(x)
         zero = int(np.count_nonzero(losses == 0.0))

@@ -96,7 +96,8 @@ class SketchFamily:
         self._Gf = system.G_factor
 
         # The vector kinds set W, whose column i is w_i = A' S_i, the
-        # denominators d_i = w_i' B^{-1} w_i, and B^{-1} W.
+        # denominators d_i = w_i' B^{-1} w_i, and B^{-1} W. W itself is not
+        # kept: see w_matrix.
         if kind == "row":
             self.q = m
             W = A.T  # w_i = A' e_i is row i of A
@@ -124,7 +125,7 @@ class SketchFamily:
             self.eigvals = lam
             self.eigvecs = U
             self._Utb = U.T @ system.b
-            W = U * lam  # w_i = lambda_i u_i, not kept: see w_matrix
+            W = U * lam  # w_i = lambda_i u_i
             if Bf.is_identity:
                 Binv_W = W
                 self._d = lam * lam
@@ -159,8 +160,6 @@ class SketchFamily:
                     f"{kind} sketch has a zero denominator; "
                     "the system has a degenerate row or column"
                 )
-            if kind != "spectral":
-                self._w = W
             # D = G^{-1} W: one batched solve, or none when G = B (it is
             # B^{-1} W, solved above) or G = I (it is W itself, uncopied).
             self._dirs = Binv_W if self.g_equals_b else self._Gf.solve(W)
@@ -319,15 +318,18 @@ class SketchFamily:
     def w_matrix(self) -> np.ndarray:
         """n x q matrix whose column i is A' S_i, for the vector kinds.
 
-        The spectral family forms it from its eigenpairs on every call
-        (w_i = lambda_i u_i), so it holds no n x q array besides the cached
+        Formed on every call (A' for rows, A'A for columns, U Lambda for
+        eigenvectors), so a family holds no n x q array besides the cached
         directions.
         """
         if self.kind not in VECTOR_KINDS:
             raise InvalidInputError(f"w_matrix undefined for kind {self.kind!r}")
-        if self.kind == "spectral":
-            return self.eigvecs * self.eigvals
-        return self._w
+        A = self.system.A
+        if self.kind == "row":
+            return A.T
+        if self.kind == "lsqcol":
+            return A.T @ A
+        return self.eigvecs * self.eigvals
 
     @property
     def direction_matrix(self) -> np.ndarray:
@@ -347,8 +349,12 @@ class SketchFamily:
         """Z_i = A' H_i A, the Hessian of f_i, as a dense n x n matrix."""
         sys = self.system
         if self.kind in VECTOR_KINDS:
-            w = (self.eigvecs[:, i] * self.eigvals[i] if self.kind == "spectral"
-                 else self._w[:, i])
+            if self.kind == "row":
+                w = sys.A[i]
+            elif self.kind == "lsqcol":
+                w = sys.A.T @ sys.A[:, i]
+            else:
+                w = self.eigvecs[:, i] * self.eigvals[i]
             return np.outer(w, w) / self._d[i]
         if self.kind == "block":
             Ac = sys.A[self.blocks[i]]

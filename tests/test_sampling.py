@@ -19,6 +19,17 @@ from sketchdescent.sampling import (
 from conftest import family_on
 
 
+class FixedLosses:
+    """Family stand-in whose losses are given; select only reads those."""
+
+    def __init__(self, losses):
+        self.q = losses.size
+        self._losses = losses
+
+    def losses(self, x, indices=None):
+        return self._losses if indices is None else self._losses[indices]
+
+
 def exact_weights(q, tau):
     """Big-rational binomial evaluation, independent of the recurrence."""
     return [Fraction(math.comb(tau - 1 + j, tau - 1), math.comb(q, tau))
@@ -96,6 +107,14 @@ class TestGreedySelect:
     def test_singleton(self):
         assert skd.greedy_select(np.array([0.2]), np.array([4])) == 4
 
+    def test_full_scan_without_sample(self):
+        # sample None: position in losses is the family index itself
+        assert skd.greedy_select(np.array([0.4, 0.9, 0.9, 0.1])) == 1
+
+    def test_empty_losses_rejected(self):
+        with pytest.raises(InvalidConfigError):
+            skd.greedy_select(np.array([]), np.array([], dtype=np.intp))
+
 
 class TestCapped:
     def test_hand_threshold_and_candidates(self):
@@ -122,7 +141,8 @@ class TestCapped:
 
     def test_select_none_when_all_zero(self):
         rule = skd.capped(exact=True)
-        assert skd.capped_select(np.zeros(4), rule, make_rng(0)) is None
+        sel = skd.select(rule, FixedLosses(np.zeros(4)), None, make_rng(0))
+        assert sel.index is None
 
     def test_selected_clears_threshold(self):
         rng = make_rng(3)
@@ -130,7 +150,7 @@ class TestCapped:
         for trial in range(50):
             losses = np.random.default_rng(trial).random(9)
             thr = capped_threshold(losses, rule)
-            pick = skd.capped_select(losses, rule, rng)
+            pick = skd.select(rule, FixedLosses(losses), None, rng).index
             assert losses[pick] >= thr - 1e-12
 
     def test_argmax_always_admitted(self):
@@ -144,6 +164,16 @@ class TestCapped:
         losses = np.array([1.0, 2.0, 3.0, 4.0])
         rule = skd.capped(theta=0.5, tau1=1, tau2=4, exact=True)
         assert rule_expectation(losses, rule) == pytest.approx(4.0)
+
+    def test_select_reports_threshold_and_expectation(self):
+        # one sort per step must give what the standalone functions give
+        for exact in (True, False):
+            rule = skd.capped(theta=0.3, tau1=2, tau2=None, exact=exact)
+            for trial in range(20):
+                losses = np.random.default_rng(200 + trial).random(9)
+                sel = skd.select(rule, FixedLosses(losses), None, make_rng(0))
+                assert sel.threshold == capped_threshold(losses, rule)
+                assert sel.expected_loss == rule_expectation(losses, rule)
 
     def test_theta_domain(self):
         with pytest.raises(InvalidConfigError):
