@@ -33,7 +33,6 @@ from .linalg import (
     SpdFactor,
     inv_sqrt_spd,
     pinv_psd,
-    solve_spd,
     sqrt_spd,
     sym_eig,
     weighted_norm_sq,
@@ -41,8 +40,6 @@ from .linalg import (
 from .problems import (
     GenSpec,
     LinearSystem,
-    gen_gaussian,
-    gen_gaussian_spd,
     generate,
     make_consistent,
     resolve_x_star,
@@ -52,9 +49,6 @@ from .sketching import (
     SketchEval,
     SketchFamily,
     apply_update,
-    eval_direction,
-    eval_loss,
-    eval_step,
 )
 from .sampling import (
     CappedRule,
@@ -115,12 +109,11 @@ __all__ = [
     "ParseError", "EmptyMatrixError",
     "make_rng", "standard_normal", "derive_seed",
     "SpdFactor", "sym_eig", "pinv_psd", "sqrt_spd", "inv_sqrt_spd",
-    "solve_spd", "weighted_norm_sq",
-    "LinearSystem", "GenSpec", "gen_gaussian", "gen_gaussian_spd",
-    "generate", "make_consistent", "resolve_x_star",
+    "weighted_norm_sq",
+    "LinearSystem", "GenSpec", "generate", "make_consistent",
+    "resolve_x_star",
     "load_matrix_market", "save_matrix_market", "load_libsvm",
-    "SketchFamily", "SketchEval", "eval_loss", "eval_direction",
-    "eval_step", "apply_update",
+    "SketchFamily", "SketchEval", "apply_update",
     "GreedyRule", "CappedRule", "Selection", "uniform", "greedy",
     "max_distance", "capped", "parse_rule", "gs_expectation_weights",
     "subset_max_expectation", "rule_expectation", "draw_sample",

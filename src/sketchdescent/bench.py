@@ -7,6 +7,10 @@ coordinates, so results do not depend on execution order or worker count.
 Within a cell, repetitions are averaged pointwise over the checkpoint grid;
 runs that stop early hold their final value until the longest grid ends.
 
+Each dataset's system and sketch family are built once per plan and shared
+by its cells and spectral reports; with workers > 1 the cells run in one
+process pool whose tasks receive the built system and family.
+
 Output is a summary CSV (one line per cell), a .meta sidecar recording the
 plan, derived seeds and averaging policy, and optionally one series file
 per cell for plotting. Wall-time columns are flagged ":walltime" in the
@@ -15,13 +19,22 @@ header: they are the only non-deterministic fields in any output file.
 
 from __future__ import annotations
 
+import csv
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .errors import DivergenceError, InvalidConfigError, SizeLimitError
+from .errors import (
+    DivergenceError,
+    InvalidConfigError,
+    InvalidInputError,
+    NotSpdError,
+    SizeLimitError,
+)
 from .linalg import SpdFactor
 from .loaders import load_libsvm, load_matrix_market
 from .problems import GenSpec, LinearSystem, generate, make_consistent
@@ -33,16 +46,6 @@ from .theory import spectral_report
 
 METHODS = ("ssd", "ssdm", "sd", "cg")
 METRICS = ("auto", "identity", "system", "normal")
-
-# Standard sample-size grids for the greedy Kaczmarz and greedy coordinate
-# descent sweeps; tau_grid clips either to the family size at hand.
-GK_TAU_GRID = (1, 5, 20, 50, 100)
-GCD_TAU_GRID = (1, 5, 10, 20, 30)
-
-
-def tau_grid(base, q: int) -> list:
-    """Ascending subset of `base` below q, with q itself appended."""
-    return sorted({t for t in base if t < q} | {q})
 
 
 @dataclass(frozen=True)
@@ -85,18 +88,6 @@ def parse_family(text: str) -> tuple[str, int | None]:
     raise InvalidConfigError(f"unknown sketch family {text!r}")
 
 
-def _is_spd(A: np.ndarray) -> bool:
-    if A.shape[0] != A.shape[1]:
-        return False
-    if np.abs(A - A.T).max() > 1e-12 * max(1.0, np.abs(A).max()):
-        return False
-    try:
-        SpdFactor(A)
-    except Exception:
-        return False
-    return True
-
-
 def build_system(dataset: DatasetSpec, family_kind: str,
                  metric: str = "auto") -> LinearSystem:
     """Load or generate the matrix and attach the geometry for the family.
@@ -124,7 +115,11 @@ def build_system(dataset: DatasetSpec, family_kind: str,
         A, b, x_star = base.A, base.b, base.x_star
         label = dataset.label
 
-    spd = _is_spd(A)
+    try:
+        SpdFactor(A)
+        spd = True
+    except (InvalidInputError, NotSpdError):
+        spd = False
     if metric == "auto":
         if family_kind in ("spectral", "full"):
             metric = "system"
@@ -286,14 +281,10 @@ def _aggregate(traces: list, diverged: int, coord, plan: ExperimentPlan,
     )
 
 
-def _run_cell(plan: ExperimentPlan, coord) -> ResultRow:
+def _run_cell(plan: ExperimentPlan, system: LinearSystem,
+              family: SketchFamily | None, coord) -> ResultRow:
     """All repetitions of one cell. Runs in a worker process when asked."""
     dataset, rule, gamma = coord
-    kind, block_size = parse_family(plan.family)
-    system = build_system(dataset, kind, plan.metric)
-    family = None
-    if plan.method in ("ssd", "ssdm"):
-        family = SketchFamily(kind, system, block_size=block_size)
     rule_label = rule.label if rule is not None else "-"
     traces = []
     diverged = 0
@@ -332,31 +323,38 @@ class BenchResult:
 def run_experiment(plan: ExperimentPlan) -> BenchResult:
     """Execute the full plan.
 
-    workers > 1 distributes cells over processes; the output is identical
-    to the serial run because every repetition's seed is derived from its
-    coordinates alone.
+    Each dataset's system and sketch family are built once, then shared by
+    all of that dataset's cells and its spectral reports. workers > 1 runs
+    the cells in one process pool for the whole plan; the output is
+    identical to the serial run because every repetition's seed is derived
+    from its coordinates alone.
     """
     plan.validate()
+    kind, block_size = parse_family(plan.family)
+    sketched = plan.method in ("ssd", "ssdm")
     cells = plan.cells()
-    if plan.workers > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=plan.workers) as pool:
-            rows = list(pool.map(_run_cell, [plan] * len(cells), cells))
-    else:
-        rows = [_run_cell(plan, coord) for coord in cells]
-
+    per_dataset = len(cells) // len(plan.datasets)
+    parallel = plan.workers > 1 and len(cells) > 1
+    rows = []
     reports: dict[str, str] = {}
-    if plan.theory and plan.method in ("ssd", "ssdm"):
-        kind, block_size = parse_family(plan.family)
-        for dataset in plan.datasets:
+    with (ProcessPoolExecutor(max_workers=plan.workers) if parallel
+          else nullcontext()) as pool:
+        mapper = pool.map if parallel else map
+        for j, dataset in enumerate(plan.datasets):
             system = build_system(dataset, kind, plan.metric)
-            family = SketchFamily(kind, system, block_size=block_size)
+            family = (SketchFamily(kind, system, block_size=block_size)
+                      if sketched else None)
+            run = partial(_run_cell, plan, system, family)
+            mine = cells[j * per_dataset:(j + 1) * per_dataset]
+            rows += mapper(run, mine)
+            if not (plan.theory and sketched):
+                continue
             for rule in plan.rules:
+                key = f"{dataset.label}|{rule.label}"
                 try:
-                    rep = spectral_report(family, rule)
+                    reports[key] = spectral_report(family, rule).to_text()
                 except SizeLimitError as exc:
-                    reports[f"{dataset.label}|{rule.label}"] = f"skipped: {exc}"
-                else:
-                    reports[f"{dataset.label}|{rule.label}"] = rep.to_text()
+                    reports[key] = f"skipped: {exc}"
     return BenchResult(plan=plan, rows=rows, reports=reports)
 
 
@@ -371,31 +369,26 @@ SUMMARY_COLUMNS = [
 ]
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def write_summary(result: BenchResult, fh) -> None:
+    """Header plus one CSV line per cell. Floats use repr, the shortest
+    round-trip decimal, so identical runs match byte for byte outside the
+    :walltime columns; fields holding a comma (capped labels) are quoted."""
+    out = csv.writer(fh, lineterminator="\n")
+    out.writerow(SUMMARY_COLUMNS)
+    for r in result.rows:
+        out.writerow([
+            r.dataset, r.method, r.family, r.rule, repr(float(r.gamma)),
+            repr(float(r.omega)), r.reps, r.seed, r.success, r.diverged,
+            repr(r.mean_iters), repr(r.median_iters),
+            repr(r.mean_final_residual), repr(r.mean_final_relerr),
+            repr(r.mean_time),
+        ])
 
 
 def emit_csv(result: BenchResult, path) -> None:
-    """Summary CSV, one line per cell, plus a .meta sidecar.
-
-    Floats are printed with repr, the shortest decimal that round-trips, so
-    identical runs produce byte-identical files apart from the columns
-    flagged :walltime.
-    """
-    rows = result.rows
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(SUMMARY_COLUMNS) + "\n")
-        for r in rows:
-            fields = [
-                r.dataset, r.method, r.family, r.rule, _fmt(float(r.gamma)),
-                _fmt(float(r.omega)), r.reps, r.seed, r.success, r.diverged,
-                _fmt(r.mean_iters), _fmt(r.median_iters),
-                _fmt(r.mean_final_residual), _fmt(r.mean_final_relerr),
-                _fmt(r.mean_time),
-            ]
-            fh.write(",".join(_fmt(f) for f in fields) + "\n")
+    """Summary CSV (see :func:`write_summary`) plus a .meta sidecar."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        write_summary(result, fh)
     _emit_meta(result, str(path) + ".meta")
 
 

@@ -14,11 +14,10 @@ import sys
 from .bench import (
     DatasetSpec,
     ExperimentPlan,
-    SUMMARY_COLUMNS,
-    _fmt,
     emit_csv,
     emit_plot_data,
     run_experiment,
+    write_summary,
 )
 from .errors import SketchDescentError
 from .problems import GenSpec
@@ -118,19 +117,6 @@ def plan_from_args(args) -> ExperimentPlan:
     )
 
 
-def _print_summary(result) -> None:
-    print(",".join(SUMMARY_COLUMNS))
-    for r in result.rows:
-        fields = [
-            r.dataset, r.method, r.family, r.rule, _fmt(float(r.gamma)),
-            _fmt(float(r.omega)), r.reps, r.seed, r.success, r.diverged,
-            _fmt(r.mean_iters), _fmt(r.median_iters),
-            _fmt(r.mean_final_residual), _fmt(r.mean_final_relerr),
-            _fmt(r.mean_time),
-        ]
-        print(",".join(_fmt(f) for f in fields))
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -144,7 +130,7 @@ def main(argv=None) -> int:
         if args.out:
             emit_csv(result, args.out)
         else:
-            _print_summary(result)
+            write_summary(result, sys.stdout)
         if args.plot_data:
             emit_plot_data(result, args.plot_data)
     except (SketchDescentError, OSError) as exc:

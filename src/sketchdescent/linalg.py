@@ -205,7 +205,3 @@ class SpdFactor:
         val = float(v @ v) if self.is_identity else float(v @ (self.matrix @ v))
         return val if val > 0.0 else max(val, 0.0)
 
-
-def solve_spd(M: SpdFactor, v: np.ndarray) -> np.ndarray:
-    """M^{-1} v for a factored SPD matrix."""
-    return M.solve(v)

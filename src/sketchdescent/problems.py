@@ -160,39 +160,22 @@ class GenSpec:
         return f"gen:{self.m}x{self.n}{suffix}"
 
 
-def gen_gaussian(spec: GenSpec) -> LinearSystem:
-    """Dense Gaussian instance A x* = b with iid N(0,1) entries."""
-    if spec.kind != "gaussian":
-        raise InvalidInputError(f"gen_gaussian got kind {spec.kind!r}")
+def generate(spec: GenSpec) -> LinearSystem:
+    """Synthetic instance A x* = b for the spec, with A drawn first.
+
+    "gaussian" gives A with iid N(0,1) entries. "gaussian-normal-equations"
+    gives the n x n product A = W.T W of an m x n Gaussian W, SPD with
+    probability one for m >= n; m controls the conditioning (m = n is the
+    nastiest).
+    """
     rng = make_rng(spec.seed)
     A = standard_normal(rng, (spec.m, spec.n))
+    if spec.kind == "gaussian-normal-equations":
+        A = A.T @ A
+        A = 0.5 * (A + A.T)
     x_star = standard_normal(rng, spec.n)
     b = A @ x_star
     return LinearSystem(A=A, b=b, x_star=x_star, label=spec.label)
-
-
-def gen_gaussian_spd(spec: GenSpec) -> LinearSystem:
-    """SPD instance A = W.T W from an m x n Gaussian W, with m >= n.
-
-    The system is n x n. With m >= n the product is SPD with probability
-    one; m controls the conditioning (m = n is the nastiest).
-    """
-    if spec.kind != "gaussian-normal-equations":
-        raise InvalidInputError(f"gen_gaussian_spd got kind {spec.kind!r}")
-    rng = make_rng(spec.seed)
-    W = standard_normal(rng, (spec.m, spec.n))
-    A = W.T @ W
-    A = 0.5 * (A + A.T)
-    x_star = standard_normal(rng, spec.n)
-    b = A @ x_star
-    return LinearSystem(A=A, b=b, x_star=x_star, label=spec.label)
-
-
-def generate(spec: GenSpec) -> LinearSystem:
-    """Dispatch on spec.kind."""
-    if spec.kind == "gaussian":
-        return gen_gaussian(spec)
-    return gen_gaussian_spd(spec)
 
 
 def make_consistent(

@@ -38,16 +38,6 @@ VECTOR_KINDS = ("row", "lsqcol", "spectral")
 KINDS = ("row", "lsqcol", "block", "spectral", "full")
 
 
-def require_spd(A: np.ndarray, what: str) -> None:
-    """Cheap structural check: square and symmetric. Definiteness is
-    enforced later by whichever factorization touches the matrix."""
-    m, n = A.shape
-    if m != n:
-        raise InvalidInputError(f"{what} needs a square matrix, got {m}x{n}")
-    if np.abs(A - A.T).max() > 1e-12 * max(1.0, np.abs(A).max()):
-        raise InvalidInputError(f"{what} needs a symmetric matrix")
-
-
 @dataclass
 class SketchEval:
     """One index evaluated at one point.
@@ -117,7 +107,6 @@ class SketchFamily:
                 Binv_W = Bf.solve(W)
                 self._d = np.einsum("ji,ji->i", W, Binv_W)
         elif kind == "spectral":
-            require_spd(A, "spectral sketches")
             self.q = n
             lam, U = sym_eig(A)
             if lam[0] <= 0.0:
@@ -150,7 +139,6 @@ class SketchFamily:
                 K = Ac @ (Ac.T if Bf.is_identity else Bf.solve(Ac.T))
                 self._pinvs.append(pinv_psd(0.5 * (K + K.T)))
         else:  # full
-            require_spd(A, "the full sketch")
             self.q = 1
             self._Af = SpdFactor(A)
 
@@ -376,17 +364,3 @@ def apply_update(x: np.ndarray, ev: SketchEval, omega: float = 1.0) -> np.ndarra
         return x
     return x - (omega * ev.step) * ev.direction
 
-
-def eval_loss(family: SketchFamily, i: int, x: np.ndarray) -> float:
-    """Loss f_i(x) at one index, via the family's closed form."""
-    return float(family.losses(x, np.array([i]))[0])
-
-
-def eval_direction(family: SketchFamily, i: int, x: np.ndarray) -> np.ndarray:
-    """Metric gradient of f_i at x."""
-    return family.evaluate(i, x).direction
-
-
-def eval_step(family: SketchFamily, i: int, x: np.ndarray) -> float | None:
-    """Exact line-search step at index i, or None when the loss is zero."""
-    return family.evaluate(i, x).step

@@ -27,7 +27,7 @@ from .linalg import SpdFactor, as_vector, pinv_psd
 from .problems import LinearSystem, resolve_x_star
 from .rng import make_rng
 from .sampling import CappedRule, rule_expectation, select
-from .sketching import VECTOR_KINDS, SketchFamily, apply_update, require_spd
+from .sketching import VECTOR_KINDS, SketchFamily, apply_update
 
 DIVERGENCE_NORM = 1e12
 
@@ -43,7 +43,7 @@ class SolverConfig:
     protocol, "zero" is the origin, and "range" projects the far start
     onto range(G^{-1} A'), the subspace the momentum certificates assume.
     check_every = None picks 100 for vector sketch families and 1
-    otherwise. reps only matters to the benchmark driver.
+    otherwise.
     """
 
     omega: float = 1.0
@@ -54,7 +54,6 @@ class SolverConfig:
     x0: object = "ones1000"
     check_every: int | None = None
     track_cesaro: bool = False
-    reps: int = 10
 
     def validate(self) -> None:
         if not 0.0 < self.omega < 2.0:
@@ -67,8 +66,6 @@ class SolverConfig:
             raise InvalidConfigError(f"max_iters must be >= 0, got {self.max_iters}")
         if self.check_every is not None and self.check_every < 1:
             raise InvalidConfigError("check_every must be >= 1")
-        if self.reps < 1:
-            raise InvalidConfigError("reps must be >= 1")
         if isinstance(self.x0, str) and self.x0 not in X0_PRESETS:
             raise InvalidConfigError(
                 f"unknown x0 preset {self.x0!r}; choose from {X0_PRESETS}"
@@ -309,7 +306,6 @@ def run_sd(system: LinearSystem, cfg: SolverConfig | None = None) -> IterationTr
     cfg = cfg or SolverConfig()
     cfg.validate()
     A = system.A
-    require_spd(A, "steepest descent")
     Af = SpdFactor(A)
     x = resolve_x0(cfg.x0, system)
     check_every = cfg.check_every or 1
@@ -354,7 +350,6 @@ def run_cg_momentum(system: LinearSystem, cfg: SolverConfig | None = None) -> It
     cfg = cfg or SolverConfig()
     cfg.validate()
     A = system.A
-    require_spd(A, "conjugate gradients")
     Af = SpdFactor(A)
     x = resolve_x0(cfg.x0, system)
     check_every = cfg.check_every or 1

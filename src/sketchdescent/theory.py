@@ -135,24 +135,20 @@ def _whitened_sum(family: SketchFamily) -> np.ndarray:
             Z += family.curvature_matrix(i)
     else:
         Z = sys.B_factor.dense()
-    if sys.G_factor.is_identity:
-        T = Z
-    else:
-        Gih = sys.G_factor.inv_sqrt()
-        T = Gih @ Z @ Gih
-    return 0.5 * (T + T.T)
+    return _whiten(sys, Z)
 
 
 def whitened_operator(family: SketchFamily, i: int) -> np.ndarray:
     """T_i as a dense matrix. Reference/testing use."""
-    sys = family.system
-    Z = family.curvature_matrix(i)
-    if sys.G_factor.is_identity:
-        T = Z
-    else:
-        Gih = sys.G_factor.inv_sqrt()
-        T = Gih @ Z @ Gih
-    return 0.5 * (T + T.T)
+    return _whiten(family.system, family.curvature_matrix(i))
+
+
+def _whiten(system, Z: np.ndarray) -> np.ndarray:
+    """G^{-1/2} Z G^{-1/2}, symmetrized."""
+    if not system.G_factor.is_identity:
+        Gih = system.G_factor.inv_sqrt()
+        Z = Gih @ Z @ Gih
+    return 0.5 * (Z + Z.T)
 
 
 def _index_spectra(family: SketchFamily):

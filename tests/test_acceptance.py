@@ -65,7 +65,7 @@ def test_01_projection_identity(announce):
             assert sel.index is not None
             ev = fam.evaluate(sel.index, x)
             x = skd.apply_update(x, ev, omega=1.0)
-            assert skd.eval_loss(fam, sel.index, x) <= 1e-20
+            assert fam.evaluate(sel.index, x).loss <= 1e-20
     announce(1, "row projection identity", t0, 1.0)
 
 
@@ -93,7 +93,7 @@ def test_02_unit_step_at_matched_metrics(announce):
         fam = families[rng.integers(len(families))]
         i = int(rng.integers(fam.q))
         x = fam.system.x_star + rng.standard_normal(fam.system.n)
-        step = skd.eval_step(fam, i, x)
+        step = fam.evaluate(i, x).step
         if step is None:
             continue
         assert step == 1.0  # exact, not approximate

@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 import sketchdescent as skd
-from sketchdescent.bench import (
-    GCD_TAU_GRID,
-    GK_TAU_GRID,
-    parse_family,
-    tau_grid,
-)
+from sketchdescent import bench
+from sketchdescent.bench import parse_family
 from sketchdescent.errors import InvalidConfigError
 from sketchdescent.rng import derive_seed
 
@@ -48,12 +44,6 @@ def strip_walltime(path):
 
 
 class TestGrids:
-    def test_tau_grid_clips_and_appends_q(self):
-        assert tau_grid(GCD_TAU_GRID, 20) == [1, 5, 10, 20]
-        assert tau_grid(GK_TAU_GRID, 60) == [1, 5, 20, 50, 60]
-        assert tau_grid((1, 5), 3) == [1, 3]
-        assert tau_grid((), 4) == [4]
-
     def test_parse_family(self):
         assert parse_family("row") == ("row", None)
         assert parse_family("block:4") == ("block", 4)
@@ -253,6 +243,48 @@ class TestRunExperiment:
             max_iters=5, theory=True, tol=0.0)
         out = skd.run_experiment(big)
         assert out.reports["gen:5x501|uniform"].startswith("skipped:")
+
+
+class TestBuildOnce:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Counts of bench.build_system calls and SketchFamily builds."""
+        counts = {"system": 0, "family": 0}
+        build_system = bench.build_system
+        family_init = skd.SketchFamily.__init__
+
+        def counting_build(*args, **kwargs):
+            counts["system"] += 1
+            return build_system(*args, **kwargs)
+
+        def counting_init(self, *args, **kwargs):
+            counts["family"] += 1
+            family_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(bench, "build_system", counting_build)
+        monkeypatch.setattr(skd.SketchFamily, "__init__", counting_init)
+        return counts
+
+    def test_grid_and_theory_share_one_build_per_dataset(self, builds):
+        plan = small_plan(method="ssdm",
+                          datasets=[gen_dataset(20, 8, seed=3),
+                                    gen_dataset(10, 4, seed=4)],
+                          rules=[skd.parse_rule("uniform"),
+                                 skd.parse_rule("greedy:3")],
+                          gammas=[0.0, 0.2], reps=2, theory=True)
+        result = skd.run_experiment(plan)
+        assert len(result.rows) == 8
+        assert len(result.reports) == 4
+        assert [r.dataset for r in result.rows] == \
+            ["gen:20x8"] * 4 + ["gen:10x4"] * 4
+        assert builds == {"system": 2, "family": 2}
+
+    def test_classical_method_builds_no_family(self, builds):
+        plan = small_plan(method="cg", datasets=[gen_dataset(8, 8, spd=True)],
+                          tol=1e-6, theory=True)
+        result = skd.run_experiment(plan)
+        assert result.rows[0].success == plan.reps
+        assert builds == {"system": 1, "family": 0}
 
 
 class TestEmit:

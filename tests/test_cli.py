@@ -1,4 +1,5 @@
 import csv
+import io
 
 import pytest
 
@@ -36,6 +37,22 @@ class TestExitCodes:
         assert len(rows) == 1
         assert rows[0]["dataset"] == "gen:16x6"
         assert rows[0]["method"] == "ssd"
+
+    def test_capped_rule_label_stays_one_field(self, tmp_path, capsys):
+        # the capped label holds commas; both summary writers must quote it
+        args = ("--gen", "60x10", "--rule", "capped:0.5,1,m,exact",
+                "--reps", "1")
+        out = tmp_path / "capped.csv"
+        assert run_cli(*args, "--out", str(out)) == 0
+        assert run_cli(*args) == 0
+        with open(out, newline="", encoding="utf-8") as fh:
+            from_file = list(csv.DictReader(fh))
+        from_stdout = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        for rows in (from_file, from_stdout):
+            assert len(rows) == 1
+            assert rows[0]["rule"] == "capped:0.5,1,m,exact"
+            assert rows[0]["gamma"] == "0.0"
+            assert None not in rows[0]  # DictReader files surplus fields under None
 
     def test_stdout_summary_when_no_out(self, capsys):
         code = run_cli(*BASE)

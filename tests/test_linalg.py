@@ -9,7 +9,6 @@ from sketchdescent.linalg import (
     check_symmetric,
     inv_sqrt_spd,
     pinv_psd,
-    solve_spd,
     sqrt_spd,
     sym_eig,
     weighted_norm_sq,
@@ -138,11 +137,11 @@ class TestSpdFactor:
 
     def test_solve_diagonal(self):
         f = SpdFactor(np.diag([2.0, 4.0]))
-        assert np.allclose(solve_spd(f, np.array([2.0, 4.0])), [1.0, 1.0])
+        assert np.allclose(f.solve(np.array([2.0, 4.0])), [1.0, 1.0])
 
     def test_solve_hand_system(self):
         f = SpdFactor(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        assert np.allclose(solve_spd(f, np.array([3.0, 3.0])), [1.0, 1.0])
+        assert np.allclose(f.solve(np.array([3.0, 3.0])), [1.0, 1.0])
 
     def test_roundtrip_and_whitening(self):
         M = random_spd(8, 5)

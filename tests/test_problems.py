@@ -5,6 +5,7 @@ import sketchdescent as skd
 from sketchdescent.errors import InvalidInputError, NotSpdError
 from sketchdescent.linalg import pinv_psd
 from sketchdescent.problems import CONSISTENCY_TOL
+from sketchdescent.rng import make_rng, standard_normal
 
 
 class TestGenSpec:
@@ -26,26 +27,26 @@ class TestGenSpec:
 
 class TestGenGaussian:
     def test_consistent_by_construction(self):
-        system = skd.gen_gaussian(skd.GenSpec("gaussian", 3, 2, seed=7))
+        system = skd.generate(skd.GenSpec("gaussian", 3, 2, seed=7))
         assert np.linalg.norm(system.A @ system.x_star - system.b) == 0.0
 
     def test_deterministic(self):
         spec = skd.GenSpec("gaussian", 5, 4, seed=11)
-        a, b = skd.gen_gaussian(spec), skd.gen_gaussian(spec)
+        a, b = skd.generate(spec), skd.generate(spec)
         assert np.array_equal(a.A, b.A)
         assert np.array_equal(a.b, b.b)
         assert np.array_equal(a.x_star, b.x_star)
 
     def test_shape_and_seed_sensitivity(self):
-        big = skd.gen_gaussian(skd.GenSpec("gaussian", 200, 60, seed=0))
+        big = skd.generate(skd.GenSpec("gaussian", 200, 60, seed=0))
         assert big.A.shape == (200, 60)
-        other = skd.gen_gaussian(skd.GenSpec("gaussian", 200, 60, seed=1))
+        other = skd.generate(skd.GenSpec("gaussian", 200, 60, seed=1))
         assert not np.array_equal(big.A, other.A)
 
 
 class TestGenGaussianSpd:
     def test_spd_output(self):
-        system = skd.gen_gaussian_spd(
+        system = skd.generate(
             skd.GenSpec("gaussian-normal-equations", 10, 4, seed=1))
         A = system.A
         assert A.shape == (4, 4)
@@ -53,15 +54,17 @@ class TestGenGaussianSpd:
         assert np.linalg.eigvalsh(A).min() > 0.0
 
     def test_solution_recovery_via_pinv(self):
-        system = skd.gen_gaussian_spd(
+        system = skd.generate(
             skd.GenSpec("gaussian-normal-equations", 12, 5, seed=3))
         x = pinv_psd(system.A) @ system.b
         assert np.allclose(x, system.x_star, atol=1e-8)
 
     def test_generate_dispatch(self):
         spec = skd.GenSpec("gaussian-normal-equations", 8, 4, seed=2)
+        W = standard_normal(make_rng(2), (8, 4))
+        WtW = W.T @ W
         assert np.array_equal(skd.generate(spec).A,
-                              skd.gen_gaussian_spd(spec).A)
+                              0.5 * (WtW + WtW.T))
 
 
 class TestLinearSystem:
@@ -88,7 +91,7 @@ class TestLinearSystem:
             skd.LinearSystem(A=A, b=np.ones(2), B=np.diag([1.0, -1.0]))
 
     def test_accepts_spd_metric(self):
-        system = skd.gen_gaussian_spd(
+        system = skd.generate(
             skd.GenSpec("gaussian-normal-equations", 9, 4, seed=5))
         wrapped = skd.LinearSystem(A=system.A, b=system.b, B=system.A,
                                    G=system.A, x_star=system.x_star)
@@ -119,7 +122,7 @@ class TestMakeConsistent:
                 skd.make_consistent(np.zeros((2, 2)), seed=0)
 
     def test_metric_passthrough(self):
-        system = skd.gen_gaussian_spd(
+        system = skd.generate(
             skd.GenSpec("gaussian-normal-equations", 8, 3, seed=7))
         wrapped = skd.make_consistent(system.A, seed=2, B=system.A, G=system.A)
         assert wrapped.g_equals_b

@@ -24,20 +24,20 @@ class TestWorkedExamples:
         # single-row loss is the squared scaled residual: (0 - 1)^2 / (2 * 1)
         system = diag_system([1.0, 2.0], b=[1.0, 2.0])
         fam = skd.SketchFamily("row", system)
-        assert skd.eval_loss(fam, 0, np.zeros(2)) == pytest.approx(0.5)
+        assert fam.evaluate(0, np.zeros(2)).loss == pytest.approx(0.5)
 
     def test_spectral_loss_nine_halves(self):
         system = diag_system([1.0, 2.0], BG="system")
         fam = skd.SketchFamily("spectral", system)
         # eigenvector e1 with eigenvalue 1 at x = (3, 0): (1*3 - 0)^2 / (2*1)
         i = int(np.argmin(fam.eigvals))
-        assert skd.eval_loss(fam, i, np.array([3.0, 0.0])) == pytest.approx(4.5)
+        assert fam.evaluate(i, np.array([3.0, 0.0])).loss == pytest.approx(4.5)
 
     def test_row_direction_hand_value(self):
         A = np.array([[1.0, 0.0]])
         system = skd.LinearSystem(A=A, b=np.array([1.0]))
         fam = skd.SketchFamily("row", system)
-        assert np.allclose(skd.eval_direction(fam, 0, np.zeros(2)), [-1.0, 0.0])
+        assert np.allclose(fam.evaluate(0, np.zeros(2)).direction, [-1.0, 0.0])
 
     def test_full_direction_is_residual(self):
         # generating sketch S = A with metric weight B = A and G = I turns
@@ -45,7 +45,7 @@ class TestWorkedExamples:
         system = diag_system([1.0, 2.0], b=[1.0, 1.0], steepest=True)
         fam = skd.SketchFamily("full", system)
         x = np.array([3.0, -2.0])
-        assert np.allclose(skd.eval_direction(fam, 0, x), system.A @ x - system.b)
+        assert np.allclose(fam.evaluate(0, x).direction, system.A @ x - system.b)
 
     def test_full_step_five_ninths_and_update(self):
         system = diag_system([1.0, 2.0], steepest=True)
@@ -92,7 +92,7 @@ class TestStepIdentity:
             for trial in range(20):
                 x = rng.standard_normal(system.n)
                 i = int(rng.integers(fam.q))
-                step = skd.eval_step(fam, i, x)
+                step = fam.evaluate(i, x).step
                 if step is not None:
                     assert step == 1.0  # exact, not approximate
 
@@ -105,7 +105,7 @@ class TestStepIdentity:
         rng = np.random.default_rng(2)
         for trial in range(50):
             x = rng.standard_normal(5)
-            step = skd.eval_step(fam, 0, x)
+            step = fam.evaluate(0, x).step
             assert 1.0 / rep.eig_max[0] - 1e-12 <= step <= 1.0 / rep.eig_min_pos[0] + 1e-12
 
     def test_rank_one_step_is_reciprocal_eig(self):
@@ -116,7 +116,7 @@ class TestStepIdentity:
         rng = np.random.default_rng(3)
         for i in range(fam.q):
             x = rng.standard_normal(4)
-            step = skd.eval_step(fam, i, x)
+            step = fam.evaluate(i, x).step
             if step is not None:
                 assert step == pytest.approx(1.0 / rep.eig_max[i], rel=1e-12)
 
@@ -191,7 +191,7 @@ class TestApplyUpdate:
             if ev.step is None:
                 continue
             x1 = skd.apply_update(x, ev, omega=1.0)
-            assert skd.eval_loss(fam, i, x1) <= 1e-20
+            assert fam.evaluate(i, x1).loss <= 1e-20
 
     def test_unit_relaxation_decreases_selected_loss(self):
         for kind in KINDS:
@@ -244,7 +244,7 @@ class TestFamilyStructure:
         with pytest.raises(InvalidInputError):
             fam.evaluate(6, np.zeros(3))
         with pytest.raises(InvalidInputError):
-            skd.eval_loss(fam, -1, np.zeros(3))
+            fam.evaluate(-1, np.zeros(3)).loss
 
     def test_curvature_matrix_full_equals_metric_weight(self):
         # the generating sketch S = A compresses nothing: its curvature is

@@ -47,7 +47,7 @@ class TestConfig:
     def test_validation_errors(self):
         bad = [dict(omega=0.0), dict(omega=2.0), dict(omega=-0.5),
                dict(gamma=-0.1), dict(tol=-1e-3), dict(max_iters=-1),
-               dict(check_every=0), dict(reps=0), dict(x0="nowhere")]
+               dict(check_every=0), dict(x0="nowhere")]
         for kwargs in bad:
             with pytest.raises(InvalidConfigError):
                 skd.SolverConfig(**kwargs).validate()
