@@ -23,7 +23,7 @@ import csv
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -35,7 +35,6 @@ from .errors import (
     NotSpdError,
     SizeLimitError,
 )
-from .linalg import SpdFactor
 from .loaders import load_libsvm, load_matrix_market
 from .problems import GenSpec, LinearSystem, generate, make_consistent
 from .rng import derive_seed
@@ -102,8 +101,6 @@ def build_system(dataset: DatasetSpec, family_kind: str,
         raise InvalidConfigError(f"unknown metric {metric!r}")
     if dataset.kind == "gen":
         base = generate(dataset.gen)
-        A, b, x_star = base.A, base.b, base.x_star
-        label = base.label
     else:
         if dataset.kind == "mtx":
             A = load_matrix_market(dataset.path)
@@ -112,35 +109,28 @@ def build_system(dataset: DatasetSpec, family_kind: str,
         else:
             A = load_libsvm(dataset.path, m_limit=dataset.m_limit)
         base = make_consistent(A, seed=dataset.data_seed, label=dataset.label)
-        A, b, x_star = base.A, base.b, base.x_star
-        label = dataset.label
 
-    try:
-        SpdFactor(A)
-        spd = True
-    except (InvalidInputError, NotSpdError):
-        spd = False
     if metric == "auto":
-        if family_kind in ("spectral", "full"):
-            metric = "system"
-        elif family_kind == "lsqcol":
-            metric = "normal"
-        elif family_kind == "row" and spd:
-            metric = "system"
-        else:
-            metric = "identity"
+        if family_kind == "row":
+            # B = A (coordinate descent) when building that system succeeds.
+            try:
+                return replace(base, B=base.A, G=base.A)
+            except (InvalidInputError, NotSpdError):
+                return base
+        metric = {"spectral": "system", "full": "system",
+                  "lsqcol": "normal"}.get(family_kind, "identity")
     if metric == "system":
-        if not spd:
+        try:
+            return replace(base, B=base.A, G=base.A)
+        except (InvalidInputError, NotSpdError):
             raise InvalidConfigError(
-                f"metric 'system' needs an SPD matrix; {label} is not"
-            )
-        BG = A
-    elif metric == "normal":
-        BG = A.T @ A
-        BG = 0.5 * (BG + BG.T)
-    else:
-        BG = None
-    return LinearSystem(A=A, b=b, B=BG, G=BG, x_star=x_star, label=label)
+                f"metric 'system' needs an SPD matrix; {base.label} is not"
+            ) from None
+    if metric == "normal":
+        AtA = base.A.T @ base.A
+        AtA = 0.5 * (AtA + AtA.T)
+        return replace(base, B=AtA, G=AtA)
+    return base
 
 
 @dataclass
@@ -324,20 +314,22 @@ def run_experiment(plan: ExperimentPlan) -> BenchResult:
     """Execute the full plan.
 
     Each dataset's system and sketch family are built once, then shared by
-    all of that dataset's cells and its spectral reports. workers > 1 runs
-    the cells in one process pool for the whole plan; the output is
-    identical to the serial run because every repetition's seed is derived
-    from its coordinates alone.
+    all of that dataset's cells and its spectral reports, whose
+    rule-independent spectra are computed once per dataset. workers > 1
+    runs the cells in one process pool for the whole plan, of at most one
+    worker per cell; the output is identical to the serial run because
+    every repetition's seed is derived from its coordinates alone.
     """
     plan.validate()
     kind, block_size = parse_family(plan.family)
     sketched = plan.method in ("ssd", "ssdm")
     cells = plan.cells()
     per_dataset = len(cells) // len(plan.datasets)
-    parallel = plan.workers > 1 and len(cells) > 1
+    workers = min(plan.workers, len(cells))
+    parallel = workers > 1
     rows = []
     reports: dict[str, str] = {}
-    with (ProcessPoolExecutor(max_workers=plan.workers) if parallel
+    with (ProcessPoolExecutor(max_workers=workers) if parallel
           else nullcontext()) as pool:
         mapper = pool.map if parallel else map
         for j, dataset in enumerate(plan.datasets):
@@ -349,12 +341,14 @@ def run_experiment(plan: ExperimentPlan) -> BenchResult:
             rows += mapper(run, mine)
             if not (plan.theory and sketched):
                 continue
-            for rule in plan.rules:
-                key = f"{dataset.label}|{rule.label}"
-                try:
-                    reports[key] = spectral_report(family, rule).to_text()
-                except SizeLimitError as exc:
-                    reports[key] = f"skipped: {exc}"
+            keys = [f"{dataset.label}|{rule.label}" for rule in plan.rules]
+            try:
+                base = spectral_report(family)
+            except SizeLimitError as exc:
+                reports.update(dict.fromkeys(keys, f"skipped: {exc}"))
+                continue
+            for key, rule in zip(keys, plan.rules):
+                reports[key] = base.with_rule(rule).to_text()
     return BenchResult(plan=plan, rows=rows, reports=reports)
 
 

@@ -130,16 +130,18 @@ def weighted_norm_sq(x, M) -> float:
 
 
 class SpdFactor:
-    """Cached factorizations of one SPD matrix (or the identity).
+    """The factorizations of one SPD matrix (or the identity), each made once.
 
-    Holds a Cholesky factorization for solves and computes the symmetric
-    square root / inverse square root lazily from an eigendecomposition.
-    The identity is represented without storing a matrix so that solves and
-    products are free; B = G = identity is the common case for row-action
-    solvers and must not cost O(n^2) per iteration.
+    The Cholesky factor is made at construction, which doubles as the SPD
+    check; the eigendecomposition behind :meth:`eig`, :meth:`sqrt` and
+    :meth:`inv_sqrt` is made on first use and kept. M = None with a
+    dimension n stands for the identity, stored without a matrix so that
+    solves and products are free; B = G = identity is the common case for
+    row-action solvers and must not cost O(n^2) per iteration.
     """
 
     def __init__(self, M=None, n: int | None = None):
+        self._eig = None
         if M is None:
             if n is None:
                 raise InvalidInputError("identity factor needs a dimension")
@@ -147,27 +149,20 @@ class SpdFactor:
             self.is_identity = True
             self._cho = None
             self.matrix = None
-        else:
-            A = check_symmetric(M, name="SPD matrix")
-            self.n = A.shape[0]
-            self.is_identity = False
-            self.matrix = A
-            try:
-                self._cho = scipy.linalg.cho_factor(A, lower=True, check_finite=False)
-            except scipy.linalg.LinAlgError as exc:
-                raise NotSpdError(f"Cholesky failed, matrix not SPD: {exc}") from exc
-        self._eig = None
+            return
+        A = check_symmetric(M, name="SPD matrix")
+        self.n = A.shape[0]
+        self.is_identity = False
+        self.matrix = A
+        try:
+            self._cho = scipy.linalg.cho_factor(A, lower=True, check_finite=False)
+        except scipy.linalg.LinAlgError as exc:
+            raise NotSpdError(f"Cholesky failed, matrix not SPD: {exc}") from exc
 
-    @classmethod
-    def identity(cls, n: int) -> "SpdFactor":
-        return cls(None, n=n)
-
-    @classmethod
-    def wrap(cls, M, n: int) -> "SpdFactor":
-        """Factor M, or an identity factor when M is None."""
-        return cls.identity(n) if M is None else cls(M)
-
-    def _eigh(self):
+    def eig(self) -> tuple[np.ndarray, np.ndarray]:
+        """(w, V) with w ascending and M = V diag(w) V', computed once."""
+        if self.is_identity:
+            return np.ones(self.n), np.eye(self.n)
         if self._eig is None:
             w, V = np.linalg.eigh(self.matrix)
             if w[0] <= 0.0:
@@ -189,19 +184,14 @@ class SpdFactor:
         return np.eye(self.n) if self.is_identity else self.matrix
 
     def sqrt(self) -> np.ndarray:
-        if self.is_identity:
-            return np.eye(self.n)
-        w, V = self._eigh()
+        w, V = self.eig()
         return (V * np.sqrt(w)) @ V.T
 
     def inv_sqrt(self) -> np.ndarray:
-        if self.is_identity:
-            return np.eye(self.n)
-        w, V = self._eigh()
+        w, V = self.eig()
         return (V / np.sqrt(w)) @ V.T
 
     def quad(self, v: np.ndarray) -> float:
         """v.T @ M @ v, clamped at zero."""
         val = float(v @ v) if self.is_identity else float(v @ (self.matrix @ v))
         return val if val > 0.0 else max(val, 0.0)
-

@@ -10,7 +10,7 @@ costs nothing per iteration.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,8 +53,6 @@ class LinearSystem:
     G: np.ndarray | None = None
     x_star: np.ndarray | None = None
     label: str = ""
-    _B_factor: SpdFactor | None = field(default=None, repr=False)
-    _G_factor: SpdFactor | None = field(default=None, repr=False)
 
     def __post_init__(self):
         self.A = as_matrix(self.A, "A")
@@ -68,9 +66,14 @@ class LinearSystem:
         if np.any(row_norms == 0.0):
             bad = int(np.argmin(row_norms))
             raise InvalidInputError(f"A has an exactly zero row (index {bad})")
-        # Factoring B and G up front doubles as the SPD check.
-        self._B_factor = SpdFactor.wrap(self.B, n)
-        self._G_factor = SpdFactor.wrap(self.G, n)
+        # Factoring B and G up front doubles as the SPD check. A G equal to
+        # B (None, the identity, equals only None) shares B's factor, and A's
+        # factor is B's when B is A.
+        self._B_factor = SpdFactor(self.B, n)
+        self._G_factor = (self._B_factor if self.G is self.B
+                          or np.array_equal(self.G, self.B)
+                          else SpdFactor(self.G, n))
+        self._A_factor = self._B_factor if self.B is self.A else None
         if self.x_star is not None:
             self.x_star = as_vector(self.x_star, "x_star")
             if self.x_star.shape != (n,):
@@ -100,13 +103,16 @@ class LinearSystem:
         return self._G_factor
 
     @property
+    def A_factor(self) -> SpdFactor:
+        """Factor of A itself (square SPD A only), made on first use."""
+        if self._A_factor is None:
+            self._A_factor = SpdFactor(self.A)
+        return self._A_factor
+
+    @property
     def g_equals_b(self) -> bool:
         """True when descent and projection geometries coincide exactly."""
-        if self._B_factor.is_identity and self._G_factor.is_identity:
-            return True
-        if self._B_factor.is_identity != self._G_factor.is_identity:
-            return False
-        return np.array_equal(self.B, self.G)
+        return self._G_factor is self._B_factor
 
     def residual(self, x: np.ndarray) -> np.ndarray:
         return self.A @ x - self.b

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidInputError
-from .linalg import SpdFactor, pinv_psd, sym_eig
+from .linalg import pinv_psd
 from .problems import LinearSystem
 
 VECTOR_KINDS = ("row", "lsqcol", "spectral")
@@ -108,9 +108,7 @@ class SketchFamily:
                 self._d = np.einsum("ji,ji->i", W, Binv_W)
         elif kind == "spectral":
             self.q = n
-            lam, U = sym_eig(A)
-            if lam[0] <= 0.0:
-                raise InvalidInputError("spectral sketches need A SPD")
+            lam, U = system.A_factor.eig()
             self.eigvals = lam
             self.eigvecs = U
             self._Utb = U.T @ system.b
@@ -140,7 +138,7 @@ class SketchFamily:
                 self._pinvs.append(pinv_psd(0.5 * (K + K.T)))
         else:  # full
             self.q = 1
-            self._Af = SpdFactor(A)
+            self._Af = system.A_factor
 
         if kind in VECTOR_KINDS:
             if np.any(self._d <= 0.0):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, InvalidConfigError, SizeLimitError
-from .linalg import SpdFactor, as_vector, pinv_psd
+from .linalg import as_vector, pinv_psd
 from .problems import LinearSystem, resolve_x_star
 from .rng import make_rng
 from .sampling import CappedRule, rule_expectation, select
@@ -306,7 +306,7 @@ def run_sd(system: LinearSystem, cfg: SolverConfig | None = None) -> IterationTr
     cfg = cfg or SolverConfig()
     cfg.validate()
     A = system.A
-    Af = SpdFactor(A)
+    Af = system.A_factor
     x = resolve_x0(cfg.x0, system)
     check_every = cfg.check_every or 1
     rec = _Recorder("sd", system, x, "selected", False)
@@ -350,7 +350,7 @@ def run_cg_momentum(system: LinearSystem, cfg: SolverConfig | None = None) -> It
     cfg = cfg or SolverConfig()
     cfg.validate()
     A = system.A
-    Af = SpdFactor(A)
+    Af = system.A_factor
     x = resolve_x0(cfg.x0, system)
     check_every = cfg.check_every or 1
     rec = _Recorder("cg", system, x, "selected", False)

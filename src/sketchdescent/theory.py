@@ -24,7 +24,7 @@ violation of each.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -79,6 +79,12 @@ class SpectralReport:
     largest to the smallest positive eigenvalue of T_i; for a rank-one T_i
     it is exactly 1. all_pd records whether every T_i is positive definite,
     which unlocks the sharper condition-number rates.
+
+    rule_label, zero_losses, lam_lo and lam_hi depend on the rule, every
+    other field on the family alone; a report for another rule is
+    :meth:`with_rule`. tsum_basis and index_bases hold orthonormal range
+    bases of the summed operator and of each T_i (None for the rank-one
+    kinds), so checks need not decompose them again.
     """
 
     kind: str
@@ -99,6 +105,17 @@ class SpectralReport:
     zero_losses: int
     lam_lo: float
     lam_hi: float
+    tsum_basis: np.ndarray = field(repr=False)
+    index_bases: list | None = field(repr=False)
+
+    def with_rule(self, rule, zero_losses: int = 0) -> "SpectralReport":
+        """The same family's report for another rule: new sandwich constants."""
+        lam_lo, lam_hi = sandwich_constants(
+            self.tsum_eig_min_pos, self.tsum_eig_max, self.mu_hi, self.q,
+            rule, zero_losses,
+        )
+        return replace(self, rule_label=getattr(rule, "label", str(rule)),
+                       zero_losses=zero_losses, lam_lo=lam_lo, lam_hi=lam_hi)
 
     def to_text(self) -> str:
         """Flat key=value dump, one line per scalar, for report files."""
@@ -152,7 +169,8 @@ def _whiten(system, Z: np.ndarray) -> np.ndarray:
 
 
 def _index_spectra(family: SketchFamily):
-    """Per-index (eig_max, eig_min_pos, eig_min, rank) arrays."""
+    """Per-index (eig_max, eig_min_pos, eig_min, rank) arrays, plus each
+    T_i's range basis (None for the rank-one vector kinds)."""
     sys = family.system
     n = sys.n
     q = family.q
@@ -165,22 +183,29 @@ def _index_spectra(family: SketchFamily):
         eig_min_pos = top.copy()
         eig_min = top.copy() if n == 1 else np.zeros(q)
         rank = np.ones(q, dtype=np.intp)
-        return eig_max, eig_min_pos, eig_min, rank
+        return eig_max, eig_min_pos, eig_min, rank, None
     eig_max = np.empty(q)
     eig_min_pos = np.empty(q)
     eig_min = np.empty(q)
     rank = np.empty(q, dtype=np.intp)
+    bases = []
     for i in range(q):
-        w, _ = sym_eig(whitened_operator(family, i))
-        cutoff = DEFAULT_EIG_CUTOFF * max(1.0, w[-1])
-        pos = w[w > cutoff]
+        w, V = sym_eig(whitened_operator(family, i))
+        keep = _positive(w)
+        pos = w[keep]
         if pos.size == 0:
             raise InvalidInputError(f"sketch index {i} has a zero operator")
         eig_max[i] = w[-1]
         eig_min_pos[i] = pos[0]
         rank[i] = pos.size
         eig_min[i] = w[0] if pos.size == n else 0.0
-    return eig_max, eig_min_pos, eig_min, rank
+        bases.append(V[:, keep])
+    return eig_max, eig_min_pos, eig_min, rank, bases
+
+
+def _positive(w: np.ndarray) -> np.ndarray:
+    """Mask of the eigenvalues above the relative rank cutoff."""
+    return w > DEFAULT_EIG_CUTOFF * max(1.0, w[-1])
 
 
 def spectral_report(family: SketchFamily, rule=None,
@@ -196,19 +221,13 @@ def spectral_report(family: SketchFamily, rule=None,
             f"spectral_report is dense-only; {sys.m}x{sys.n} exceeds "
             f"the {MAX_THEORY_DIM} desk-scale limit"
         )
-    if rule is None:
-        rule = GreedyRule(1)
-    eig_max, eig_min_pos, eig_min, rank = _index_spectra(family)
-    wT, _ = sym_eig(_whitened_sum(family))
-    cutoff = DEFAULT_EIG_CUTOFF * max(1.0, wT[-1])
-    posT = wT[wT > cutoff]
+    eig_max, eig_min_pos, eig_min, rank, bases = _index_spectra(family)
+    wT, VT = sym_eig(_whitened_sum(family))
+    keep = _positive(wT)
+    posT = wT[keep]
     if posT.size == 0:
         raise InvalidInputError("summed whitened operator is zero")
-    lam_lo, lam_hi = sandwich_constants(
-        float(posT[0]), float(wT[-1]), float(eig_max.max()),
-        family.q, rule, zero_losses,
-    )
-    return SpectralReport(
+    base = SpectralReport(
         kind=family.kind,
         q=family.q,
         n=sys.n,
@@ -223,11 +242,14 @@ def spectral_report(family: SketchFamily, rule=None,
         tsum_eig_max=float(wT[-1]),
         tsum_eig_min_pos=float(posT[0]),
         tsum_rank=int(posT.size),
-        rule_label=getattr(rule, "label", str(rule)),
-        zero_losses=zero_losses,
-        lam_lo=lam_lo,
-        lam_hi=lam_hi,
+        rule_label="",
+        zero_losses=0,
+        lam_lo=np.nan,
+        lam_hi=np.nan,
+        tsum_basis=VT[:, keep],
+        index_bases=bases,
     )
+    return base.with_rule(GreedyRule(1) if rule is None else rule, zero_losses)
 
 
 # ---------------------------------------------------------------------------
@@ -511,16 +533,6 @@ class _Tracker:
                            passed, self.where)
 
 
-def _range_basis(M: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the range of a symmetric PSD matrix."""
-    w, V = sym_eig(M)
-    cutoff = DEFAULT_EIG_CUTOFF * max(1.0, w[-1]) if w.size else 0.0
-    keep = w > cutoff
-    if not np.any(keep):
-        raise InvalidInputError("operator has empty range")
-    return V[:, keep]
-
-
 def verify_inequalities(family: SketchFamily, rules=None, trials: int = 1000,
                         seed: int = 0, rtol: float = 1e-9) -> InequalityReport:
     """Randomized check of every spectral inequality behind the rates.
@@ -563,11 +575,7 @@ def verify_inequalities(family: SketchFamily, rules=None, trials: int = 1000,
     rng = make_rng(seed)
     x_star, _ = resolve_x_star(sys, np.zeros(sys.n))
     Gih = None if sys.G_factor.is_identity else sys.G_factor.inv_sqrt()
-    Tsum = _whitened_sum(family)
-    Q = _range_basis(Tsum)
-    tsum_w, _ = sym_eig(Tsum)
-    tsum_max = float(tsum_w[-1])
-    tsum_min_pos = report.tsum_eig_min_pos
+    Q = report.tsum_basis
 
     vector = family.kind in VECTOR_KINDS
     if vector:
@@ -578,7 +586,7 @@ def verify_inequalities(family: SketchFamily, rules=None, trials: int = 1000,
         steps = d / e
     else:
         T_list = [whitened_operator(family, i) for i in range(family.q)]
-        proj_bases = [_range_basis(T) for T in T_list]
+        proj_bases = report.index_bases
 
     out = InequalityReport(trials=trials, rtol=rtol)
     t_quad21 = _Tracker("quad2_within_eig_bounds_of_quad1")
@@ -681,7 +689,8 @@ def verify_inequalities(family: SketchFamily, rules=None, trials: int = 1000,
 
         for rule in rules:
             lam_lo, lam_hi = sandwich_constants(
-                tsum_min_pos, tsum_max, report.mu_hi, family.q, rule, zeros)
+                report.tsum_eig_min_pos, report.tsum_eig_max, report.mu_hi,
+                family.q, rule, zeros)
             exp_loss = rule_expectation(losses, rule)
             tr = rule_trackers[rule.label]
             tr.update(lam_lo * rr, 2.0 * exp_loss, t)

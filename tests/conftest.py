@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import sketchdescent as skd
 
@@ -48,3 +49,22 @@ def family_on(kind, m, n, seed=0, block_size=None):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def kernel_counts(monkeypatch):
+    """Live counts of Cholesky factorizations and symmetric eigensolves."""
+    counts = {"cho_factor": 0, "eigh": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(scipy.linalg, "cho_factor")
+    counting(np.linalg, "eigh")
+    return counts

@@ -287,6 +287,62 @@ class TestBuildOnce:
         assert builds == {"system": 1, "family": 0}
 
 
+class TestKernelCounts:
+    """Each SPD matrix is factored once and each operator decomposed once."""
+
+    def test_spectral_theory_plan(self, kernel_counts):
+        plan = small_plan(datasets=[gen_dataset(16, 8, spd=True)],
+                          family="spectral", reps=3, theory=True,
+                          rules=[skd.parse_rule(r) for r in
+                                 ("uniform", "greedy:3", "maxdist")])
+        result = skd.run_experiment(plan)
+        assert len(result.reports) == 3
+        # B = G = A share one Cholesky factor; A's eigendecomposition serves
+        # both the family and G^{-1/2}; the summed operator is decomposed
+        # once for all three rules.
+        assert kernel_counts == {"cho_factor": 1, "eigh": 2}
+
+    @pytest.mark.parametrize("method", ["cg", "sd"])
+    def test_classical_methods_factor_once(self, kernel_counts, method):
+        plan = small_plan(method=method, datasets=[gen_dataset(40, 8, spd=True)],
+                          reps=3, tol=1e-6)
+        result = skd.run_experiment(plan)
+        assert result.rows[0].success == 3
+        assert kernel_counts["cho_factor"] == 1
+
+    def test_spd_row_system_shares_one_factor(self, kernel_counts):
+        system = skd.build_system(gen_dataset(12, 5, spd=True), "row")
+        assert system.G_factor is system.B_factor
+        assert system.A_factor is system.B_factor
+        assert kernel_counts["cho_factor"] == 1
+
+
+class TestPoolSize:
+    def test_pool_never_exceeds_cell_count(self, monkeypatch):
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", InProcessPool)
+        two = skd.parse_rule("uniform"), skd.parse_rule("greedy:3")
+        result = skd.run_experiment(small_plan(rules=list(two), workers=6))
+        assert len(result.rows) == 2
+        assert sizes == [2]
+        skd.run_experiment(small_plan(workers=6))  # one cell: no pool
+        assert sizes == [2]
+
+
 class TestEmit:
     def test_csv_round_trip_and_schema(self, tmp_path):
         plan = small_plan(method="ssdm", gammas=[0.0, 0.3], reps=2)

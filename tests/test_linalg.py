@@ -128,7 +128,7 @@ class TestSqrts:
 
 class TestSpdFactor:
     def test_identity_paths(self):
-        f = SpdFactor.identity(4)
+        f = SpdFactor(None, n=4)
         v = np.arange(4.0)
         assert np.array_equal(f.solve(v), v)
         assert np.array_equal(f.apply(v), v)

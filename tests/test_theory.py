@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -391,6 +392,46 @@ class TestVerifyInequalities:
         _, fam = family_on("row", 8, 4, seed=20)
         with pytest.raises(InvalidInputError):
             skd.verify_inequalities(fam, trials=0)
+
+
+class TestSharedSpectra:
+    RULES = ("uniform", "greedy:3", "maxdist", "capped:0.5,1,m,exact")
+
+    @pytest.mark.parametrize("kind", ["row", "block", "spectral"])
+    @pytest.mark.parametrize("zero_losses", [0, 2])
+    def test_with_rule_matches_spectral_report(self, kind, zero_losses):
+        _, fam = family_on(kind, 12, 6, seed=22, block_size=3)
+        base = skd.spectral_report(fam)
+        for text in self.RULES:
+            rule = skd.parse_rule(text)
+            derived = base.with_rule(rule, zero_losses)
+            direct = skd.spectral_report(fam, rule, zero_losses)
+            for f in dataclasses.fields(direct):
+                a, b = getattr(derived, f.name), getattr(direct, f.name)
+                if f.name == "index_bases" and a is not None:
+                    assert len(a) == len(b)
+                    assert all(np.array_equal(x, y) for x, y in zip(a, b))
+                elif isinstance(a, np.ndarray):
+                    assert np.array_equal(a, b), f.name
+                else:
+                    assert a == b, f.name
+            assert derived.to_text() == direct.to_text()
+
+    @pytest.mark.parametrize("kind, block_size, most", [
+        ("row", None, 1),
+        ("spectral", None, 1),  # A's own decomposition is the family's
+        ("block", 2, 7),        # q = 6 block operators plus their sum
+    ])
+    def test_verify_decomposes_each_operator_once(self, kernel_counts, kind,
+                                                  block_size, most):
+        _, fam = family_on(kind, 12, 6, seed=23, block_size=block_size)
+        before = kernel_counts["eigh"]
+        report = skd.verify_inequalities(fam, trials=10, seed=1)
+        assert report.all_passed, report.to_text()
+        assert kernel_counts["eigh"] - before <= most
+        if kind == "block":
+            assert fam.q == 6
+            assert kernel_counts["eigh"] - before == fam.q + 1
 
 
 class TestEnumeratedSandwich:
