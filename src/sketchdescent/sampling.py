@@ -264,19 +264,22 @@ class Selection:
     expected_loss: float | None = None
 
 
-def select(rule, family, x: np.ndarray, rng: np.random.Generator) -> Selection:
+def select(rule, family, x: np.ndarray, rng: np.random.Generator,
+           linear: np.ndarray | None = None) -> Selection:
     """Run one selection step of the rule on the family at x.
 
     Greedy ties (equal losses in the sample) break to the smallest index;
     the sample is kept in ascending order so argmax does that on its own.
     Full scans (tau = q, capped) let the family read every loss without
     gathering an index array; a capped step computes its threshold once.
+    linear, when given, is forwarded to family.losses: the caller's
+    maintained linear values at x.
     """
     q = family.q
     if isinstance(rule, GreedyRule):
         tau = rule.resolve_tau(q)
         sample = None if tau == q else draw_sample(q, tau, rng)
-        losses = family.losses(x, sample)
+        losses = family.losses(x, sample, linear)
         zero = int(np.count_nonzero(losses == 0.0))
         if zero == q:
             return Selection(None, losses, zero)
@@ -285,7 +288,7 @@ def select(rule, family, x: np.ndarray, rng: np.random.Generator) -> Selection:
         top = losses[pick] if sample is None else np.max(losses)
         return Selection(pick, losses, zero, chosen_loss=float(top))
     if isinstance(rule, CappedRule):
-        losses = family.losses(x)
+        losses = family.losses(x, None, linear)
         zero = int(np.count_nonzero(losses == 0.0))
         if not np.any(losses > 0.0):
             return Selection(None, losses, zero)

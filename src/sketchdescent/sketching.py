@@ -17,9 +17,15 @@ The vector families (row, lsqcol, spectral) do their setup once, at
 construction: the scalar denominators d_i, and the direction matrix
 D = G^{-1} W, where column i of W is w_i = A' S_i. The G-gradient of f_i
 is (c_i / d_i) D[:, i] with c_i = S_i' (A x - b). When G = I, D is W. One
-iteration then costs one scan of the losses plus an O(n) update, and no
+iteration then costs the losses its rule reads plus an O(n) update, and no
 solve with G. A scan over all q indices reads A, A' or U in place, with no
-gathered copy. A slow reference path
+gathered copy.
+
+A step along D[:, i] moves every linear value by a fixed vector: c changes
+by -t K'[i] for a step of length t, where K' = D' W is the q x q coupling.
+When q <= n the family caches K' (never larger than D), so a solver whose
+rule reads many losses can keep c up to date in O(q) per step and hand it
+to :meth:`SketchFamily.losses` instead of paying a scan. A slow reference path
 (:meth:`SketchFamily.generic_evaluate`) materializes S_i and H_i explicitly
 and exists so tests can pin the fast paths against it.
 """
@@ -43,13 +49,16 @@ class SketchEval:
     """One index evaluated at one point.
 
     step is None when the index loss is exactly zero there; the exact line
-    search is 0/0 in that case and the update must be skipped.
+    search is 0/0 in that case and the update must be skipped. linear is
+    the index's linear value c_i = S_i' (A x - b), computed exactly, for the
+    vector kinds; the loss is 1/2 c_i^2 / d_i.
     """
 
     index: int
     loss: float
     direction: np.ndarray
     step: float | None
+    linear: float | None = None
 
 
 class SketchFamily:
@@ -140,6 +149,7 @@ class SketchFamily:
             self.q = 1
             self._Af = system.A_factor
 
+        self._coupling = None
         if kind in VECTOR_KINDS:
             if np.any(self._d <= 0.0):
                 raise InvalidInputError(
@@ -151,11 +161,14 @@ class SketchFamily:
             self._dirs = Binv_W if self.g_equals_b else self._Gf.solve(W)
             self._e = (None if self.g_equals_b
                        else np.einsum("ij,ij->j", W, self._dirs))
+            # K' = D' W, kept only when it is no larger than D.
+            if self.q <= n:
+                self._coupling = self._dirs.T @ W
 
     # -- fast paths --------------------------------------------------------
 
-    def _linear_values(self, x: np.ndarray, indices=None) -> np.ndarray:
-        """s_i' (A x - b) for the vector kinds, batched over indices.
+    def linear_values(self, x: np.ndarray, indices=None) -> np.ndarray:
+        """c_i = s_i' (A x - b) for the vector kinds, batched over indices.
 
         indices = None means all q, read straight from the matrices.
         """
@@ -172,8 +185,12 @@ class SketchFamily:
             lam, U, Utb = lam[indices], U[:, indices], Utb[indices]
         return lam * (U.T @ x) - Utb
 
-    def losses(self, x: np.ndarray, indices=None) -> np.ndarray:
-        """Index losses f_i(x) for the given indices (all q by default)."""
+    def losses(self, x: np.ndarray, indices=None, linear=None) -> np.ndarray:
+        """Index losses f_i(x) for the given indices (all q by default).
+
+        linear, for the vector kinds, holds all q linear values at x as the
+        caller maintains them; the losses are then read from it, not from x.
+        """
         if indices is not None:
             indices = np.asarray(indices, dtype=np.intp)
             if indices.size and (indices.min() < 0 or indices.max() >= self.q):
@@ -181,7 +198,10 @@ class SketchFamily:
                     f"index out of range for q={self.q}"
                 )
         if self.kind in VECTOR_KINDS:
-            c = self._linear_values(x, indices)
+            if linear is None:
+                c = self.linear_values(x, indices)
+            else:
+                c = linear if indices is None else linear[indices]
             return 0.5 * c * c / (self._d if indices is None else self._d[indices])
         if indices is None:
             indices = np.arange(self.q)
@@ -211,14 +231,14 @@ class SketchFamily:
             raise InvalidInputError(f"index {i} out of range for q={self.q}")
         sys = self.system
         if self.kind in VECTOR_KINDS:
-            c = float(self._linear_values(x, np.array([i]))[0])
+            c = float(self.linear_values(x, np.array([i]))[0])
             d = self._d[i]
             loss = 0.5 * c * c / d
             if c == 0.0:
-                return SketchEval(i, 0.0, np.zeros(sys.n), None)
+                return SketchEval(i, 0.0, np.zeros(sys.n), None, 0.0)
             direction = (c / d) * self._dirs[:, i]
             step = 1.0 if self.g_equals_b else d / self._e[i]
-            return SketchEval(i, loss, direction, step)
+            return SketchEval(i, loss, direction, step, c)
         if self.kind == "block":
             C = self.blocks[i]
             A = sys.A
@@ -324,6 +344,16 @@ class SketchFamily:
             raise InvalidInputError(
                 f"direction_matrix undefined for kind {self.kind!r}")
         return self._dirs
+
+    @property
+    def coupling(self) -> np.ndarray | None:
+        """q x q matrix K' = D' W, or None.
+
+        Row i is how all q linear values move per unit step along D[:, i].
+        Cached at construction for the vector kinds when q <= n, so it is
+        never larger than the direction matrix; None otherwise.
+        """
+        return self._coupling
 
     @property
     def denominators(self) -> np.ndarray:

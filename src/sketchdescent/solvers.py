@@ -13,10 +13,19 @@ Residuals, errors and wall times are recorded at checkpoints; the stopping
 test ||A x - b|| <= tol runs at the same granularity. Vector families
 default to a checkpoint every 100 iterations so the O(m n) residual never
 dominates the O(n) iteration; everything else checks every iteration.
+
+A rule that reads more than one loss per iteration (greedy tau > 1, max
+distance, capped) on a family that caches its coupling K' keeps the q
+linear values up to date, O(q) per step, instead of scanning A, A' or U:
+each step moves them by a multiple of one row of K'. They are recomputed
+exactly at every checkpoint, and before a run ends because every maintained
+loss is zero. The chosen index's own value is always computed exactly, and
+a selected loss that is NaN or infinite stops the run at once.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -26,7 +35,7 @@ from .errors import DivergenceError, InvalidConfigError, SizeLimitError
 from .linalg import as_vector, pinv_psd
 from .problems import LinearSystem, resolve_x_star
 from .rng import make_rng
-from .sampling import CappedRule, rule_expectation, select
+from .sampling import CappedRule, GreedyRule, rule_expectation, select
 from .sketching import VECTOR_KINDS, SketchFamily, apply_update
 
 DIVERGENCE_NORM = 1e12
@@ -205,13 +214,17 @@ class _Recorder:
         )
 
 
+def _diverge(rec: _Recorder, k: int, x: np.ndarray, why: str) -> None:
+    """Raise DivergenceError carrying the trace of the first k updates."""
+    trace = rec.finish(k, False, np.nan_to_num(x, posinf=0.0, neginf=0.0),
+                       diverged=True)
+    raise DivergenceError(why, trace=trace)
+
+
 def _check_finite(x: np.ndarray, rec: _Recorder, k: int) -> None:
     norm = float(np.linalg.norm(x))
     if not np.isfinite(norm) or norm > DIVERGENCE_NORM:
-        trace = rec.finish(k, False, np.nan_to_num(x, posinf=0.0, neginf=0.0),
-                           diverged=True)
-        raise DivergenceError(
-            f"iterate norm {norm:.3e} at iteration {k}", trace=trace)
+        _diverge(rec, k, x, f"iterate norm {norm:.3e} at iteration {k}")
 
 
 def _run_sketched(method: str, system: LinearSystem, family: SketchFamily,
@@ -236,6 +249,17 @@ def _run_sketched(method: str, system: LinearSystem, family: SketchFamily,
     if res0 <= cfg.tol:
         return rec.finish(0, True, x, x.copy() if cfg.track_cesaro else None)
 
+    # Maintain c only where it saves work: a rule reading one loss pays no
+    # scan, and a checkpoint every step recomputes c anyway.
+    coupling = family.coupling
+    if check_every == 1 or (isinstance(rule, GreedyRule)
+                            and rule.resolve_tau(family.q) == 1):
+        coupling = None
+    c = c_prev = None
+    if coupling is not None:
+        d = family.denominators
+        c = c_prev = family.linear_values(x)
+
     x_prev = x.copy()
     x_sum = np.zeros_like(x)
     last_sel = -1
@@ -244,7 +268,10 @@ def _run_sketched(method: str, system: LinearSystem, family: SketchFamily,
     converged = False
     while k < cfg.max_iters:
         k += 1
-        sel = select(rule, family, x, rng)
+        sel = select(rule, family, x, rng, c)
+        if sel.index is None and c is not None:
+            c = family.linear_values(x)
+            sel = select(rule, family, x, rng, c)
         if sel.index is None:
             # Every loss is exactly zero: already solved.
             converged = True
@@ -252,12 +279,23 @@ def _run_sketched(method: str, system: LinearSystem, family: SketchFamily,
                        cesaro_loss(x_sum, k - 1))
             k -= 1
             break
+        if not math.isfinite(sel.chosen_loss):
+            _diverge(rec, k - 1, x,
+                     f"selected loss {sel.chosen_loss} at iteration {k}")
         last_sel = sel.index
         last_f = sel.expected_loss if exact_f else sel.chosen_loss
         ev = family.evaluate(sel.index, x)
         x_next = apply_update(x, ev, cfg.omega)
         if gamma != 0.0:
             x_next = x_next + gamma * (x - x_prev)
+        if c is not None:
+            c_next = c
+            if ev.step is not None:
+                a = cfg.omega * ev.step * (ev.linear / d[ev.index])
+                c_next = c - a * coupling[ev.index]
+            if gamma != 0.0:
+                c_next = c_next + gamma * (c - c_prev)
+            c_prev, c = c, c_next
         x_prev = x
         x = x_next
         if cfg.track_cesaro:
@@ -269,6 +307,10 @@ def _run_sketched(method: str, system: LinearSystem, family: SketchFamily,
             if res <= cfg.tol:
                 converged = True
                 break
+            if c is not None:
+                c = family.linear_values(x)
+                if gamma != 0.0:
+                    c_prev = family.linear_values(x_prev)
     x_cesaro = (x_sum / k) if (cfg.track_cesaro and k > 0) else (
         x.copy() if cfg.track_cesaro else None)
     return rec.finish(k, converged, x, x_cesaro)

@@ -170,7 +170,9 @@ def _whiten(system, Z: np.ndarray) -> np.ndarray:
 
 def _index_spectra(family: SketchFamily):
     """Per-index (eig_max, eig_min_pos, eig_min, rank) arrays, plus each
-    T_i's range basis (None for the rank-one vector kinds)."""
+    T_i's range basis (None for the rank-one vector kinds) and, for a
+    single matrix sketch (q = 1), T_0's decomposition: T_0 is then the
+    summed operator itself."""
     sys = family.system
     n = sys.n
     q = family.q
@@ -183,7 +185,7 @@ def _index_spectra(family: SketchFamily):
         eig_min_pos = top.copy()
         eig_min = top.copy() if n == 1 else np.zeros(q)
         rank = np.ones(q, dtype=np.intp)
-        return eig_max, eig_min_pos, eig_min, rank, None
+        return eig_max, eig_min_pos, eig_min, rank, None, None
     eig_max = np.empty(q)
     eig_min_pos = np.empty(q)
     eig_min = np.empty(q)
@@ -200,7 +202,7 @@ def _index_spectra(family: SketchFamily):
         rank[i] = pos.size
         eig_min[i] = w[0] if pos.size == n else 0.0
         bases.append(V[:, keep])
-    return eig_max, eig_min_pos, eig_min, rank, bases
+    return eig_max, eig_min_pos, eig_min, rank, bases, (w, V) if q == 1 else None
 
 
 def _positive(w: np.ndarray) -> np.ndarray:
@@ -221,8 +223,8 @@ def spectral_report(family: SketchFamily, rule=None,
             f"spectral_report is dense-only; {sys.m}x{sys.n} exceeds "
             f"the {MAX_THEORY_DIM} desk-scale limit"
         )
-    eig_max, eig_min_pos, eig_min, rank, bases = _index_spectra(family)
-    wT, VT = sym_eig(_whitened_sum(family))
+    eig_max, eig_min_pos, eig_min, rank, bases, only = _index_spectra(family)
+    wT, VT = only if only is not None else sym_eig(_whitened_sum(family))
     keep = _positive(wT)
     posT = wT[keep]
     if posT.size == 0:

@@ -26,7 +26,7 @@ class FixedLosses:
         self.q = losses.size
         self._losses = losses
 
-    def losses(self, x, indices=None):
+    def losses(self, x, indices=None, linear=None):
         return self._losses if indices is None else self._losses[indices]
 
 

@@ -156,15 +156,52 @@ class TestClosedFormMatchesGeneric:
         batch = fam.losses(x)
         gathered = fam.losses(x, np.arange(fam.q))
         np.testing.assert_allclose(batch, gathered, rtol=1e-13, atol=0.0)
+        c = fam.linear_values(x)
+        assert np.array_equal(fam.losses(x, None, c), batch)
+        sample = np.array([0, fam.q - 1])
+        assert np.array_equal(fam.losses(np.full_like(x, np.nan), sample, c),
+                              0.5 * c[sample] ** 2 / fam.denominators[sample])
         for i in range(fam.q):
             fast = fam.evaluate(i, x)
             assert batch[i] == pytest.approx(fast.loss, rel=1e-12)
+            assert fast.loss == 0.5 * fast.linear ** 2 / fam.denominators[i]
             assert gathered[i] == pytest.approx(fast.loss, rel=1e-12)
             slow = fam.generic_evaluate(i, x)
             assert np.allclose(fast.direction, slow.direction,
                                rtol=1e-9, atol=1e-9)
             if fast.step is not None and slow.step is not None:
                 assert fast.step == pytest.approx(slow.step, rel=1e-9)
+
+
+class TestCoupling:
+    # Square instances (q <= n) under each geometry; steepest has G != B.
+    @pytest.mark.parametrize("kind", VECTOR_KINDS)
+    @pytest.mark.parametrize("metric", ["identity", "system", "normal", "steepest"])
+    def test_diagonal_is_step_denominator(self, kind, metric):
+        spd = kind in ("row", "spectral") or metric in ("system", "steepest")
+        system = gaussian_system(20, 8, seed=10, spd=spd, metric=metric)
+        fam = skd.SketchFamily(kind, system)
+        K = fam.coupling
+        assert K.shape == (fam.q, fam.q)
+        e = np.einsum("ij,ij->j", fam.w_matrix, fam.direction_matrix)
+        np.testing.assert_allclose(np.diag(K), e, rtol=1e-12, atol=0.0)
+        # one step along D[:, i] moves every linear value by K'[i]
+        x = np.random.default_rng(5).standard_normal(system.n)
+        i = fam.q // 2
+        moved = fam.linear_values(x - fam.direction_matrix[:, i])
+        scale = np.abs(fam.linear_values(x)).max() + np.abs(K[i]).max()
+        np.testing.assert_allclose(moved, fam.linear_values(x) - K[i],
+                                   rtol=0.0, atol=1e-12 * scale)
+
+    def test_absent_when_larger_than_directions(self):
+        tall = gaussian_system(12, 5, seed=1)
+        assert skd.SketchFamily("row", tall).coupling is None
+        assert skd.SketchFamily("block", tall, block_size=3).coupling is None
+        assert skd.SketchFamily("lsqcol", tall).coupling.shape == (5, 5)
+        wide = gaussian_system(4, 9, seed=1)
+        assert skd.SketchFamily("row", wide).coupling.shape == (4, 4)
+        _, full = family_on("full", 12, 5, seed=1)
+        assert full.coupling is None
 
 
 class TestApplyUpdate:

@@ -244,6 +244,110 @@ class TestSketchedSolver:
         assert trace.converged
 
 
+def maintained_instances():
+    """(label, system, family) triples whose families cache a coupling."""
+    spd = gaussian_system(24, 12, seed=31, spd=True, metric="system")
+    yield "spectral", spd, skd.SketchFamily("spectral", spd)
+    yield "cd", spd, skd.SketchFamily("row", spd)
+    for metric in ("normal", "identity"):
+        system = gaussian_system(30, 12, seed=32, metric=metric)
+        yield f"lsqcol-{metric}", system, skd.SketchFamily("lsqcol", system)
+
+
+class TestMaintainedLinearValues:
+    """Full-scan rules on a family with a coupling keep c = S'(A x - b)
+    up to date instead of recomputing it every step."""
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.3])
+    def test_maintained_values_track_exact_ones(self, monkeypatch, gamma):
+        for label, system, fam in maintained_instances():
+            seen = []
+
+            def recording(rule, family, x, rng, linear=None):
+                seen.append((x.copy(), None if linear is None else linear.copy()))
+                return skd.select(rule, family, x, rng, linear)
+
+            monkeypatch.setattr(skd.solvers, "select", recording)
+            cfg = skd.SolverConfig(gamma=gamma, tol=0.0, max_iters=300,
+                                   check_every=10_000)
+            trace = skd.run_ssdm(system, fam, skd.max_distance(), cfg)
+            assert trace.iterations == 300 and len(seen) == 300, label
+            c0 = np.linalg.norm(fam.linear_values(seen[0][0]))
+            for x, c in seen:
+                assert c is not None, label
+                np.testing.assert_allclose(c, fam.linear_values(x), rtol=0.0,
+                                           atol=1e-10 * c0, err_msg=label)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.3])
+    @pytest.mark.parametrize("rule", ["uniform", "greedy:4"])
+    def test_exact_path_is_bitwise_unchanged(self, gamma, rule):
+        # Uniform never maintains c, and neither does any rule with a
+        # checkpoint every step: their traces equal the exact path's.
+        for label, system, fam in maintained_instances():
+            every = 1 if rule != "uniform" else None
+            cfg = skd.SolverConfig(gamma=gamma, tol=0.0, max_iters=200,
+                                   seed=3, check_every=every)
+            a = skd.run_ssdm(system, fam, skd.parse_rule(rule), cfg)
+            coupling, fam._coupling = fam._coupling, None
+            try:
+                b = skd.run_ssdm(system, fam, skd.parse_rule(rule), cfg)
+            finally:
+                fam._coupling = coupling
+            for field in ("residuals", "rel_errors", "f_values", "selected",
+                          "x_final"):
+                assert np.array_equal(getattr(a, field), getattr(b, field),
+                                      equal_nan=field == "f_values"), label
+
+    def test_full_scans_only_at_start_and_checkpoints(self, monkeypatch):
+        system, fam = family_on("spectral", 60, 30, seed=33)
+        scans = []
+        exact = fam.linear_values
+
+        def counting(x, indices=None):
+            if indices is None:
+                scans.append(1)
+            return exact(x, indices)
+
+        monkeypatch.setattr(fam, "linear_values", counting)
+        cfg = skd.SolverConfig(tol=0.0, max_iters=1000, check_every=100)
+        trace = skd.run_ssd(system, fam, skd.greedy(20), cfg)
+        checkpoints = len(trace.ks) - 1
+        assert checkpoints == 10
+        assert len(scans) == checkpoints + 1
+
+    def test_all_zero_maintained_losses_are_confirmed_exactly(self):
+        # The true coupling of A = I is I. With row 0 replaced by ones, the
+        # first step (index 0, c = -2 everywhere) zeroes every maintained
+        # value while n - 1 rows are still violated. The run may end only
+        # once an exact recompute agrees.
+        n = 6
+        system = skd.LinearSystem(A=np.eye(n), b=np.full(n, 2.0),
+                                  x_star=np.full(n, 2.0))
+        fam = skd.SketchFamily("row", system)
+        assert np.array_equal(fam.coupling, np.eye(n))
+        fam._coupling = np.eye(n)
+        fam._coupling[0] = 1.0
+        cfg = skd.SolverConfig(x0="zero", tol=1e-12, check_every=1000)
+        trace = skd.run_ssd(system, fam, skd.max_distance(), cfg)
+        assert trace.converged
+        assert trace.iterations == n
+        assert trace.final_residual() == 0.0
+        assert np.array_equal(trace.x_final, system.b)
+
+    @pytest.mark.parametrize("rule", ["maxdist", "capped:0.5,1,m"])
+    def test_nan_linear_value_caught_within_one_iteration(self, rule):
+        system, fam = family_on("spectral", 24, 12, seed=34)
+        fam._coupling = fam.coupling.copy()
+        fam._coupling[:, 5] = np.nan  # c[5] is NaN after the first step
+        cfg = skd.SolverConfig(tol=0.0, max_iters=500, check_every=100)
+        with pytest.raises(DivergenceError) as exc:
+            skd.run_ssd(system, fam, skd.parse_rule(rule), cfg)
+        trace = exc.value.trace
+        assert trace.diverged and not trace.converged
+        assert trace.iterations == 1
+        assert np.all(np.isfinite(trace.x_final))
+
+
 class TestSteepestDescent:
     def test_hand_step_on_diagonal_system(self):
         # A = diag(1, 2), b = 0, x0 = (1, 1): residual (1, 2), exact step

@@ -12,6 +12,7 @@ from sketchdescent.errors import (
     SizeLimitError,
 )
 from sketchdescent.sampling import rule_expectation
+from sketchdescent import theory
 from sketchdescent.theory import sandwich_constants
 
 from conftest import family_on, gaussian_system
@@ -432,6 +433,20 @@ class TestSharedSpectra:
         if kind == "block":
             assert fam.q == 6
             assert kernel_counts["eigh"] - before == fam.q + 1
+
+    def test_full_family_decomposes_its_operator_once(self, kernel_counts):
+        # q = 1: T_0 is the summed operator, so one eigh serves both; the
+        # other is A's own, for G^{-1/2}.
+        _, fam = family_on("full", 12, 6, seed=24)
+        before = kernel_counts["eigh"]
+        report = skd.spectral_report(fam)
+        assert kernel_counts["eigh"] - before == 2
+        w, V = np.linalg.eigh(theory._whitened_sum(fam))
+        keep = theory._positive(w)
+        assert report.tsum_eig_max == w[-1]
+        assert report.tsum_eig_min_pos == w[keep][0]
+        assert report.tsum_rank == int(keep.sum())
+        assert np.array_equal(report.tsum_basis, V[:, keep])
 
 
 class TestEnumeratedSandwich:
