@@ -23,7 +23,7 @@ import csv
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -36,7 +36,7 @@ from .errors import (
     SizeLimitError,
 )
 from .loaders import load_libsvm, load_matrix_market
-from .problems import GenSpec, LinearSystem, generate, make_consistent
+from .problems import GenSpec, LinearSystem, gen_arrays, loaded_arrays
 from .rng import derive_seed
 from .sampling import parse_rule
 from .sketching import SketchFamily
@@ -66,6 +66,8 @@ class DatasetSpec:
                 raise InvalidConfigError(f"{self.kind} dataset needs a path")
         else:
             raise InvalidConfigError(f"unknown dataset kind {self.kind!r}")
+        if self.m_limit is not None and self.m_limit < 1:
+            raise InvalidConfigError(f"m_limit must be >= 1, got {self.m_limit}")
 
     @property
     def label(self) -> str:
@@ -100,7 +102,7 @@ def build_system(dataset: DatasetSpec, family_kind: str,
     if metric not in METRICS:
         raise InvalidConfigError(f"unknown metric {metric!r}")
     if dataset.kind == "gen":
-        base = generate(dataset.gen)
+        A, x_star = gen_arrays(dataset.gen)
     else:
         if dataset.kind == "mtx":
             A = load_matrix_market(dataset.path)
@@ -108,29 +110,34 @@ def build_system(dataset: DatasetSpec, family_kind: str,
                 A = A[: dataset.m_limit]
         else:
             A = load_libsvm(dataset.path, m_limit=dataset.m_limit)
-        base = make_consistent(A, seed=dataset.data_seed, label=dataset.label)
+        A, x_star = loaded_arrays(A, seed=dataset.data_seed)
+    b = A @ x_star
+
+    def system(W=None) -> LinearSystem:
+        """The one system for this dataset, with B = G = W (None: identity)."""
+        return LinearSystem(A=A, b=b, B=W, G=W, x_star=x_star,
+                            label=dataset.label)
 
     if metric == "auto":
         if family_kind == "row":
             # B = A (coordinate descent) when building that system succeeds.
             try:
-                return replace(base, B=base.A, G=base.A)
+                return system(A)
             except (InvalidInputError, NotSpdError):
-                return base
+                return system()
         metric = {"spectral": "system", "full": "system",
                   "lsqcol": "normal"}.get(family_kind, "identity")
     if metric == "system":
         try:
-            return replace(base, B=base.A, G=base.A)
+            return system(A)
         except (InvalidInputError, NotSpdError):
             raise InvalidConfigError(
-                f"metric 'system' needs an SPD matrix; {base.label} is not"
+                f"metric 'system' needs an SPD matrix; {dataset.label} is not"
             ) from None
     if metric == "normal":
-        AtA = base.A.T @ base.A
-        AtA = 0.5 * (AtA + AtA.T)
-        return replace(base, B=AtA, G=AtA)
-    return base
+        AtA = A.T @ A
+        return system(0.5 * (AtA + AtA.T))
+    return system()
 
 
 @dataclass

@@ -9,10 +9,13 @@ be round-tripped to disk.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .errors import (
     EmptyMatrixError,
+    InvalidConfigError,
     MalformedFileError,
     ParseError,
     UnsupportedFormatError,
@@ -33,6 +36,98 @@ def _int(token: str, where: str) -> int:
         raise ParseError(f"bad integer token {token!r} {where}") from None
 
 
+# A stripped coordinate entry line with exactly three fields; re's \s is the
+# whitespace str.split() splits on.
+_THREE_FIELDS = re.compile(r"\S+\s+\S+\s+\S+")
+
+
+def _size_line(body: str) -> tuple[str | None, str]:
+    """The first data line of a Matrix Market body, and the text after it."""
+    pos = 0
+    while pos <= len(body):
+        end = body.find("\n", pos)
+        if end < 0:
+            end = len(body)
+        line = body[pos:end].strip()
+        if line and line[0] != "%":
+            return line, body[end + 1:]
+        pos = end + 1
+    return None, ""
+
+
+def _data_lines(text: str) -> list[str]:
+    """Stripped lines of text that are neither blank nor % comments."""
+    return [ln for ln in map(str.strip, text.split("\n"))
+            if ln and ln[0] != "%"]
+
+
+def _values_by_token(lines: list[str]) -> list[float]:
+    """Array-layout values one token at a time, naming the line of a bad one."""
+    values = []
+    for lineno, ln in enumerate(lines, start=1):
+        for tok in ln.split():
+            values.append(_float(tok, f"at value line {lineno}"))
+    return values
+
+
+def _entries_by_token(path, M: np.ndarray, entries: list[str],
+                      symmetric: bool) -> None:
+    """Write coordinate entries into M one at a time, in file order.
+
+    The last write to a position wins, and the first bad entry raises with
+    its entry number.
+    """
+    m, n = M.shape
+    for lineno, entry in enumerate(entries, start=1):
+        toks = entry.split()
+        if len(toks) != 3:
+            raise MalformedFileError(
+                f"{path}: entry {lineno} has {len(toks)} fields, expected 3"
+            )
+        i = _int(toks[0], f"at entry {lineno}")
+        j = _int(toks[1], f"at entry {lineno}")
+        v = _float(toks[2], f"at entry {lineno}")
+        if not (1 <= i <= m and 1 <= j <= n):
+            raise MalformedFileError(
+                f"{path}: entry {lineno} index ({i},{j}) out of bounds "
+                f"for {m}x{n}"
+            )
+        M[i - 1, j - 1] = v
+        if symmetric and i != j:
+            M[j - 1, i - 1] = v
+
+
+def _entries_bulk(M: np.ndarray, entries: list[str], symmetric: bool) -> bool:
+    """Write coordinate entries into M with one fancy-indexed assignment.
+
+    Returns False, leaving M untouched, when any entry is malformed or out
+    of bounds, or when two writes hit one position (the mirror of an
+    off-diagonal symmetric entry included): the file-order loop owns those
+    cases, its errors and its last-write-wins result.
+    """
+    if not all(map(_THREE_FIELDS.fullmatch, entries)):
+        return False
+    tokens = " ".join(entries).split()
+    try:
+        i = np.array(tokens[0::3], dtype=np.int64) - 1
+        j = np.array(tokens[1::3], dtype=np.int64) - 1
+        v = np.array(tokens[2::3], dtype=np.float64)
+    except (ValueError, OverflowError):
+        return False
+    m, n = M.shape
+    if not (np.all((i >= 0) & (i < m)) and np.all((j >= 0) & (j < n))):
+        return False
+    if symmetric:
+        off = i != j
+        i, j, v = (np.concatenate((i, j[off])), np.concatenate((j, i[off])),
+                   np.concatenate((v, v[off])))
+    pos = np.sort(i * n + j)
+    if np.any(pos[1:] == pos[:-1]):
+        return False
+    M[i, j] = v
+    return True
+
+
 def load_matrix_market(path) -> np.ndarray:
     """Read a Matrix Market file into a dense array.
 
@@ -40,6 +135,12 @@ def load_matrix_market(path) -> np.ndarray:
     or symmetric qualifiers. Symmetric files store the lower triangle; the
     upper triangle is mirrored in. Anything else in the header is refused
     rather than guessed at.
+
+    The body is read and split once and every value converted by one numpy
+    call, then placed with index arrays. When a bulk step fails, the tokens
+    are walked again one at a time, which raises the error naming the line
+    or entry at fault (or, for coordinate entries that write one position
+    twice, applies them in file order).
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
@@ -55,15 +156,14 @@ def load_matrix_market(path) -> np.ndarray:
             raise UnsupportedFormatError(f"{path}: unsupported field {field!r}")
         if symmetry not in ("general", "symmetric"):
             raise UnsupportedFormatError(f"{path}: unsupported symmetry {symmetry!r}")
+        body = fh.read()
 
-        lines = [ln for ln in (raw.strip() for raw in fh)
-                 if ln and not ln.startswith("%")]
-
-    if not lines:
+    size_line, rest = _size_line(body)
+    if size_line is None:
         raise MalformedFileError(f"{path}: no size line")
+    size = size_line.split()
 
     if layout == "coordinate":
-        size = lines[0].split()
         if len(size) != 3:
             raise MalformedFileError(f"{path}: coordinate size line needs m n nnz")
         m = _int(size[0], "in size line")
@@ -71,62 +171,46 @@ def load_matrix_market(path) -> np.ndarray:
         nnz = _int(size[2], "in size line")
         if symmetry == "symmetric" and m != n:
             raise MalformedFileError(f"{path}: symmetric matrix must be square")
-        entries = lines[1:]
+        entries = _data_lines(rest)
         if len(entries) != nnz:
             raise MalformedFileError(
                 f"{path}: declared {nnz} entries, found {len(entries)}"
             )
         M = np.zeros((m, n))
-        for lineno, entry in enumerate(entries, start=1):
-            toks = entry.split()
-            if len(toks) != 3:
-                raise MalformedFileError(
-                    f"{path}: entry {lineno} has {len(toks)} fields, expected 3"
-                )
-            i = _int(toks[0], f"at entry {lineno}")
-            j = _int(toks[1], f"at entry {lineno}")
-            v = _float(toks[2], f"at entry {lineno}")
-            if not (1 <= i <= m and 1 <= j <= n):
-                raise MalformedFileError(
-                    f"{path}: entry {lineno} index ({i},{j}) out of bounds "
-                    f"for {m}x{n}"
-                )
-            M[i - 1, j - 1] = v
-            if symmetry == "symmetric" and i != j:
-                M[j - 1, i - 1] = v
+        if not _entries_bulk(M, entries, symmetry == "symmetric"):
+            _entries_by_token(path, M, entries, symmetry == "symmetric")
         return M
 
     # Dense array layout: column-major values, lower triangle only when
     # symmetric.
-    size = lines[0].split()
     if len(size) != 2:
         raise MalformedFileError(f"{path}: array size line needs m n")
     m = _int(size[0], "in size line")
     n = _int(size[1], "in size line")
     if symmetry == "symmetric" and m != n:
         raise MalformedFileError(f"{path}: symmetric matrix must be square")
-    values = []
-    for lineno, ln in enumerate(lines[1:], start=1):
-        for tok in ln.split():
-            values.append(_float(tok, f"at value line {lineno}"))
+    # Comment lines may sit between values; only then is the body filtered
+    # line by line before the split.
+    text = "\n".join(_data_lines(rest)) if "%" in rest else rest
+    try:
+        values = np.array(text.split(), dtype=np.float64)
+    except ValueError:
+        values = np.array(_values_by_token(_data_lines(rest)),
+                          dtype=np.float64)
     expected = m * n if symmetry == "general" else n * (n + 1) // 2
-    if len(values) != expected:
+    if values.size != expected:
         raise MalformedFileError(
-            f"{path}: expected {expected} values, found {len(values)}"
+            f"{path}: expected {expected} values, found {values.size}"
         )
     M = np.zeros((m, n))
-    k = 0
     if symmetry == "general":
-        for j in range(n):
-            for i in range(m):
-                M[i, j] = values[k]
-                k += 1
+        M.T[...] = values.reshape(n, m)
     else:
-        for j in range(n):
-            for i in range(j, n):
-                M[i, j] = values[k]
-                M[j, i] = values[k]
-                k += 1
+        # Column j of the lower triangle, rows j..n-1, is row j of the upper
+        # triangle in row-major order: the order triu_indices lists.
+        r, c = np.triu_indices(n)
+        M[c, r] = values
+        M[r, c] = values
     return M
 
 
@@ -156,8 +240,10 @@ def load_libsvm(path, m_limit: int | None = None,
     increasing indices. Labels are validated and discarded; these solvers
     synthesize a consistent right-hand side instead. The column count is the
     largest index seen unless n_features pins it. m_limit caps how many rows
-    are read.
+    are read and must be at least 1.
     """
+    if m_limit is not None and m_limit < 1:
+        raise InvalidConfigError(f"m_limit must be >= 1, got {m_limit}")
     rows: list[dict[int, float]] = []
     max_index = 0
     with open(path, "r", encoding="utf-8") as fh:

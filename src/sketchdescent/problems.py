@@ -166,8 +166,8 @@ class GenSpec:
         return f"gen:{self.m}x{self.n}{suffix}"
 
 
-def generate(spec: GenSpec) -> LinearSystem:
-    """Synthetic instance A x* = b for the spec, with A drawn first.
+def gen_arrays(spec: GenSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(A, x*) for the spec, A drawn first from the seeded stream.
 
     "gaussian" gives A with iid N(0,1) entries. "gaussian-normal-equations"
     gives the n x n product A = W.T W of an m x n Gaussian W, SPD with
@@ -179,9 +179,31 @@ def generate(spec: GenSpec) -> LinearSystem:
     if spec.kind == "gaussian-normal-equations":
         A = A.T @ A
         A = 0.5 * (A + A.T)
-    x_star = standard_normal(rng, spec.n)
-    b = A @ x_star
-    return LinearSystem(A=A, b=b, x_star=x_star, label=spec.label)
+    return A, standard_normal(rng, spec.n)
+
+
+def generate(spec: GenSpec) -> LinearSystem:
+    """Synthetic instance A x* = b for the spec (see :func:`gen_arrays`)."""
+    A, x_star = gen_arrays(spec)
+    return LinearSystem(A=A, b=A @ x_star, x_star=x_star, label=spec.label)
+
+
+def loaded_arrays(A, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """(A without its zero rows, x*) for an externally loaded matrix.
+
+    Zero rows carry no information and break row sketches, so they are
+    dropped with a warning. x* is drawn from the seeded normal stream.
+    """
+    A = as_matrix(A, "A")
+    row_norms = np.linalg.norm(A, axis=1)
+    keep = row_norms > 0.0
+    dropped = int(A.shape[0] - keep.sum())
+    if dropped:
+        warnings.warn(f"dropping {dropped} zero row(s) from loaded matrix")
+        A = A[keep]
+    if A.shape[0] == 0:
+        raise InvalidInputError("matrix has no nonzero rows")
+    return A, standard_normal(make_rng(seed), A.shape[1])
 
 
 def make_consistent(
@@ -193,23 +215,11 @@ def make_consistent(
 ) -> LinearSystem:
     """Wrap an externally loaded matrix in a consistent system.
 
-    Draws a solution x* from the seeded normal stream and sets b = A x*.
-    Zero rows carry no information and break row sketches, so they are
-    dropped with a warning.
+    Sets b = A x* for the solution drawn by :func:`loaded_arrays`, after
+    its zero rows are dropped.
     """
-    A = as_matrix(A, "A")
-    row_norms = np.linalg.norm(A, axis=1)
-    keep = row_norms > 0.0
-    dropped = int(A.shape[0] - keep.sum())
-    if dropped:
-        warnings.warn(f"dropping {dropped} zero row(s) from loaded matrix")
-        A = A[keep]
-    if A.shape[0] == 0:
-        raise InvalidInputError("matrix has no nonzero rows")
-    rng = make_rng(seed)
-    x_star = standard_normal(rng, A.shape[1])
-    b = A @ x_star
-    return LinearSystem(A=A, b=b, B=B, G=G, x_star=x_star, label=label)
+    A, x_star = loaded_arrays(A, seed)
+    return LinearSystem(A=A, b=A @ x_star, B=B, G=G, x_star=x_star, label=label)
 
 
 def resolve_x_star(system: LinearSystem, x0: np.ndarray) -> tuple[np.ndarray, bool]:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -171,9 +172,22 @@ def gs_expectation_weights(q: int, tau: int) -> np.ndarray:
     return w
 
 
+@lru_cache(maxsize=16)
+def _shared_weights(q: int, tau: int) -> np.ndarray:
+    """gs_expectation_weights(q, tau), kept read-only for every later step.
+
+    A capped-exact step needs two of these per step with q and tau fixed
+    for the whole run; at q = 2000 recomputing them was over half the
+    threshold's cost.
+    """
+    w = gs_expectation_weights(q, tau)
+    w.flags.writeable = False
+    return w
+
+
 def _sorted_max_expectation(v: np.ndarray, tau: int) -> float:
     """subset_max_expectation over values already sorted ascending."""
-    return float(gs_expectation_weights(v.size, tau) @ v[tau - 1:])
+    return float(_shared_weights(v.size, tau) @ v[tau - 1:])
 
 
 def subset_max_expectation(values: np.ndarray, tau: int) -> float:

@@ -67,6 +67,12 @@ class TestDatasetSpec:
         with pytest.raises(InvalidConfigError):
             skd.DatasetSpec(kind="http")
 
+    @pytest.mark.parametrize("m_limit", [0, -1])
+    def test_row_limit_below_one_refused(self, m_limit):
+        for kind in ("mtx", "libsvm"):
+            with pytest.raises(InvalidConfigError):
+                skd.DatasetSpec(kind=kind, path="data.txt", m_limit=m_limit)
+
 
 class TestBuildSystem:
     def test_auto_metric_row_general_is_identity(self):
@@ -315,6 +321,62 @@ class TestKernelCounts:
         assert system.G_factor is system.B_factor
         assert system.A_factor is system.B_factor
         assert kernel_counts["cho_factor"] == 1
+
+
+class TestOneSystemPerDataset:
+    """build_system validates one LinearSystem on every successful path."""
+
+    @pytest.fixture
+    def constructions(self, monkeypatch):
+        calls = []
+        original = skd.LinearSystem.__post_init__
+
+        def counting(self):
+            calls.append(self.label)
+            original(self)
+
+        monkeypatch.setattr(skd.LinearSystem, "__post_init__", counting)
+        return calls
+
+    def spd_mtx(self, tmp_path):
+        A = skd.generate(skd.GenSpec("gaussian-normal-equations", 12, 5,
+                                     seed=2)).A
+        path = tmp_path / "spd.mtx"
+        skd.save_matrix_market(A, path)
+        return skd.DatasetSpec(kind="mtx", path=str(path), data_seed=3), A
+
+    @pytest.mark.parametrize("family, metric", [
+        ("row", "auto"), ("spectral", "auto"), ("full", "system"),
+        ("lsqcol", "auto"), ("row", "identity")])
+    def test_one_construction(self, constructions, tmp_path, family, metric):
+        for ds in (gen_dataset(12, 5, spd=True), self.spd_mtx(tmp_path)[0]):
+            constructions.clear()
+            skd.build_system(ds, family, metric)
+            assert constructions == [ds.label]
+
+    def test_same_system_as_separate_wrapping(self, tmp_path):
+        ds, A = self.spd_mtx(tmp_path)
+        system = skd.build_system(ds, "spectral")
+        plain = skd.make_consistent(A, seed=3, label=ds.label)
+        assert np.array_equal(system.A, plain.A)
+        assert np.array_equal(system.b, plain.b)
+        assert np.array_equal(system.x_star, plain.x_star)
+        assert system.B is system.A and system.g_equals_b
+        spec = gen_dataset(12, 5, spd=True)
+        generated = skd.generate(spec.gen)
+        system = skd.build_system(spec, "row")
+        assert np.array_equal(system.b, generated.b)
+        assert np.array_equal(system.x_star, generated.x_star)
+        assert system.label == generated.label
+
+    def test_non_spd_fallback_and_error_text(self, constructions):
+        ds = gen_dataset(12, 5)
+        system = skd.build_system(ds, "row")
+        assert system.B_factor.is_identity
+        with pytest.raises(InvalidConfigError,
+                           match="metric 'system' needs an SPD matrix; "
+                                 "gen:12x5 is not"):
+            skd.build_system(ds, "spectral")
 
 
 class TestPoolSize:

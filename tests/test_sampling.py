@@ -75,6 +75,25 @@ class TestExpectationWeights:
         with pytest.raises(InvalidConfigError):
             skd.gs_expectation_weights(4, 0)
 
+    def test_steps_share_read_only_weights(self):
+        from sketchdescent import sampling
+        shared = sampling._shared_weights(50, 7)
+        assert sampling._shared_weights(50, 7) is shared
+        assert not shared.flags.writeable
+        assert np.array_equal(shared, skd.gs_expectation_weights(50, 7))
+        # the public function still hands out a fresh, writable array
+        fresh = skd.gs_expectation_weights(50, 7)
+        fresh[0] = 99.0
+        assert skd.gs_expectation_weights(50, 7)[0] == shared[0] != 99.0
+        assert sampling._shared_weights.cache_info().maxsize is not None
+        # capped_threshold through the cache equals the uncached formula
+        losses = make_rng(4).random(50)
+        v = np.sort(losses)
+        rule = skd.capped(0.3, 7, None, exact=True)
+        uncached = (0.3 * float(skd.gs_expectation_weights(50, 7) @ v[6:])
+                    + 0.7 * float(skd.gs_expectation_weights(50, 50) @ v[49:]))
+        assert capped_threshold(losses, rule) == uncached
+
 
 class TestSubsetMaxExpectation:
     def test_matches_enumeration_small_q(self):
