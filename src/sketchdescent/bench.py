@@ -61,6 +61,8 @@ class DatasetSpec:
         if self.kind == "gen":
             if self.gen is None:
                 raise InvalidConfigError("gen dataset needs a GenSpec")
+            if self.m_limit is not None:
+                raise InvalidConfigError("m_limit applies to file datasets only")
         elif self.kind in ("mtx", "libsvm"):
             if not self.path:
                 raise InvalidConfigError(f"{self.kind} dataset needs a path")

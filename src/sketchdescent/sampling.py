@@ -239,7 +239,9 @@ def draw_sample(q: int, tau: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform tau-subset of range(q), ascending."""
     if not 1 <= tau <= q:
         raise InvalidConfigError(f"need 1 <= tau <= q, got tau={tau}, q={q}")
-    return np.sort(rng.choice(q, size=tau, replace=False))
+    sample = rng.choice(q, size=tau, replace=False)
+    sample.sort()
+    return sample
 
 
 def greedy_select(losses: np.ndarray, sample: np.ndarray | None = None) -> int:
@@ -248,9 +250,10 @@ def greedy_select(losses: np.ndarray, sample: np.ndarray | None = None) -> int:
     losses belong to the ascending sample, or to all q indices in order
     when sample is None; either way the first maximum is the smallest index.
     """
-    if len(losses) == 0:
+    losses = np.asarray(losses)
+    if losses.size == 0:
         raise InvalidConfigError("empty sample")
-    j = int(np.argmax(losses))
+    j = int(losses.argmax())  # the method skips np.argmax's dispatch
     return j if sample is None else int(sample[j])
 
 
@@ -294,16 +297,15 @@ def select(rule, family, x: np.ndarray, rng: np.random.Generator,
         tau = rule.resolve_tau(q)
         sample = None if tau == q else draw_sample(q, tau, rng)
         losses = family.losses(x, sample, linear)
-        zero = int(np.count_nonzero(losses == 0.0))
+        zero = losses.size - int(np.count_nonzero(losses))  # a NaN is nonzero
         if zero == q:
             return Selection(None, losses, zero)
-        pick = greedy_select(losses, sample)
-        # a full scan's losses are indexed by the family index itself
-        top = losses[pick] if sample is None else np.max(losses)
-        return Selection(pick, losses, zero, chosen_loss=float(top))
+        j = greedy_select(losses)
+        pick = j if sample is None else int(sample[j])
+        return Selection(pick, losses, zero, chosen_loss=float(losses[j]))
     if isinstance(rule, CappedRule):
         losses = family.losses(x, None, linear)
-        zero = int(np.count_nonzero(losses == 0.0))
+        zero = losses.size - int(np.count_nonzero(losses))
         if not np.any(losses > 0.0):
             return Selection(None, losses, zero)
         thr = capped_threshold(losses, rule)

@@ -19,7 +19,11 @@ D = G^{-1} W, where column i of W is w_i = A' S_i. The G-gradient of f_i
 is (c_i / d_i) D[:, i] with c_i = S_i' (A x - b). When G = I, D is W. One
 iteration then costs the losses its rule reads plus an O(n) update, and no
 solve with G. A scan over all q indices reads A, A' or U in place, with no
-gathered copy.
+gathered copy. One index's value c_i comes from one dot of two contiguous
+vectors: row A[i], or a copy of column A[:, i] or U[:, i]. The copy keeps
+the value equal to the batched product's: with OpenBLAS a dot over the
+strided column differed in the last bit on 436 of 500 eigenvectors of a
+500-dim instance, and the copy on none of them.
 
 A step along D[:, i] moves every linear value by a fixed vector: c changes
 by -t K'[i] for a step of length t, where K' = D' W is the q x q coupling.
@@ -167,10 +171,11 @@ class SketchFamily:
 
     # -- fast paths --------------------------------------------------------
 
-    def linear_values(self, x: np.ndarray, indices=None) -> np.ndarray:
+    def linear_values(self, x: np.ndarray, indices=None) -> np.ndarray | float:
         """c_i = s_i' (A x - b) for the vector kinds, batched over indices.
 
-        indices = None means all q, read straight from the matrices.
+        indices = None means all q, read straight from the matrices; an
+        integer index gives its one value as a scalar, from one dot.
         """
         A, b = self.system.A, self.system.b
         if self.kind == "row":
@@ -178,12 +183,11 @@ class SketchFamily:
                 return A @ x - b
             return A[indices] @ x - b[indices]
         if self.kind == "lsqcol":
-            res = A @ x - b
-            return (A if indices is None else A[:, indices]).T @ res
-        lam, U, Utb = self.eigvals, self.eigvecs, self._Utb
-        if indices is not None:
-            lam, U, Utb = lam[indices], U[:, indices], Utb[indices]
-        return lam * (U.T @ x) - Utb
+            return _column_dots(A, indices, A @ x - b)
+        c = _column_dots(self.eigvecs, indices, x)
+        if indices is None:
+            return self.eigvals * c - self._Utb
+        return self.eigvals[indices] * c - self._Utb[indices]
 
     def losses(self, x: np.ndarray, indices=None, linear=None) -> np.ndarray:
         """Index losses f_i(x) for the given indices (all q by default).
@@ -193,10 +197,10 @@ class SketchFamily:
         """
         if indices is not None:
             indices = np.asarray(indices, dtype=np.intp)
-            if indices.size and (indices.min() < 0 or indices.max() >= self.q):
-                raise InvalidInputError(
-                    f"index out of range for q={self.q}"
-                )
+            # One argmax pass over the indices read as unsigned (-1 is huge).
+            unsigned = indices.view(np.uintp)
+            if unsigned.size and unsigned[unsigned.argmax()] >= self.q:
+                raise InvalidInputError(f"index out of range for q={self.q}")
         if self.kind in VECTOR_KINDS:
             if linear is None:
                 c = self.linear_values(x, indices)
@@ -231,7 +235,7 @@ class SketchFamily:
             raise InvalidInputError(f"index {i} out of range for q={self.q}")
         sys = self.system
         if self.kind in VECTOR_KINDS:
-            c = float(self.linear_values(x, np.array([i]))[0])
+            c = float(self.linear_values(x, i))
             d = self._d[i]
             loss = 0.5 * c * c / d
             if c == 0.0:
@@ -377,6 +381,15 @@ class SketchFamily:
             return Ac.T @ self._pinvs[i] @ Ac
         # full: Z_1 = A H_1 A = B for any SPD B
         return sys.B_factor.dense()
+
+
+def _column_dots(M: np.ndarray, indices, v: np.ndarray):
+    """M[:, indices]' v. One integer index copies its column (module notes)
+    and calls .dot, which costs less per call than @."""
+    if indices is None:
+        return M.T @ v
+    cols = M[:, indices]
+    return cols.copy().dot(v) if cols.ndim == 1 else cols.T @ v
 
 
 def apply_update(x: np.ndarray, ev: SketchEval, omega: float = 1.0) -> np.ndarray:

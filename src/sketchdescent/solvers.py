@@ -184,7 +184,8 @@ class _Recorder:
             err_b = self.system.error_sq_b(x, self.x_star)
             self.rel_errors.append(
                 np.sqrt(err_b / self.err0_b) if self.err0_b > 0.0 else 0.0)
-            self.err_g_sq.append(self.system.error_sq_g(x, self.x_star))
+            self.err_g_sq.append(err_b if self.system.g_equals_b
+                                 else self.system.error_sq_g(x, self.x_star))
         self.f_values.append(f_value)
         self.selected.append(sel_index)
         self.cesaro_f.append(cesaro_f)

@@ -73,6 +73,13 @@ class TestDatasetSpec:
             with pytest.raises(InvalidConfigError):
                 skd.DatasetSpec(kind=kind, path="data.txt", m_limit=m_limit)
 
+    def test_row_limit_refused_for_generated(self):
+        # build_system never reads m_limit for a recipe, so it must not
+        # be accepted and silently ignored
+        with pytest.raises(InvalidConfigError):
+            skd.DatasetSpec(kind="gen", gen=skd.GenSpec("gaussian", 12, 5),
+                            m_limit=3)
+
 
 class TestBuildSystem:
     def test_auto_metric_row_general_is_identity(self):

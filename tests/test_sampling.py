@@ -340,3 +340,38 @@ class TestSelect:
             else:
                 assert sel.index == 0
         assert all_zero > 0
+
+
+class TestSelectContract:
+    def test_zero_losses_counts_exact_zeros_not_nans(self):
+        fam = FixedLosses(np.array([0.0, np.nan, 0.0, 2.0, 0.5]))
+        for rule in (skd.max_distance(), skd.capped(exact=True)):
+            sel = skd.select(rule, fam, None, make_rng(0))
+            assert sel.zero_losses == 2
+            assert type(sel.zero_losses) is int
+
+    def test_all_nan_scan_is_not_solved(self):
+        sel = skd.select(skd.max_distance(), FixedLosses(np.full(3, np.nan)),
+                         None, make_rng(0))
+        assert sel.zero_losses == 0
+        assert sel.index is not None
+        assert math.isnan(sel.chosen_loss)
+
+    def test_full_scan_chosen_loss_and_ties(self):
+        losses = np.array([0.3, 0.9, 0.1, 0.9, 0.9, 0.2])
+        sel = skd.select(skd.max_distance(), FixedLosses(losses), None,
+                         make_rng(0))
+        assert sel.index == 1
+        assert sel.chosen_loss == losses[sel.index]
+
+    def test_sampled_chosen_loss_and_ties(self):
+        losses = np.array([0.3, 0.9, 0.1, 0.9, 0.9, 0.2, 0.9, 0.4])
+        fam = FixedLosses(losses)
+        for seed in range(40):
+            # select draws its sample first, so a twin stream replays it
+            sample = skd.draw_sample(8, 3, make_rng(seed))
+            sel = skd.select(skd.greedy(3), fam, None, make_rng(seed))
+            top = losses[sample].max()
+            assert sel.index == min(i for i in sample if losses[i] == top)
+            assert sel.chosen_loss == losses[sel.index]
+            assert np.array_equal(sel.losses, losses[sample])

@@ -283,6 +283,16 @@ class TestFamilyStructure:
         with pytest.raises(InvalidInputError):
             fam.evaluate(-1, np.zeros(3)).loss
 
+    @pytest.mark.parametrize("kind", ["row", "spectral", "block"])
+    def test_losses_index_out_of_range(self, kind):
+        system, fam = family_on(kind, 8, 4, seed=1,
+                                block_size=3 if kind == "block" else None)
+        x = np.ones(system.n)
+        for bad in ([-1], [fam.q], [0, fam.q], [-1, fam.q - 1]):
+            with pytest.raises(InvalidInputError):
+                fam.losses(x, np.array(bad))
+        assert fam.losses(x, np.array([0, fam.q - 1])).shape == (2,)
+
     def test_curvature_matrix_full_equals_metric_weight(self):
         # the generating sketch S = A compresses nothing: its curvature is
         # exactly the metric weight, independent of which SPD B is chosen
@@ -298,3 +308,46 @@ class TestFamilyStructure:
             Z = sum(fam.curvature_matrix(i) for i in range(fam.q))
             assert np.linalg.matrix_rank(Z, tol=1e-10) == np.linalg.matrix_rank(
                 system.A, tol=1e-10)
+
+
+class TestOneIndexLinearValue:
+    """linear_values(x, i) and evaluate agree with the batched product.
+
+    They are different float64 reductions, so the allowance is the
+    classical dot-product bound, not equality: each evaluation of a sum of
+    k terms is within gamma_k * sum|terms| of the exact value, with
+    gamma_k = k u / (1 - k u) and u the unit roundoff; the two therefore
+    differ by at most twice that.
+    """
+
+    @staticmethod
+    def allowance(magnitudes, k):
+        u = np.finfo(np.float64).eps / 2
+        return 2.0 * (k * u / (1.0 - k * u)) * magnitudes
+
+    @pytest.mark.parametrize("kind, metric", [
+        ("row", "identity"), ("lsqcol", "identity"), ("lsqcol", "normal"),
+        ("spectral", "system"),
+    ])
+    def test_every_index_matches_batched(self, kind, metric):
+        spd = kind == "spectral"
+        system = gaussian_system(30, 12, seed=12, spd=spd, metric=metric)
+        fam = skd.SketchFamily(kind, system)
+        A, b = system.A, system.b
+        x = np.random.default_rng(8).standard_normal(system.n)
+        # sums of |terms| of each c_i, and the number of roundings in it
+        if kind == "row":
+            size, k = np.abs(A) @ np.abs(x) + np.abs(b), system.n + 1
+        elif kind == "lsqcol":
+            size, k = np.abs(A).T @ np.abs(A @ x - b), system.m
+        else:
+            U, lam = fam.eigvecs, fam.eigvals
+            size = np.abs(lam) * (np.abs(U).T @ np.abs(x)) + np.abs(U.T @ b)
+            k = system.n + 2
+        tol = self.allowance(size, k)
+        for i in range(fam.q):
+            want = fam.linear_values(x, np.array([i]))[0]
+            one = fam.linear_values(x, i)
+            assert np.ndim(one) == 0
+            assert abs(one - want) <= tol[i]
+            assert abs(fam.evaluate(i, x).linear - want) <= tol[i]

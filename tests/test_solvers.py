@@ -7,7 +7,8 @@ from sketchdescent.errors import (
     InvalidConfigError,
     InvalidInputError,
 )
-from sketchdescent.solvers import resolve_x0
+from sketchdescent.linalg import SpdFactor
+from sketchdescent.solvers import _Recorder, resolve_x0
 
 from conftest import family_on, gaussian_system
 
@@ -438,3 +439,26 @@ class TestDispatch:
         system = gaussian_system(8, 4, seed=22)
         with pytest.raises(InvalidConfigError):
             skd.run_method("gradient", system)
+
+
+class TestCheckpointErrors:
+    # "system" shares one factor for B and G; "steepest" has B = A, G = I.
+    @pytest.mark.parametrize("metric, quads", [("system", 1), ("steepest", 2)])
+    def test_one_quad_per_checkpoint_when_g_is_b(self, monkeypatch, metric,
+                                                 quads):
+        system = gaussian_system(12, 5, seed=4, spd=True, metric=metric)
+        x0 = np.full(system.n, 3.0)
+        x = np.linspace(-1.0, 2.0, system.n)
+        rec = _Recorder("ssd", system, x0, "selected", False)
+        calls = []
+        quad = SpdFactor.quad
+
+        def counting(self, v):
+            calls.append(self)
+            return quad(self, v)
+
+        monkeypatch.setattr(SpdFactor, "quad", counting)
+        rec.record(1, x, 0.5, 0.25, 0)
+        assert len(calls) == quads
+        monkeypatch.setattr(SpdFactor, "quad", quad)
+        assert rec.err_g_sq[-1] == system.error_sq_g(x, rec.x_star)
