@@ -1,7 +1,8 @@
 """Index selection rules: uniform, greedy over a random subset, capped.
 
 The greedy rule draws tau of the q indices uniformly without replacement and
-picks the one with the largest index loss. tau = 1 is plain uniform
+picks the one with the largest index loss; a run's draws come from its
+DrawStream, by the schemes the rng module pins. tau = 1 is plain uniform
 sampling, tau = q always picks the globally worst index (max distance), and
 intermediate tau interpolates. The capped rule computes every loss, keeps
 the indices whose loss clears a threshold blended from two greedy-rule
@@ -25,14 +26,18 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidConfigError
+from .rng import subset_uniforms, uniform_subsets
 
 __all__ = [
     "GreedyRule", "CappedRule", "Selection",
     "uniform", "greedy", "max_distance", "capped", "parse_rule",
     "gs_expectation_weights", "subset_max_expectation",
     "capped_threshold", "capped_candidates", "rule_expectation",
-    "draw_sample", "greedy_select", "select",
+    "draw_sample", "DrawStream", "greedy_select", "select",
 ]
+
+# Uniforms one DrawStream refill may draw: 128 KiB of doubles.
+BLOCK_VALUES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -199,14 +204,25 @@ def subset_max_expectation(values: np.ndarray, tau: int) -> float:
 def capped_threshold(losses: np.ndarray, rule: CappedRule) -> float:
     """Admission threshold for the capped rule at the current losses.
 
-    Exact mode sorts the losses once for both subset-max expectations.
+    Exact mode takes tau = 1 as the mean loss and tau = q as the largest,
+    and sorts the losses once for any other tau, so capped:theta,1,m,exact
+    sorts nothing.
     """
     if not rule.exact:
         return float(np.mean(losses))
     q = losses.size
-    v = np.sort(np.asarray(losses, dtype=np.float64))
-    e1 = _sorted_max_expectation(v, GreedyRule(rule.tau1).resolve_tau(q))
-    e2 = _sorted_max_expectation(v, GreedyRule(rule.tau2).resolve_tau(q))
+    taus = [GreedyRule(tau).resolve_tau(q) for tau in (rule.tau1, rule.tau2)]
+    if any(1 < tau < q for tau in taus):
+        v = np.sort(np.asarray(losses, dtype=np.float64))
+
+    def expectation(tau):
+        if tau == 1:
+            return float(np.mean(losses))
+        if tau == q:
+            return float(np.max(losses))
+        return _sorted_max_expectation(v, tau)
+
+    e1, e2 = map(expectation, taus)
     return rule.theta * e1 + (1.0 - rule.theta) * e2
 
 
@@ -235,26 +251,78 @@ def rule_expectation(losses: np.ndarray, rule) -> float:
     raise InvalidConfigError(f"unknown rule type {type(rule).__name__}")
 
 
-def draw_sample(q: int, tau: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform tau-subset of range(q), ascending."""
+def draw_sample(q: int, tau: int, rng: np.random.Generator,
+                draws: int | None = None) -> np.ndarray:
+    """Uniform tau-subset of range(q), ascending.
+
+    With draws given, a (draws, tau) block of such subsets whose first row
+    is the subset draw_sample(q, tau, rng) returns; the scheme is pinned in
+    the rng module.
+    """
     if not 1 <= tau <= q:
         raise InvalidConfigError(f"need 1 <= tau <= q, got tau={tau}, q={q}")
-    sample = rng.choice(q, size=tau, replace=False)
-    sample.sort()
-    return sample
+    block = uniform_subsets(rng, q, tau, 1 if draws is None else draws)
+    return block[0] if draws is None else block
 
 
-def greedy_select(losses: np.ndarray, sample: np.ndarray | None = None) -> int:
-    """Index with the largest loss; ties break to the smallest index.
+class DrawStream:
+    """One run's index draws, served row by row from blocks.
 
-    losses belong to the ascending sample, or to all q indices in order
-    when sample is None; either way the first maximum is the smallest index.
+    A refill draws the uniforms of many steps in one call: draw_sample
+    blocks for greedy samples, plain uniforms for picks. Every draw
+    consumes a fixed share of the generator's stream, so the draws equal
+    those of one refill per step, whatever the block size, provided the
+    stream has no other consumer. A stream serves one kind of draw, a
+    fixed (q, tau) or picks, as one rule in one run does.
+    """
+
+    __slots__ = ("rng", "block_values", "_kind", "_block", "_next")
+
+    def __init__(self, rng: np.random.Generator,
+                 block_values: int | None = None):
+        self.rng = rng
+        self.block_values = block_values  # None reads BLOCK_VALUES
+        self._kind = None
+        self._block = ()
+        self._next = 0
+
+    def _steps(self, kind, per_step: int) -> int:
+        if self._kind is None:
+            self._kind = kind
+        elif kind != self._kind:
+            raise InvalidConfigError(
+                f"a draw stream serves one kind of draw: {self._kind}, not {kind}")
+        values = self.block_values or BLOCK_VALUES
+        return max(1, values // per_step)
+
+    def sample(self, q: int, tau: int) -> np.ndarray:
+        """The next uniform tau-subset of range(q), ascending."""
+        if self._next == len(self._block) or self._kind != (q, tau):
+            steps = self._steps((q, tau), subset_uniforms(q, tau))
+            self._block = draw_sample(q, tau, self.rng, steps)
+            self._next = 0
+        self._next += 1
+        return self._block[self._next - 1]
+
+    def pick(self, n: int) -> int:
+        """The next uniform index in range(n): floor(u * n)."""
+        if self._next == len(self._block) or self._kind != "pick":
+            self._block = self.rng.random(self._steps("pick", 1)).tolist()
+            self._next = 0
+        self._next += 1
+        return int(self._block[self._next - 1] * n)
+
+
+def greedy_select(losses: np.ndarray) -> int:
+    """Position of the largest loss; ties break to the smallest position.
+
+    Over an ascending sample, or all q indices in order, the first maximum
+    is the smallest index.
     """
     losses = np.asarray(losses)
     if losses.size == 0:
         raise InvalidConfigError("empty sample")
-    j = int(losses.argmax())  # the method skips np.argmax's dispatch
-    return j if sample is None else int(sample[j])
+    return int(losses.argmax())  # the method skips np.argmax's dispatch
 
 
 @dataclass
@@ -281,9 +349,12 @@ class Selection:
     expected_loss: float | None = None
 
 
-def select(rule, family, x: np.ndarray, rng: np.random.Generator,
+def select(rule, family, x: np.ndarray, rng: np.random.Generator | DrawStream,
            linear: np.ndarray | None = None) -> Selection:
     """Run one selection step of the rule on the family at x.
+
+    rng is the run's DrawStream, or a generator that this step alone draws
+    from; both give the same draws.
 
     Greedy ties (equal losses in the sample) break to the smallest index;
     the sample is kept in ascending order so argmax does that on its own.
@@ -293,9 +364,10 @@ def select(rule, family, x: np.ndarray, rng: np.random.Generator,
     maintained linear values at x.
     """
     q = family.q
+    stream = rng if isinstance(rng, DrawStream) else DrawStream(rng, 1)
     if isinstance(rule, GreedyRule):
         tau = rule.resolve_tau(q)
-        sample = None if tau == q else draw_sample(q, tau, rng)
+        sample = None if tau == q else stream.sample(q, tau)
         losses = family.losses(x, sample, linear)
         zero = losses.size - int(np.count_nonzero(losses))  # a NaN is nonzero
         if zero == q:
@@ -310,7 +382,7 @@ def select(rule, family, x: np.ndarray, rng: np.random.Generator,
             return Selection(None, losses, zero)
         thr = capped_threshold(losses, rule)
         cand = capped_candidates(losses, rule, thr)
-        pick = int(cand[rng.integers(cand.size)])
+        pick = int(cand[stream.pick(cand.size)])
         return Selection(pick, losses, zero, threshold=thr,
                          chosen_loss=float(losses[pick]),
                          expected_loss=float(np.mean(losses[cand])))

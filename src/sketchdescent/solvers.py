@@ -35,7 +35,7 @@ from .errors import DivergenceError, InvalidConfigError, SizeLimitError
 from .linalg import as_vector, pinv_psd
 from .problems import LinearSystem, resolve_x_star
 from .rng import make_rng
-from .sampling import CappedRule, GreedyRule, rule_expectation, select
+from .sampling import CappedRule, DrawStream, GreedyRule, rule_expectation, select
 from .sketching import VECTOR_KINDS, SketchFamily, apply_update
 
 DIVERGENCE_NORM = 1e12
@@ -234,7 +234,7 @@ def _run_sketched(method: str, system: LinearSystem, family: SketchFamily,
     if family.system is not system:
         raise InvalidConfigError("family was built for a different system")
     x = resolve_x0(cfg.x0, system)
-    rng = make_rng(cfg.seed)
+    stream = DrawStream(make_rng(cfg.seed))
     check_every = cfg.check_every or (100 if family.kind in VECTOR_KINDS else 1)
     exact_f = isinstance(rule, CappedRule)
     rec = _Recorder(method, system, x, "expected" if exact_f else "selected",
@@ -269,10 +269,10 @@ def _run_sketched(method: str, system: LinearSystem, family: SketchFamily,
     converged = False
     while k < cfg.max_iters:
         k += 1
-        sel = select(rule, family, x, rng, c)
+        sel = select(rule, family, x, stream, c)
         if sel.index is None and c is not None:
             c = family.linear_values(x)
-            sel = select(rule, family, x, rng, c)
+            sel = select(rule, family, x, stream, c)
         if sel.index is None:
             # Every loss is exactly zero: already solved.
             converged = True

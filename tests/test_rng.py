@@ -1,8 +1,18 @@
+import itertools
 import math
 
 import numpy as np
+import pytest
+from scipy import stats
 
-from sketchdescent.rng import derive_seed, make_rng, standard_normal
+from sketchdescent.rng import (
+    derive_seed,
+    make_rng,
+    standard_normal,
+    subset_uniforms,
+    uniform_subsets,
+    uses_rejection,
+)
 
 
 def test_same_seed_same_stream():
@@ -69,3 +79,102 @@ def test_derive_seed_properties():
     assert derive_seed(3, "x", 0) == s
     assert derive_seed(3, "x", 1) != s
     assert derive_seed(4, "x", 0) != s
+
+
+# -- uniform subsets ----------------------------------------------------------
+
+# One (q, tau) per scheme: tau = 1, rejection (q >= 5 tau), random keys.
+BANDS = [(500, 1), (30, 4), (12, 5)]
+
+
+def replayed_subsets(q, tau, seed, draws):
+    """The documented schemes, re-derived one uniform at a time."""
+    u = iter(make_rng(seed).random(10_000).tolist())
+    out = []
+    while len(out) < draws:
+        if tau == 1:
+            out.append([int(next(u) * q)])
+        elif uses_rejection(q, tau):
+            attempt = [int(next(u) * q) for _ in range(2 * tau)]
+            distinct = list(dict.fromkeys(attempt))
+            if len(distinct) >= tau:
+                out.append(sorted(distinct[:tau]))
+        else:
+            keys = [next(u) for _ in range(q)]
+            out.append(sorted(sorted(range(q), key=keys.__getitem__)[:tau]))
+    return out
+
+
+def test_bands():
+    assert [subset_uniforms(q, tau) for q, tau in BANDS] == [1, 8, 12]
+    assert uses_rejection(500, 100) and not uses_rejection(500, 101)
+    assert not uses_rejection(500, 1)
+
+
+@pytest.mark.parametrize("q,tau", BANDS + [(500, 20), (500, 100), (20000, 100)])
+def test_subsets_follow_the_documented_scheme(q, tau):
+    got = uniform_subsets(make_rng(5), q, tau, 6)
+    assert got.dtype == np.intp
+    assert got.tolist() == replayed_subsets(q, tau, 5, 6)
+
+
+def test_subsets_frozen_values():
+    # Seeded draws are part of the reproducibility contract, one per scheme.
+    assert uniform_subsets(make_rng(7), 500, 1, 3).tolist() == [[312], [448], [387]]
+    assert uniform_subsets(make_rng(7), 30, 4, 1).tolist() == [[6, 18, 23, 26]]
+    assert uniform_subsets(make_rng(7), 12, 5, 1).tolist() == [[3, 4, 6, 10, 11]]
+    assert uniform_subsets(make_rng(7), 500, 20, 1).tolist() == [[
+        2, 112, 127, 139, 150, 151, 222, 233, 252, 276, 311, 312, 387, 396,
+        398, 410, 436, 448, 494, 497]]
+
+
+@pytest.mark.parametrize("q,tau", BANDS + [(6, 2)])
+@pytest.mark.parametrize("block", [1, 2, 7, 50])
+def test_a_block_equals_single_draws(q, tau, block):
+    one, blocked = make_rng(11), make_rng(11)
+    singles = np.concatenate([uniform_subsets(one, q, tau, 1)
+                              for _ in range(block)])
+    assert np.array_equal(uniform_subsets(blocked, q, tau, block), singles)
+    # and both leave the generator at the same place
+    assert one.random() == blocked.random()
+
+
+@pytest.mark.parametrize("q,tau", [(10, 2), (6, 3)])
+def test_exact_subset_frequencies(q, tau):
+    # (10, 2) is drawn by rejection, (6, 3) by random keys.
+    subsets = list(itertools.combinations(range(q), tau))
+    draws = 600 * len(subsets)
+    got = uniform_subsets(make_rng(29), q, tau, draws)
+    assert np.all(np.diff(got, axis=1) > 0)
+    code = (got * q ** np.arange(tau)).sum(axis=1)
+    want = [sum(i * q ** j for j, i in enumerate(c)) for c in subsets]
+    counts = [int(np.count_nonzero(code == w)) for w in want]
+    assert sum(counts) == draws  # every draw is one of the C(q, tau) subsets
+    assert stats.chisquare(counts).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("tau", [20, 100])
+def test_inclusion_frequency_is_tau_over_q(tau):
+    q, draws = 500, 20_000
+    got = uniform_subsets(make_rng(31), q, tau, draws)
+    counts = np.bincount(got.ravel(), minlength=q)
+    p = tau / q
+    sigma = math.sqrt(draws * p * (1 - p))
+    assert np.max(np.abs(counts - draws * p)) < 5 * sigma
+    assert stats.chisquare(counts).pvalue > 1e-3
+
+
+class LargestUniform:
+    """Generator stand-in whose every uniform is the largest double below 1."""
+
+    def random(self, size=None):
+        u = np.nextafter(1.0, 0.0)
+        return u if size is None else np.full(size, u)
+
+
+@pytest.mark.parametrize("k", [1, 2, 10, 31, 32, 52])
+def test_floor_index_stays_below_n(k):
+    u = np.nextafter(1.0, 0.0)
+    for n in (2**k - 1, 2**k, 2**k + 1):
+        assert int(u * n) < n
+        assert uniform_subsets(LargestUniform(), n, 1, 3).max() < n

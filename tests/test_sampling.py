@@ -7,9 +7,11 @@ import pytest
 from scipy import stats
 
 import sketchdescent as skd
+from sketchdescent import sampling
 from sketchdescent.errors import InvalidConfigError
 from sketchdescent.rng import make_rng
 from sketchdescent.sampling import (
+    DrawStream,
     capped_candidates,
     capped_threshold,
     rule_expectation,
@@ -115,24 +117,41 @@ class TestSubsetMaxExpectation:
 
 
 class TestGreedySelect:
+    # select draws its sample first, so a twin stream replays it
     def test_argmax_over_sample(self):
-        idx = skd.greedy_select(np.array([0.1, 0.9, 0.3]), np.array([2, 5, 7]))
-        assert idx == 5
+        losses = np.array([0.1, 0.9, 0.3, 0.7, 0.2, 0.8, 0.4, 0.6])
+        for seed in range(20):
+            sample = skd.draw_sample(8, 3, make_rng(seed))
+            sel = skd.select(skd.greedy(3), FixedLosses(losses), None,
+                             make_rng(seed))
+            assert sel.index == sample[np.argmax(losses[sample])]
 
     def test_ties_break_to_smallest(self):
-        idx = skd.greedy_select(np.array([0.5, 0.5, 0.5]), np.array([3, 6, 9]))
-        assert idx == 3
+        for seed in range(20):
+            sample = skd.draw_sample(8, 3, make_rng(seed))
+            sel = skd.select(skd.greedy(3), FixedLosses(np.full(8, 0.5)), None,
+                             make_rng(seed))
+            assert sel.index == sample[0] == sample.min()
 
     def test_singleton(self):
-        assert skd.greedy_select(np.array([0.2]), np.array([4])) == 4
+        losses = np.arange(1.0, 9.0)
+        for seed in range(20):
+            sample = skd.draw_sample(8, 1, make_rng(seed))
+            sel = skd.select(skd.uniform(), FixedLosses(losses), None,
+                             make_rng(seed))
+            assert sel.index == sample[0]
+            assert sel.chosen_loss == losses[sample[0]]
 
     def test_full_scan_without_sample(self):
-        # sample None: position in losses is the family index itself
+        # position in losses is the family index itself
         assert skd.greedy_select(np.array([0.4, 0.9, 0.9, 0.1])) == 1
 
     def test_empty_losses_rejected(self):
         with pytest.raises(InvalidConfigError):
-            skd.greedy_select(np.array([]), np.array([], dtype=np.intp))
+            skd.select(skd.uniform(), FixedLosses(np.array([])), None,
+                       make_rng(0))
+        with pytest.raises(InvalidConfigError):
+            skd.greedy_select(np.array([]))
 
 
 class TestCapped:
@@ -197,6 +216,86 @@ class TestCapped:
     def test_theta_domain(self):
         with pytest.raises(InvalidConfigError):
             skd.capped(theta=1.5)
+
+    def test_closed_forms_for_tau_one_and_q_sort_nothing(self, monkeypatch):
+        losses = np.random.default_rng(5).random(40)
+        rule = skd.capped(theta=0.3, tau1=1, tau2=None, exact=True)
+        want = 0.3 * float(np.mean(losses)) + 0.7 * float(np.max(losses))
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("sorted")
+
+        monkeypatch.setattr(np, "sort", no_sort)
+        assert capped_threshold(losses, rule) == want
+        assert capped_threshold(losses, skd.capped(0.3, 40, 1, exact=True)) \
+            == 0.3 * float(np.max(losses)) + 0.7 * float(np.mean(losses))
+
+    def test_closed_forms_agree_with_order_statistics(self):
+        for trial in range(20):
+            losses = np.random.default_rng(300 + trial).random(9)
+            for tau1, tau2 in ((1, None), (2, None), (1, 3), (9, 9)):
+                rule = skd.capped(theta=0.4, tau1=tau1, tau2=tau2, exact=True)
+                t1 = 9 if tau1 is None else tau1
+                t2 = 9 if tau2 is None else tau2
+                want = (0.4 * subset_max_expectation(losses, t1)
+                        + 0.6 * subset_max_expectation(losses, t2))
+                assert capped_threshold(losses, rule) == pytest.approx(want, rel=1e-14)
+
+    def test_pick_frozen_values(self):
+        # The capped pick is floor(u * |candidates|), one uniform per step.
+        losses = np.full(7, 0.5)  # every index is a candidate
+        rule = skd.capped(exact=True)
+        stream = DrawStream(make_rng(7))
+        picks = [skd.select(rule, FixedLosses(losses), None, stream).index
+                 for _ in range(6)]
+        assert picks == [4, 6, 5, 1, 2, 6]
+
+
+class TestDrawStream:
+    @pytest.mark.parametrize("q,tau", [(500, 1), (500, 20), (500, 100), (40, 9)])
+    def test_stream_equals_single_draws_whatever_the_block(self, monkeypatch,
+                                                           q, tau):
+        rng = make_rng(3)
+        want = [skd.draw_sample(q, tau, rng) for _ in range(40)]
+        for values in (1, 5, 3 * tau, 1000):
+            monkeypatch.setattr(sampling, "BLOCK_VALUES", values)
+            stream = DrawStream(make_rng(3))
+            got = [stream.sample(q, tau) for _ in range(40)]
+            assert all(np.array_equal(a, b) for a, b in zip(got, want)), values
+
+    def test_block_starts_with_the_single_draw(self):
+        for q, tau in ((500, 1), (500, 20), (12, 5)):
+            block = skd.draw_sample(q, tau, make_rng(8), 9)
+            assert block.shape == (9, tau)
+            assert np.array_equal(block[0], skd.draw_sample(q, tau, make_rng(8)))
+
+    def test_picks_equal_whatever_the_block(self, monkeypatch):
+        want = None
+        for values in (1, 3, 4096):
+            monkeypatch.setattr(sampling, "BLOCK_VALUES", values)
+            stream = DrawStream(make_rng(4))
+            got = [stream.pick(n) for n in range(1, 30)]
+            assert want is None or got == want
+            want = got
+        assert all(0 <= i < n for n, i in enumerate(want, start=1))
+
+    def test_one_kind_of_draw_per_stream(self):
+        stream = DrawStream(make_rng(0))
+        stream.sample(10, 2)
+        with pytest.raises(InvalidConfigError):
+            stream.sample(10, 3)
+        stream = DrawStream(make_rng(0), block_values=1)
+        stream.pick(5)
+        with pytest.raises(InvalidConfigError):
+            stream.sample(10, 2)
+
+    def test_select_on_a_generator_draws_one_step(self):
+        losses = np.random.default_rng(2).random(50)
+        rng, stream = make_rng(6), DrawStream(make_rng(6))
+        for _ in range(30):
+            a = skd.select(skd.greedy(4), FixedLosses(losses), None, rng)
+            b = skd.select(skd.greedy(4), FixedLosses(losses), None, stream)
+            assert a.index == b.index
 
 
 class TestDrawSample:

@@ -145,6 +145,32 @@ class TestSketchedSolver:
         assert np.array_equal(a.x_final, b.x_final)
         assert np.array_equal(a.selected, b.selected)
 
+    @pytest.mark.parametrize("rule", ["uniform", "greedy:4", "greedy:12",
+                                      "capped:0.5,1,m,exact"])
+    def test_trace_does_not_depend_on_the_draw_block(self, monkeypatch, rule):
+        from sketchdescent import sampling
+
+        system, fam = family_on("row", 40, 10, seed=6)
+        cfg = skd.SolverConfig(seed=3, max_iters=400, check_every=10, tol=0.0)
+        traces = []
+        for values in (1, 7, 100, 1 << 14):
+            monkeypatch.setattr(sampling, "BLOCK_VALUES", values)
+            traces.append(skd.run_ssdm(system, fam, skd.parse_rule(rule), cfg))
+        for t in traces[1:]:
+            assert np.array_equal(t.selected, traces[0].selected)
+            assert np.array_equal(t.residuals, traces[0].residuals)
+            assert np.array_equal(t.f_values, traces[0].f_values, equal_nan=True)
+            assert np.array_equal(t.x_final, traces[0].x_final)
+
+    def test_first_greedy_sample_is_draw_sample_of_the_seed(self):
+        system, fam = family_on("row", 30, 6, seed=4)
+        x0 = np.zeros(6)
+        for seed in range(10):
+            sample = skd.draw_sample(30, 5, skd.make_rng(seed))
+            want = sample[np.argmax(fam.losses(x0, sample))]
+            cfg = skd.SolverConfig(seed=seed, x0=x0, max_iters=1, check_every=1)
+            assert skd.run_ssd(system, fam, skd.greedy(5), cfg).selected[-1] == want
+
     def test_projection_error_is_monotone(self):
         # Unit relaxation makes each row update a projection, so the B-norm
         # error never increases.
