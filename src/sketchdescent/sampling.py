@@ -336,9 +336,9 @@ class Selection:
     all q of them for full scans, else those of the ascending sample.
     zero_losses counts exact zeros among them; the rate certificates use
     it. chosen_loss is the loss of the selected index at selection time.
-    The capped rule also reports its admission threshold and its
-    rule-expected loss, the mean loss over its candidate set, which equals
-    rule_expectation(losses, rule).
+    The capped rule also reports its admission threshold, the size of its
+    candidate set and its rule-expected loss, the mean loss over the
+    candidates, which equals rule_expectation(losses, rule).
     """
 
     index: int | None
@@ -347,6 +347,7 @@ class Selection:
     threshold: float | None = None
     chosen_loss: float | None = None
     expected_loss: float | None = None
+    candidates: int = 0
 
 
 def select(rule, family, x: np.ndarray, rng: np.random.Generator | DrawStream,
@@ -385,5 +386,6 @@ def select(rule, family, x: np.ndarray, rng: np.random.Generator | DrawStream,
         pick = int(cand[stream.pick(cand.size)])
         return Selection(pick, losses, zero, threshold=thr,
                          chosen_loss=float(losses[pick]),
-                         expected_loss=float(np.mean(losses[cand])))
+                         expected_loss=float(np.mean(losses[cand])),
+                         candidates=cand.size)
     raise InvalidConfigError(f"unknown rule type {type(rule).__name__}")

@@ -163,8 +163,10 @@ class SketchFamily:
             # D = G^{-1} W: one batched solve, or none when G = B (it is
             # B^{-1} W, solved above) or G = I (it is W itself, uncopied).
             self._dirs = Binv_W if self.g_equals_b else self._Gf.solve(W)
-            self._e = (None if self.g_equals_b
-                       else np.einsum("ij,ij->j", W, self._dirs))
+            # Exact step d_i / e_i along D[:, i], e_i = w_i' D[:, i]; None
+            # when G = B, where every step is 1.
+            self._steps = (None if self.g_equals_b
+                           else self._d / np.einsum("ij,ij->j", W, self._dirs))
             # K' = D' W, kept only when it is no larger than D.
             if self.q <= n:
                 self._coupling = self._dirs.T @ W
@@ -241,7 +243,7 @@ class SketchFamily:
             if c == 0.0:
                 return SketchEval(i, 0.0, np.zeros(sys.n), None, 0.0)
             direction = (c / d) * self._dirs[:, i]
-            step = 1.0 if self.g_equals_b else d / self._e[i]
+            step = 1.0 if self.g_equals_b else self._steps[i]
             return SketchEval(i, loss, direction, step, c)
         if self.kind == "block":
             C = self.blocks[i]
@@ -358,6 +360,13 @@ class SketchFamily:
         never larger than the direction matrix; None otherwise.
         """
         return self._coupling
+
+    @property
+    def steps(self) -> np.ndarray | None:
+        """Exact step length along each D[:, i], or None when G = B (all 1)."""
+        if self.kind not in VECTOR_KINDS:
+            raise InvalidInputError(f"steps undefined for kind {self.kind!r}")
+        return self._steps
 
     @property
     def denominators(self) -> np.ndarray:

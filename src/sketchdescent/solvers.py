@@ -1,13 +1,26 @@
 """Iterative solvers: sketched descent, heavy ball, steepest descent, CG.
 
-One engine drives the sketched methods: each iteration a sampling rule picks
-an index, the family evaluates its loss, G-gradient direction and exact
-step, and the iterate moves by omega times that step, optionally plus a
-heavy ball term gamma * (x_k - x_{k-1}). Steepest descent and conjugate
-gradients get dedicated loops so they can serve as independent references:
-steepest descent must coincide with the full-sketch solver, and conjugate
-gradients is algebraically the heavy ball iteration whose step and momentum
-coefficients are chosen adaptively instead of held fixed.
+Each iteration of a sketched method has a sampling rule pick an index, the
+family evaluate its loss, G-gradient direction and exact step, and the
+iterate move by omega times that step, optionally plus a heavy ball term
+gamma * (x_k - x_{k-1}). Two loops run it:
+
+- The vector kinds (row, lsqcol, spectral) run one loop that binds the
+  family's arrays (d, D, the coupling K', the exact steps), the rule's
+  tau, the run's DrawStream and omega once per run. A step then does only
+  the arithmetic of sampling.select, SketchFamily.evaluate and
+  apply_update, expression for expression: draw, gather the losses
+  0.5 c_s^2 / d_s, one argmax, the chosen index's exact c_i from one dot,
+  x <- x - (omega step) ((c_i / d_i) D[:, i]). Those public one-step
+  functions stay the reference the loop is tested against.
+- Block and full families have no scalar c_i; their loop calls select,
+  evaluate and apply_update each step.
+
+Steepest descent and conjugate gradients get dedicated loops so they can
+serve as independent references: steepest descent must coincide with the
+full-sketch solver, and conjugate gradients is algebraically the heavy ball
+iteration whose step and momentum coefficients are chosen adaptively
+instead of held fixed.
 
 Residuals, errors and wall times are recorded at checkpoints; the stopping
 test ||A x - b|| <= tol runs at the same granularity. Vector families
@@ -20,14 +33,18 @@ linear values up to date, O(q) per step, instead of scanning A, A' or U:
 each step moves them by a multiple of one row of K'. They are recomputed
 exactly at every checkpoint, and before a run ends because every maintained
 loss is zero. The chosen index's own value is always computed exactly, and
-a selected loss that is NaN or infinite stops the run at once.
+a selected loss that is NaN or infinite stops the run at once. A full scan
+finds every loss zero when the largest one is zero (losses are >= 0).
+
+Every run tallies its steps in IterationTrace.counts (losses read, zero
+steps, full scans, capped candidates); the counts change no other field.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,12 +52,15 @@ from .errors import DivergenceError, InvalidConfigError, SizeLimitError
 from .linalg import as_vector, pinv_psd
 from .problems import LinearSystem, resolve_x_star
 from .rng import make_rng
+from . import sampling
 from .sampling import CappedRule, DrawStream, GreedyRule, rule_expectation, select
 from .sketching import VECTOR_KINDS, SketchFamily, apply_update
 
 DIVERGENCE_NORM = 1e12
 
 X0_PRESETS = ("ones1000", "zero", "range")
+
+COUNT_KEYS = ("losses_read", "zero_steps", "full_scans", "candidates")
 
 
 @dataclass
@@ -92,6 +112,12 @@ class IterationTrace:
     non-deterministic fields. selected is -1 before the first update.
     cesaro_f tracks the rule-expected loss of the running iterate average
     when that was requested.
+
+    counts tallies what a sketched run's steps did: losses_read, the index
+    losses its selections evaluated; zero_steps, the steps whose exact
+    linear value (or loss) was zero, so the update was skipped; full_scans,
+    the exact recomputes of all q linear values; candidates, the capped
+    candidate-set sizes, summed. Every count is 0 for sd and cg.
     """
 
     method: str
@@ -111,6 +137,7 @@ class IterationTrace:
     x_star: np.ndarray | None = None
     x_star_is_projection: bool = False
     diverged: bool = False
+    counts: dict = field(default_factory=lambda: dict.fromkeys(COUNT_KEYS, 0))
 
     def final_residual(self) -> float:
         return float(self.residuals[-1])
@@ -172,6 +199,7 @@ class _Recorder:
         self.times: list[float] = []
         self.selected: list[int] = []
         self.cesaro_f: list[float] = []
+        self.counts = dict.fromkeys(COUNT_KEYS, 0)
 
     def record(self, k: int, x: np.ndarray, residual: float, f_value: float,
                sel_index: int, cesaro_f: float = np.nan) -> None:
@@ -212,6 +240,7 @@ class _Recorder:
             x_star=self.x_star,
             x_star_is_projection=self.is_proj,
             diverged=diverged,
+            counts=dict(self.counts),
         )
 
 
@@ -234,8 +263,8 @@ def _run_sketched(method: str, system: LinearSystem, family: SketchFamily,
     if family.system is not system:
         raise InvalidConfigError("family was built for a different system")
     x = resolve_x0(cfg.x0, system)
-    stream = DrawStream(make_rng(cfg.seed))
-    check_every = cfg.check_every or (100 if family.kind in VECTOR_KINDS else 1)
+    vector = family.kind in VECTOR_KINDS
+    check_every = cfg.check_every or (100 if vector else 1)
     exact_f = isinstance(rule, CappedRule)
     rec = _Recorder(method, system, x, "expected" if exact_f else "selected",
                     cfg.track_cesaro)
@@ -249,7 +278,87 @@ def _run_sketched(method: str, system: LinearSystem, family: SketchFamily,
     rec.record(0, x, res0, np.nan, -1, cesaro_loss(None, 0))
     if res0 <= cfg.tol:
         return rec.finish(0, True, x, x.copy() if cfg.track_cesaro else None)
+    loop = _vector_loop if vector else _generic_loop
+    k, converged, x, x_sum = loop(family, rule, cfg, gamma, x,
+                                  DrawStream(make_rng(cfg.seed)), rec,
+                                  check_every, cesaro_loss)
+    x_cesaro = (x_sum / k) if (cfg.track_cesaro and k > 0) else (
+        x.copy() if cfg.track_cesaro else None)
+    return rec.finish(k, converged, x, x_cesaro)
 
+
+def _vector_picker(rule, family: SketchFamily, stream: DrawStream,
+                   counts: dict):
+    """One run's selection step on a vector family, bound once.
+
+    Returns pick(x, c) -> (index, chosen loss, f value), or None when a
+    full scan finds every loss zero. c holds the maintained linear values
+    at x, or is None; without it a full scan recomputes them exactly. The
+    arithmetic is select's: the same gathers, losses and argmax.
+    """
+    q = family.q
+    d = family.denominators
+    linear_values = family.linear_values
+    if isinstance(rule, GreedyRule):
+        tau = rule.resolve_tau(q)
+        if tau < q:
+            sample = stream.sample
+
+            def pick(x, c):
+                counts["losses_read"] += tau
+                s = sample(q, tau)
+                cs = linear_values(x, s) if c is None else c[s]
+                losses = 0.5 * cs * cs / d[s]
+                j = losses.argmax()
+                loss = float(losses[j])
+                return int(s[j]), loss, loss
+            return pick
+
+        def pick(x, c):
+            counts["losses_read"] += q
+            if c is None:
+                counts["full_scans"] += 1
+                c = linear_values(x)
+            losses = 0.5 * c * c / d
+            i = int(losses.argmax())
+            loss = float(losses[i])
+            # Losses are >= 0, so a zero maximum means all are zero; a NaN
+            # is its own argmax and is caught by the caller.
+            return None if loss == 0.0 else (i, loss, loss)
+        return pick
+    if isinstance(rule, CappedRule):
+        # Read through the module, as select does, so that a wrapper of
+        # sampling.capped_candidates (perfbench's tracer) sees every step.
+        def pick(x, c):
+            counts["losses_read"] += q
+            if c is None:
+                counts["full_scans"] += 1
+                c = linear_values(x)
+            losses = 0.5 * c * c / d
+            if not np.any(losses > 0.0):
+                return None
+            cand = sampling.capped_candidates(
+                losses, rule, sampling.capped_threshold(losses, rule))
+            counts["candidates"] += cand.size
+            i = int(cand[stream.pick(cand.size)])
+            return i, float(losses[i]), float(np.mean(losses[cand]))
+        return pick
+    raise InvalidConfigError(f"unknown rule type {type(rule).__name__}")
+
+
+def _vector_loop(family, rule, cfg, gamma, x, stream, rec, check_every,
+                 cesaro_loss):
+    """Iterations of a row, lsqcol or spectral run; see the module notes."""
+    system = family.system
+    counts = rec.counts
+    linear_values = family.linear_values
+    d = family.denominators
+    dirs = family.direction_matrix
+    steps = family.steps
+    omega, tol, max_iters = cfg.omega, cfg.tol, cfg.max_iters
+    heavy = gamma != 0.0
+    track_cesaro = cfg.track_cesaro
+    pick = _vector_picker(rule, family, stream, counts)
     # Maintain c only where it saves work: a rule reading one loss pays no
     # scan, and a checkpoint every step recomputes c anyway.
     coupling = family.coupling
@@ -258,9 +367,79 @@ def _run_sketched(method: str, system: LinearSystem, family: SketchFamily,
         coupling = None
     c = c_prev = None
     if coupling is not None:
-        d = family.denominators
-        c = c_prev = family.linear_values(x)
+        counts["full_scans"] += 1
+        c = c_prev = linear_values(x)
 
+    x_prev = x.copy()
+    x_sum = np.zeros_like(x)
+    last_sel = -1
+    last_f = np.nan
+    k = 0
+    converged = False
+    while k < max_iters:
+        k += 1
+        chosen = pick(x, c)
+        if chosen is None and c is not None:
+            counts["full_scans"] += 1
+            c = linear_values(x)
+            chosen = pick(x, c)
+        if chosen is None:
+            # Every loss is exactly zero: already solved.
+            converged = True
+            rec.record(k - 1, x, system.residual_norm(x), 0.0, last_sel,
+                       cesaro_loss(x_sum, k - 1))
+            k -= 1
+            break
+        i, loss, last_f = chosen
+        if not math.isfinite(loss):
+            _diverge(rec, k - 1, x, f"selected loss {loss} at iteration {k}")
+        last_sel = i
+        ci = float(linear_values(x, i))
+        if ci == 0.0:
+            # Zero loss: the exact line search is 0/0, so x stays.
+            counts["zero_steps"] += 1
+            x_next = x
+        else:
+            scale = omega if steps is None else omega * steps[i]
+            coef = ci / d[i]
+            direction = coef * dirs[:, i]
+            # Scaling by exactly 1 (omega = 1 with G = B) changes no bit.
+            x_next = x - (direction if scale == 1.0 else scale * direction)
+        if heavy:
+            x_next = x_next + gamma * (x - x_prev)
+        if c is not None:
+            c_next = c
+            if ci != 0.0:
+                c_next = c - (scale * coef) * coupling[i]
+            if heavy:
+                c_next = c_next + gamma * (c - c_prev)
+            c_prev, c = c, c_next
+        x_prev = x
+        x = x_next
+        if track_cesaro:
+            x_sum += x
+        if k % check_every == 0 or k == max_iters:
+            _check_finite(x, rec, k)
+            res = system.residual_norm(x)
+            rec.record(k, x, res, last_f, last_sel, cesaro_loss(x_sum, k))
+            if res <= tol:
+                converged = True
+                break
+            if c is not None:
+                counts["full_scans"] += 1
+                c = linear_values(x)
+                if heavy:
+                    counts["full_scans"] += 1
+                    c_prev = linear_values(x_prev)
+    return k, converged, x, x_sum
+
+
+def _generic_loop(family, rule, cfg, gamma, x, stream, rec, check_every,
+                  cesaro_loss):
+    """Iterations of a block or full run, one public step at a time."""
+    system = family.system
+    counts = rec.counts
+    exact_f = isinstance(rule, CappedRule)
     x_prev = x.copy()
     x_sum = np.zeros_like(x)
     last_sel = -1
@@ -269,10 +448,9 @@ def _run_sketched(method: str, system: LinearSystem, family: SketchFamily,
     converged = False
     while k < cfg.max_iters:
         k += 1
-        sel = select(rule, family, x, stream, c)
-        if sel.index is None and c is not None:
-            c = family.linear_values(x)
-            sel = select(rule, family, x, stream, c)
+        sel = select(rule, family, x, stream)
+        counts["losses_read"] += sel.losses.size
+        counts["candidates"] += sel.candidates
         if sel.index is None:
             # Every loss is exactly zero: already solved.
             converged = True
@@ -286,17 +464,11 @@ def _run_sketched(method: str, system: LinearSystem, family: SketchFamily,
         last_sel = sel.index
         last_f = sel.expected_loss if exact_f else sel.chosen_loss
         ev = family.evaluate(sel.index, x)
+        if ev.step is None:
+            counts["zero_steps"] += 1
         x_next = apply_update(x, ev, cfg.omega)
         if gamma != 0.0:
             x_next = x_next + gamma * (x - x_prev)
-        if c is not None:
-            c_next = c
-            if ev.step is not None:
-                a = cfg.omega * ev.step * (ev.linear / d[ev.index])
-                c_next = c - a * coupling[ev.index]
-            if gamma != 0.0:
-                c_next = c_next + gamma * (c - c_prev)
-            c_prev, c = c, c_next
         x_prev = x
         x = x_next
         if cfg.track_cesaro:
@@ -308,13 +480,7 @@ def _run_sketched(method: str, system: LinearSystem, family: SketchFamily,
             if res <= cfg.tol:
                 converged = True
                 break
-            if c is not None:
-                c = family.linear_values(x)
-                if gamma != 0.0:
-                    c_prev = family.linear_values(x_prev)
-    x_cesaro = (x_sum / k) if (cfg.track_cesaro and k > 0) else (
-        x.copy() if cfg.track_cesaro else None)
-    return rec.finish(k, converged, x, x_cesaro)
+    return k, converged, x, x_sum
 
 
 def run_ssd(system: LinearSystem, family: SketchFamily, rule,
@@ -421,13 +587,18 @@ def run_cg_momentum(system: LinearSystem, cfg: SolverConfig | None = None) -> It
         x = x + alpha * p
         u = u - alpha * Ap
         uu_new = float(u @ u)
-        if k % check_every == 0 or k == cfg.max_iters:
+        # The recurrence residual can underflow to zero while the true one
+        # stalls above tol; the run ends there, at a checkpoint.
+        stalled = uu_new == 0.0
+        if k % check_every == 0 or k == cfg.max_iters or stalled:
             _check_finite(x, rec, k)
             res_norm = float(np.linalg.norm(A @ x - system.b))
             rec.record(k, x, res_norm, f_of(x), 0)
             if res_norm <= cfg.tol:
                 converged = True
                 break
+        if stalled:
+            break
         beta = uu_new / uu
         p = u + beta * p
         uu = uu_new

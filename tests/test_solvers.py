@@ -287,14 +287,20 @@ class TestMaintainedLinearValues:
 
     @pytest.mark.parametrize("gamma", [0.0, 0.3])
     def test_maintained_values_track_exact_ones(self, monkeypatch, gamma):
+        picker = skd.solvers._vector_picker
         for label, system, fam in maintained_instances():
             seen = []
 
-            def recording(rule, family, x, rng, linear=None):
-                seen.append((x.copy(), None if linear is None else linear.copy()))
-                return skd.select(rule, family, x, rng, linear)
+            def recording(*args):
+                pick = picker(*args)
 
-            monkeypatch.setattr(skd.solvers, "select", recording)
+                def step(x, linear):
+                    seen.append((x.copy(),
+                                 None if linear is None else linear.copy()))
+                    return pick(x, linear)
+                return step
+
+            monkeypatch.setattr(skd.solvers, "_vector_picker", recording)
             cfg = skd.SolverConfig(gamma=gamma, tol=0.0, max_iters=300,
                                    check_every=10_000)
             trace = skd.run_ssdm(system, fam, skd.max_distance(), cfg)
@@ -449,6 +455,23 @@ class TestConjugateGradients:
         system = gaussian_system(8, 5, seed=20)
         with pytest.raises(InvalidInputError):
             skd.run_cg_momentum(system)
+
+    def test_underflowed_recurrence_returns_unconverged_trace(self):
+        # The true residual stalls near 2.6e-9 while the recurrence
+        # residual u keeps shrinking until u'u underflows to 0; the run
+        # must stop there, checked, instead of dividing by zero.
+        base = skd.generate(skd.GenSpec("gaussian-normal-equations", 400, 200,
+                                        seed=3))
+        system = skd.LinearSystem(A=base.A, b=base.b, B=base.A, G=base.A,
+                                  x_star=base.x_star)
+        for every in (1, 7):
+            cfg = skd.SolverConfig(tol=1e-10, check_every=every)
+            trace = skd.run_cg_momentum(system, cfg)
+            assert not trace.converged and not trace.diverged
+            assert trace.iterations < cfg.max_iters
+            assert trace.ks[-1] == trace.iterations
+            res = np.linalg.norm(system.A @ trace.x_final - system.b)
+            assert trace.final_residual() == res > cfg.tol
 
 
 class TestDispatch:

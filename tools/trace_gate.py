@@ -11,8 +11,10 @@ diffing this output against its parent's. The list covers the
 sketchbench_grid benchmark instance (500-dim spectral), the
 kaczmarz_fullscan instance (2000x200 rows), small row, column,
 coordinate-descent and spectral instances under five rules at two
-momentum values, and steepest descent and conjugate gradients. --seed sets
-every solver seed. BLAS is pinned to one thread, as in the benchmark, so
+momentum values, and steepest descent and conjugate gradients. Each
+instance then runs its second rule once with a checkpoint every iteration
+(gamma 0) and once tracking the Cesaro average (gamma 0.3); the Cesaro
+lines also digest cesaro_f and x_cesaro. --seed sets every solver seed. BLAS is pinned to one thread, as in the benchmark, so
 the digests do not depend on the core count.
 """
 
@@ -69,12 +71,15 @@ def instances():
     yield "spectral", with_metric(spd, spd.A), "spectral", SMALL_RULES
 
 
-def digest(trace) -> str:
+def digest(trace, cesaro: bool = False) -> str:
     h = hashlib.sha256()
     h.update(np.int64(trace.iterations).tobytes())
-    for arr, dtype in ((trace.ks, np.int64), (trace.residuals, np.float64),
-                       (trace.f_values, np.float64), (trace.selected, np.int64),
-                       (trace.err_g_sq, np.float64), (trace.x_final, np.float64)):
+    fields = [(trace.ks, np.int64), (trace.residuals, np.float64),
+              (trace.f_values, np.float64), (trace.selected, np.int64),
+              (trace.err_g_sq, np.float64), (trace.x_final, np.float64)]
+    if cesaro:
+        fields += [(trace.cesaro_f, np.float64), (trace.x_cesaro, np.float64)]
+    for arr, dtype in fields:
         h.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
     return h.hexdigest()
 
@@ -102,6 +107,13 @@ def main(argv=None) -> int:
                 label = f"{name}/{kind} {text} gamma={gamma:g}"
                 print(f"{label:<48} {trace.iterations:>7} {digest(trace)}",
                       flush=True)
+        rule = skd.parse_rule(rules[1])
+        for tag, extra in (("check_every=1", {"check_every": 1}),
+                           ("track_cesaro", {"gamma": 0.3, "track_cesaro": True})):
+            trace = run("ssdm", system, family, rule, seed=seed, **extra)
+            label = f"{name}/{kind} {rules[1]} {tag}"
+            print(f"{label:<48} {trace.iterations:>7} "
+                  f"{digest(trace, 'track_cesaro' in extra)}", flush=True)
         if name == "spectral":
             # Plain CG's true residual stalls near 2e-9 on this system.
             for method in ("sd", "cg"):
