@@ -29,14 +29,7 @@ from .errors import (
     UnsupportedFormatError,
 )
 from .rng import derive_seed, make_rng, standard_normal
-from .linalg import (
-    SpdFactor,
-    inv_sqrt_spd,
-    pinv_psd,
-    sqrt_spd,
-    sym_eig,
-    weighted_norm_sq,
-)
+from .linalg import SpdFactor, pinv_psd, sym_eig
 from .problems import (
     GenSpec,
     LinearSystem,
@@ -57,7 +50,6 @@ from .sampling import (
     capped,
     draw_sample,
     greedy,
-    greedy_select,
     gs_expectation_weights,
     max_distance,
     parse_rule,
@@ -108,16 +100,14 @@ __all__ = [
     "SizeLimitError", "UnsupportedFormatError", "MalformedFileError",
     "ParseError", "EmptyMatrixError",
     "make_rng", "standard_normal", "derive_seed",
-    "SpdFactor", "sym_eig", "pinv_psd", "sqrt_spd", "inv_sqrt_spd",
-    "weighted_norm_sq",
+    "SpdFactor", "sym_eig", "pinv_psd",
     "LinearSystem", "GenSpec", "generate", "make_consistent",
     "resolve_x_star",
     "load_matrix_market", "save_matrix_market", "load_libsvm",
     "SketchFamily", "SketchEval", "apply_update",
     "GreedyRule", "CappedRule", "Selection", "uniform", "greedy",
     "max_distance", "capped", "parse_rule", "gs_expectation_weights",
-    "subset_max_expectation", "rule_expectation", "draw_sample",
-    "greedy_select", "select",
+    "subset_max_expectation", "rule_expectation", "draw_sample", "select",
     "SolverConfig", "IterationTrace", "run_ssd", "run_ssdm", "run_sd",
     "run_cg_momentum", "run_method", "project_onto_gradient_span",
     "SpectralReport", "RateBundle", "MomentumRate", "InequalityReport",

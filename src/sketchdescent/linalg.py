@@ -97,38 +97,6 @@ def pinv_psd(M, tol: float = DEFAULT_EIG_CUTOFF) -> np.ndarray:
     return (V * inv_w) @ V.T
 
 
-def sqrt_spd(M) -> np.ndarray:
-    """Symmetric square root of an SPD matrix."""
-    w, V = sym_eig(M)
-    if w.size == 0 or w[0] <= 0.0:
-        raise NotSpdError(f"matrix not SPD: min eigenvalue {w[0] if w.size else 'n/a'}")
-    return (V * np.sqrt(w)) @ V.T
-
-
-def inv_sqrt_spd(M) -> np.ndarray:
-    """Inverse symmetric square root of an SPD matrix."""
-    w, V = sym_eig(M)
-    if w.size == 0 or w[0] <= 0.0:
-        raise NotSpdError(f"matrix not SPD: min eigenvalue {w[0] if w.size else 'n/a'}")
-    return (V / np.sqrt(w)) @ V.T
-
-
-def weighted_norm_sq(x, M) -> float:
-    """x.T @ M @ x for a symmetric PSD weight M.
-
-    Tiny negative values from rounding are clamped to zero, which is sound
-    because the contract requires M to be PSD.
-    """
-    xv = as_vector(x, "x")
-    A = as_matrix(M, "M")
-    if A.shape != (xv.size, xv.size):
-        raise InvalidInputError(
-            f"weight shape {A.shape} does not match vector length {xv.size}"
-        )
-    val = float(xv @ (A @ xv))
-    return val if val > 0.0 else max(val, 0.0)
-
-
 class SpdFactor:
     """The factorizations of one SPD matrix (or the identity), each made once.
 

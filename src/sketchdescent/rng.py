@@ -73,10 +73,15 @@ import hashlib
 
 import numpy as np
 
+from .errors import InvalidConfigError
+
 
 def make_rng(seed: int) -> np.random.Generator:
     """Fresh PCG64 generator for a nonnegative integer seed."""
-    return np.random.Generator(np.random.PCG64(int(seed)))
+    seed = int(seed)
+    if seed < 0:
+        raise InvalidConfigError(f"seed must be >= 0, got {seed}")
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 def standard_normal(rng: np.random.Generator, size) -> np.ndarray:

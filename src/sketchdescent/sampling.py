@@ -33,7 +33,7 @@ __all__ = [
     "uniform", "greedy", "max_distance", "capped", "parse_rule",
     "gs_expectation_weights", "subset_max_expectation",
     "capped_threshold", "capped_candidates", "rule_expectation",
-    "draw_sample", "DrawStream", "greedy_select", "select",
+    "draw_sample", "DrawStream", "select",
 ]
 
 # Uniforms one DrawStream refill may draw: 128 KiB of doubles.
@@ -313,18 +313,6 @@ class DrawStream:
         return int(self._block[self._next - 1] * n)
 
 
-def greedy_select(losses: np.ndarray) -> int:
-    """Position of the largest loss; ties break to the smallest position.
-
-    Over an ascending sample, or all q indices in order, the first maximum
-    is the smallest index.
-    """
-    losses = np.asarray(losses)
-    if losses.size == 0:
-        raise InvalidConfigError("empty sample")
-    return int(losses.argmax())  # the method skips np.argmax's dispatch
-
-
 @dataclass
 class Selection:
     """Outcome of one selection step.
@@ -373,7 +361,7 @@ def select(rule, family, x: np.ndarray, rng: np.random.Generator | DrawStream,
         zero = losses.size - int(np.count_nonzero(losses))  # a NaN is nonzero
         if zero == q:
             return Selection(None, losses, zero)
-        j = greedy_select(losses)
+        j = int(losses.argmax())  # the method skips np.argmax's dispatch
         pick = j if sample is None else int(sample[j])
         return Selection(pick, losses, zero, chosen_loss=float(losses[j]))
     if isinstance(rule, CappedRule):

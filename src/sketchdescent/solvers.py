@@ -3,18 +3,23 @@
 Each iteration of a sketched method has a sampling rule pick an index, the
 family evaluate its loss, G-gradient direction and exact step, and the
 iterate move by omega times that step, optionally plus a heavy ball term
-gamma * (x_k - x_{k-1}). Two loops run it:
+gamma * (x_k - x_{k-1}). One loop runs it for every sketch kind, through
+two steps bound once per run:
 
-- The vector kinds (row, lsqcol, spectral) run one loop that binds the
-  family's arrays (d, D, the coupling K', the exact steps), the rule's
-  tau, the run's DrawStream and omega once per run. A step then does only
-  the arithmetic of sampling.select, SketchFamily.evaluate and
-  apply_update, expression for expression: draw, gather the losses
-  0.5 c_s^2 / d_s, one argmax, the chosen index's exact c_i from one dot,
-  x <- x - (omega step) ((c_i / d_i) D[:, i]). Those public one-step
-  functions stay the reference the loop is tested against.
-- Block and full families have no scalar c_i; their loop calls select,
-  evaluate and apply_update each step.
+- pick(x, c) chooses the index. For the vector kinds (row, lsqcol,
+  spectral) it binds the family's arrays (d, the coupling K'), the rule's
+  tau and the run's DrawStream, and does the arithmetic of sampling.select
+  expression for expression: draw, gather the losses 0.5 c_s^2 / d_s, one
+  argmax. For block and full families it calls select.
+- move(x, i) returns the next iterate and the step t taken along D[:, i].
+  For the vector kinds it is SketchFamily.evaluate and apply_update spelled
+  out: the chosen index's exact c_i from one dot, then
+  x <- x - (omega step) ((c_i / d_i) D[:, i]). Block and full families,
+  which have no scalar c_i and no coupling, call evaluate and
+  apply_update.
+
+The public one-step functions stay the reference the loop is tested
+against.
 
 Steepest descent and conjugate gradients get dedicated loops so they can
 serve as independent references: steepest descent must coincide with the
@@ -22,8 +27,9 @@ full-sketch solver, and conjugate gradients is algebraically the heavy ball
 iteration whose step and momentum coefficients are chosen adaptively
 instead of held fixed.
 
-Residuals, errors and wall times are recorded at checkpoints; the stopping
-test ||A x - b|| <= tol runs at the same granularity. Vector families
+Residuals, errors and wall times are recorded at checkpoints, where every
+solver also checks that the iterate is finite and runs the stopping test
+||A x - b|| <= tol, all in _Recorder.checkpoint. Vector families
 default to a checkpoint every 100 iterations so the O(m n) residual never
 dominates the O(n) iteration; everything else checks every iteration.
 
@@ -31,8 +37,8 @@ A rule that reads more than one loss per iteration (greedy tau > 1, max
 distance, capped) on a family that caches its coupling K' keeps the q
 linear values up to date, O(q) per step, instead of scanning A, A' or U:
 each step moves them by a multiple of one row of K'. They are recomputed
-exactly at every checkpoint, and before a run ends because every maintained
-loss is zero. The chosen index's own value is always computed exactly, and
+exactly at every checkpoint that does not end the run, and before a run
+ends because every maintained loss is zero. The chosen index's own value is always computed exactly, and
 a selected loss that is NaN or infinite stops the run at once. A full scan
 finds every loss zero when the largest one is zero (losses are >= 0).
 
@@ -219,6 +225,20 @@ class _Recorder:
         self.cesaro_f.append(cesaro_f)
         self.times.append(time.perf_counter() - self.t0)
 
+    def checkpoint(self, k: int, x: np.ndarray, tol: float,
+                   residual: float | None = None, *, f_value: float,
+                   sel_index: int, cesaro_f: float = np.nan) -> bool:
+        """Check x is finite, record it, and say whether the run stops.
+
+        residual defaults to ||A x - b||. Raises DivergenceError for an
+        iterate that is not finite or whose norm exceeds DIVERGENCE_NORM.
+        """
+        _check_finite(x, self, k)
+        if residual is None:
+            residual = self.system.residual_norm(x)
+        self.record(k, x, residual, f_value, sel_index, cesaro_f)
+        return residual <= tol
+
     def finish(self, iterations: int, converged: bool, x: np.ndarray,
                x_cesaro: np.ndarray | None = None,
                diverged: bool = False) -> IterationTrace:
@@ -259,6 +279,7 @@ def _check_finite(x: np.ndarray, rec: _Recorder, k: int) -> None:
 
 def _run_sketched(method: str, system: LinearSystem, family: SketchFamily,
                   rule, cfg: SolverConfig, gamma: float) -> IterationTrace:
+    """Iterations of a sketched run, every kind; see the module notes."""
     cfg.validate()
     if family.system is not system:
         raise InvalidConfigError("family was built for a different system")
@@ -268,22 +289,89 @@ def _run_sketched(method: str, system: LinearSystem, family: SketchFamily,
     exact_f = isinstance(rule, CappedRule)
     rec = _Recorder(method, system, x, "expected" if exact_f else "selected",
                     cfg.track_cesaro)
+    track_cesaro = cfg.track_cesaro
 
     def cesaro_loss(xsum, k):
-        if not cfg.track_cesaro or k == 0:
+        if not track_cesaro or k == 0:
             return np.nan
         return rule_expectation(family.losses(xsum / k), rule)
 
     res0 = system.residual_norm(x)
-    rec.record(0, x, res0, np.nan, -1, cesaro_loss(None, 0))
+    rec.record(0, x, res0, np.nan, -1)
     if res0 <= cfg.tol:
-        return rec.finish(0, True, x, x.copy() if cfg.track_cesaro else None)
-    loop = _vector_loop if vector else _generic_loop
-    k, converged, x, x_sum = loop(family, rule, cfg, gamma, x,
-                                  DrawStream(make_rng(cfg.seed)), rec,
-                                  check_every, cesaro_loss)
-    x_cesaro = (x_sum / k) if (cfg.track_cesaro and k > 0) else (
-        x.copy() if cfg.track_cesaro else None)
+        return rec.finish(0, True, x, x.copy() if track_cesaro else None)
+    counts = rec.counts
+    stream = DrawStream(make_rng(cfg.seed))
+    if vector:
+        pick = _vector_picker(rule, family, stream, counts)
+        move = _vector_mover(family, cfg.omega, counts)
+    else:
+        pick, move = _public_step(rule, family, stream, cfg.omega, counts)
+    linear_values = family.linear_values
+    tol, max_iters = cfg.tol, cfg.max_iters
+    heavy = gamma != 0.0
+    # Maintain c only where it saves work: a rule reading one loss pays no
+    # scan, and a checkpoint every step recomputes c anyway. Block and full
+    # families have no coupling.
+    coupling = family.coupling
+    if check_every == 1 or (isinstance(rule, GreedyRule)
+                            and rule.resolve_tau(family.q) == 1):
+        coupling = None
+    c = c_prev = None
+    if coupling is not None:
+        counts["full_scans"] += 1
+        c = c_prev = linear_values(x)
+
+    x_prev = x.copy()
+    x_sum = np.zeros_like(x)
+    last_sel = -1
+    last_f = np.nan
+    k = 0
+    converged = False
+    while k < max_iters:
+        k += 1
+        chosen = pick(x, c)
+        if chosen is None and c is not None:
+            counts["full_scans"] += 1
+            c = linear_values(x)
+            chosen = pick(x, c)
+        if chosen is None:
+            # Every loss is exactly zero: already solved.
+            converged = True
+            k -= 1
+            rec.record(k, x, system.residual_norm(x), 0.0, last_sel,
+                       cesaro_loss(x_sum, k))
+            break
+        i, loss, last_f = chosen
+        if not math.isfinite(loss):
+            _diverge(rec, k - 1, x, f"selected loss {loss} at iteration {k}")
+        last_sel = i
+        x_next, t = move(x, i)
+        if heavy:
+            x_next = x_next + gamma * (x - x_prev)
+        if c is not None:
+            c_next = c if t is None else c - t * coupling[i]
+            if heavy:
+                c_next = c_next + gamma * (c - c_prev)
+            c_prev, c = c, c_next
+        x_prev = x
+        x = x_next
+        if track_cesaro:
+            x_sum += x
+        if k % check_every and k < max_iters:
+            continue
+        if rec.checkpoint(k, x, tol, f_value=last_f, sel_index=last_sel,
+                          cesaro_f=cesaro_loss(x_sum, k)):
+            converged = True
+            break
+        if c is not None and k < max_iters:
+            counts["full_scans"] += 1
+            c = linear_values(x)
+            if heavy:
+                counts["full_scans"] += 1
+                c_prev = linear_values(x_prev)
+    x_cesaro = (x_sum / k) if (track_cesaro and k > 0) else (
+        x.copy() if track_cesaro else None)
     return rec.finish(k, converged, x, x_cesaro)
 
 
@@ -346,141 +434,55 @@ def _vector_picker(rule, family: SketchFamily, stream: DrawStream,
     raise InvalidConfigError(f"unknown rule type {type(rule).__name__}")
 
 
-def _vector_loop(family, rule, cfg, gamma, x, stream, rec, check_every,
-                 cesaro_loss):
-    """Iterations of a row, lsqcol or spectral run; see the module notes."""
-    system = family.system
-    counts = rec.counts
+def _vector_mover(family: SketchFamily, omega: float, counts: dict):
+    """One run's update step on a vector family, bound once.
+
+    Returns move(x, i) -> (x_next, t): the arithmetic of evaluate and
+    apply_update, x - (omega step) ((c_i / d_i) D[:, i]), with c_i exact,
+    and the length t of the step along D[:, i] that moves the linear
+    values by -t K'[i], or None when c_i = 0 and x stays.
+    """
     linear_values = family.linear_values
     d = family.denominators
     dirs = family.direction_matrix
     steps = family.steps
-    omega, tol, max_iters = cfg.omega, cfg.tol, cfg.max_iters
-    heavy = gamma != 0.0
-    track_cesaro = cfg.track_cesaro
-    pick = _vector_picker(rule, family, stream, counts)
-    # Maintain c only where it saves work: a rule reading one loss pays no
-    # scan, and a checkpoint every step recomputes c anyway.
-    coupling = family.coupling
-    if check_every == 1 or (isinstance(rule, GreedyRule)
-                            and rule.resolve_tau(family.q) == 1):
-        coupling = None
-    c = c_prev = None
-    if coupling is not None:
-        counts["full_scans"] += 1
-        c = c_prev = linear_values(x)
 
-    x_prev = x.copy()
-    x_sum = np.zeros_like(x)
-    last_sel = -1
-    last_f = np.nan
-    k = 0
-    converged = False
-    while k < max_iters:
-        k += 1
-        chosen = pick(x, c)
-        if chosen is None and c is not None:
-            counts["full_scans"] += 1
-            c = linear_values(x)
-            chosen = pick(x, c)
-        if chosen is None:
-            # Every loss is exactly zero: already solved.
-            converged = True
-            rec.record(k - 1, x, system.residual_norm(x), 0.0, last_sel,
-                       cesaro_loss(x_sum, k - 1))
-            k -= 1
-            break
-        i, loss, last_f = chosen
-        if not math.isfinite(loss):
-            _diverge(rec, k - 1, x, f"selected loss {loss} at iteration {k}")
-        last_sel = i
+    def move(x, i):
         ci = float(linear_values(x, i))
         if ci == 0.0:
             # Zero loss: the exact line search is 0/0, so x stays.
             counts["zero_steps"] += 1
-            x_next = x
-        else:
-            scale = omega if steps is None else omega * steps[i]
-            coef = ci / d[i]
-            direction = coef * dirs[:, i]
-            # Scaling by exactly 1 (omega = 1 with G = B) changes no bit.
-            x_next = x - (direction if scale == 1.0 else scale * direction)
-        if heavy:
-            x_next = x_next + gamma * (x - x_prev)
-        if c is not None:
-            c_next = c
-            if ci != 0.0:
-                c_next = c - (scale * coef) * coupling[i]
-            if heavy:
-                c_next = c_next + gamma * (c - c_prev)
-            c_prev, c = c, c_next
-        x_prev = x
-        x = x_next
-        if track_cesaro:
-            x_sum += x
-        if k % check_every == 0 or k == max_iters:
-            _check_finite(x, rec, k)
-            res = system.residual_norm(x)
-            rec.record(k, x, res, last_f, last_sel, cesaro_loss(x_sum, k))
-            if res <= tol:
-                converged = True
-                break
-            if c is not None:
-                counts["full_scans"] += 1
-                c = linear_values(x)
-                if heavy:
-                    counts["full_scans"] += 1
-                    c_prev = linear_values(x_prev)
-    return k, converged, x, x_sum
+            return x, None
+        scale = omega if steps is None else omega * steps[i]
+        coef = ci / d[i]
+        direction = coef * dirs[:, i]
+        # Scaling by exactly 1 (omega = 1 with G = B) changes no bit.
+        return (x - (direction if scale == 1.0 else scale * direction),
+                scale * coef)
+    return move
 
 
-def _generic_loop(family, rule, cfg, gamma, x, stream, rec, check_every,
-                  cesaro_loss):
-    """Iterations of a block or full run, one public step at a time."""
-    system = family.system
-    counts = rec.counts
+def _public_step(rule, family: SketchFamily, stream: DrawStream,
+                 omega: float, counts: dict):
+    """pick and move for a block or full family: select, then evaluate and
+    apply_update, one public call each per step."""
     exact_f = isinstance(rule, CappedRule)
-    x_prev = x.copy()
-    x_sum = np.zeros_like(x)
-    last_sel = -1
-    last_f = np.nan
-    k = 0
-    converged = False
-    while k < cfg.max_iters:
-        k += 1
+
+    def pick(x, c):
         sel = select(rule, family, x, stream)
         counts["losses_read"] += sel.losses.size
         counts["candidates"] += sel.candidates
         if sel.index is None:
-            # Every loss is exactly zero: already solved.
-            converged = True
-            rec.record(k - 1, x, system.residual_norm(x), 0.0, last_sel,
-                       cesaro_loss(x_sum, k - 1))
-            k -= 1
-            break
-        if not math.isfinite(sel.chosen_loss):
-            _diverge(rec, k - 1, x,
-                     f"selected loss {sel.chosen_loss} at iteration {k}")
-        last_sel = sel.index
-        last_f = sel.expected_loss if exact_f else sel.chosen_loss
-        ev = family.evaluate(sel.index, x)
+            return None
+        return (sel.index, sel.chosen_loss,
+                sel.expected_loss if exact_f else sel.chosen_loss)
+
+    def move(x, i):
+        ev = family.evaluate(i, x)
         if ev.step is None:
             counts["zero_steps"] += 1
-        x_next = apply_update(x, ev, cfg.omega)
-        if gamma != 0.0:
-            x_next = x_next + gamma * (x - x_prev)
-        x_prev = x
-        x = x_next
-        if cfg.track_cesaro:
-            x_sum += x
-        if k % check_every == 0 or k == cfg.max_iters:
-            _check_finite(x, rec, k)
-            res = system.residual_norm(x)
-            rec.record(k, x, res, last_f, last_sel, cesaro_loss(x_sum, k))
-            if res <= cfg.tol:
-                converged = True
-                break
-    return k, converged, x, x_sum
+        return apply_update(x, ev, omega), None
+    return pick, move
 
 
 def run_ssd(system: LinearSystem, family: SketchFamily, rule,
@@ -539,13 +541,11 @@ def run_sd(system: LinearSystem, cfg: SolverConfig | None = None) -> IterationTr
         alpha = float(res @ res) / den
         x = x - (cfg.omega * alpha) * res
         res = A @ x - system.b
-        if k % check_every == 0 or k == cfg.max_iters:
-            _check_finite(x, rec, k)
-            res_norm = float(np.linalg.norm(res))
-            rec.record(k, x, res_norm, f_of(res), 0)
-            if res_norm <= cfg.tol:
-                converged = True
-                break
+        if (k % check_every == 0 or k == cfg.max_iters) and rec.checkpoint(
+                k, x, cfg.tol, float(np.linalg.norm(res)), f_value=f_of(res),
+                sel_index=0):
+            converged = True
+            break
     return rec.finish(k, converged, x)
 
 
@@ -590,13 +590,10 @@ def run_cg_momentum(system: LinearSystem, cfg: SolverConfig | None = None) -> It
         # The recurrence residual can underflow to zero while the true one
         # stalls above tol; the run ends there, at a checkpoint.
         stalled = uu_new == 0.0
-        if k % check_every == 0 or k == cfg.max_iters or stalled:
-            _check_finite(x, rec, k)
-            res_norm = float(np.linalg.norm(A @ x - system.b))
-            rec.record(k, x, res_norm, f_of(x), 0)
-            if res_norm <= cfg.tol:
-                converged = True
-                break
+        if (k % check_every == 0 or k == cfg.max_iters or stalled) and \
+                rec.checkpoint(k, x, cfg.tol, f_value=f_of(x), sel_index=0):
+            converged = True
+            break
         if stalled:
             break
         beta = uu_new / uu

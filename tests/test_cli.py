@@ -76,6 +76,12 @@ class TestExitCodes:
         assert code == 1
         assert "sketchbench:" in capsys.readouterr().err
 
+    def test_negative_seed_exits_one(self, capsys):
+        assert run_cli("--gen", "20x5", "--seed", "-1") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sketchbench: ") and "seed" in err
+        assert "Traceback" not in err
+
     def test_bad_family_exits_one(self, capsys):
         assert run_cli(*BASE, "--family", "diag") == 1
 

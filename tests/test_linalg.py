@@ -4,15 +4,7 @@ import numpy as np
 import pytest
 
 from sketchdescent.errors import InvalidInputError, NotPsdError, NotSpdError
-from sketchdescent.linalg import (
-    SpdFactor,
-    check_symmetric,
-    inv_sqrt_spd,
-    pinv_psd,
-    sqrt_spd,
-    sym_eig,
-    weighted_norm_sq,
-)
+from sketchdescent.linalg import SpdFactor, check_symmetric, pinv_psd, sym_eig
 
 
 def random_symmetric(n, seed):
@@ -102,28 +94,26 @@ class TestPinvPsd:
 
 
 class TestSqrts:
+    """SpdFactor.sqrt and SpdFactor.inv_sqrt on hand-checkable inputs."""
+
     def test_inv_sqrt_diagonal(self):
-        assert np.allclose(inv_sqrt_spd(np.diag([4.0, 9.0])),
+        assert np.allclose(SpdFactor(np.diag([4.0, 9.0])).inv_sqrt(),
                            np.diag([0.5, 1.0 / 3.0]))
 
     def test_inv_sqrt_identity(self):
-        assert np.allclose(inv_sqrt_spd(np.eye(3)), np.eye(3))
+        assert np.allclose(SpdFactor(np.eye(3)).inv_sqrt(), np.eye(3))
 
     def test_inv_sqrt_whitens(self):
         M = np.array([[2.0, 1.0], [1.0, 2.0]])  # eigenvalues 1 and 3
-        R = inv_sqrt_spd(M)
+        R = SpdFactor(M).inv_sqrt()
         assert np.allclose(R @ M @ R, np.eye(2), atol=1e-8)
         assert np.allclose(R, R.T)
 
     def test_sqrt_squares_back(self):
         for seed in range(3):
             M = random_spd(7, seed)
-            S = sqrt_spd(M)
+            S = SpdFactor(M).sqrt()
             assert np.allclose(S @ S, M, atol=1e-9)
-
-    def test_inv_sqrt_rejects_semidefinite(self):
-        with pytest.raises(NotSpdError):
-            inv_sqrt_spd(np.diag([1.0, 0.0]))
 
 
 class TestSpdFactor:
@@ -153,8 +143,9 @@ class TestSpdFactor:
         assert np.allclose(f.sqrt() @ R, np.eye(8), atol=1e-8)
 
     def test_rejects_indefinite(self):
-        with pytest.raises(NotSpdError):
-            SpdFactor(np.diag([1.0, -2.0]))
+        for M in (np.diag([1.0, -2.0]), np.diag([1.0, 0.0])):
+            with pytest.raises(NotSpdError):
+                SpdFactor(M)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(InvalidInputError):
@@ -162,25 +153,19 @@ class TestSpdFactor:
 
 
 class TestWeightedNorm:
+    """SpdFactor.quad, the weighted squared norm v' M v."""
+
     def test_identity_metric(self):
         x = np.array([3.0, 4.0])
-        assert weighted_norm_sq(x, np.eye(2)) == pytest.approx(25.0)
+        assert SpdFactor(np.eye(2)).quad(x) == pytest.approx(25.0)
 
     def test_zero_vector(self):
-        assert weighted_norm_sq(np.zeros(2), np.array([[2.0, 1.0], [1.0, 2.0]])) == 0.0
+        M = np.array([[2.0, 1.0], [1.0, 2.0]])
+        assert SpdFactor(M).quad(np.zeros(2)) == 0.0
 
     def test_hand_value(self):
         M = np.array([[2.0, 1.0], [1.0, 2.0]])
-        assert weighted_norm_sq(np.ones(2), M) == pytest.approx(6.0)
-
-    def test_nonnegative_and_null_space(self):
-        W = np.random.default_rng(2).standard_normal((4, 2))
-        M = W @ W.T
-        null = np.linalg.svd(W.T)[2][-1]  # orthogonal to range(W)
-        for seed in range(10):
-            x = np.random.default_rng(seed).standard_normal(4)
-            assert weighted_norm_sq(x, M) >= 0.0
-        assert weighted_norm_sq(null, M) == pytest.approx(0.0, abs=1e-12)
+        assert SpdFactor(M).quad(np.ones(2)) == pytest.approx(6.0)
 
 
 def test_check_symmetric_symmetrizes():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from sketchdescent.errors import InvalidConfigError
 from sketchdescent.rng import (
     derive_seed,
     make_rng,
@@ -19,6 +20,11 @@ def test_same_seed_same_stream():
     a = make_rng(42).random(10)
     b = make_rng(42).random(10)
     assert np.array_equal(a, b)
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(InvalidConfigError, match="seed"):
+        make_rng(-1)
 
 
 def test_different_seeds_differ():

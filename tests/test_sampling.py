@@ -143,15 +143,16 @@ class TestGreedySelect:
             assert sel.chosen_loss == losses[sample[0]]
 
     def test_full_scan_without_sample(self):
-        # position in losses is the family index itself
-        assert skd.greedy_select(np.array([0.4, 0.9, 0.9, 0.1])) == 1
+        # position in losses is the family index itself; ties to the first
+        sel = skd.select(skd.max_distance(),
+                         FixedLosses(np.array([0.4, 0.9, 0.9, 0.1])), None,
+                         make_rng(0))
+        assert sel.index == 1
 
     def test_empty_losses_rejected(self):
         with pytest.raises(InvalidConfigError):
             skd.select(skd.uniform(), FixedLosses(np.array([])), None,
                        make_rng(0))
-        with pytest.raises(InvalidConfigError):
-            skd.greedy_select(np.array([]))
 
 
 class TestCapped:

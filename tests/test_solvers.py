@@ -346,7 +346,7 @@ class TestMaintainedLinearValues:
         trace = skd.run_ssd(system, fam, skd.greedy(20), cfg)
         checkpoints = len(trace.ks) - 1
         assert checkpoints == 10
-        assert len(scans) == checkpoints + 1
+        assert len(scans) == checkpoints
 
     def test_all_zero_maintained_losses_are_confirmed_exactly(self):
         # The true coupling of A = I is I. With row 0 replaced by ones, the

@@ -1,5 +1,5 @@
-"""The vector-family run loop against the public one-step API, and the
-step counts every sketched run records in its trace."""
+"""The sketched run loop against the public one-step API, for every
+sketch kind, and the step counts every sketched run records in its trace."""
 
 import math
 
@@ -8,6 +8,7 @@ import pytest
 
 import sketchdescent as skd
 from sketchdescent.sampling import DrawStream, capped_threshold
+from sketchdescent.sketching import VECTOR_KINDS
 from sketchdescent.solvers import COUNT_KEYS, _Recorder, resolve_x0
 
 from conftest import family_on, gaussian_system
@@ -18,18 +19,20 @@ def reference_run(method, system, family, rule, cfg, gamma):
     apply_update, keeping the maintained linear values the same way the
     solver does: a rule reading more than one loss on a family with a
     coupling, no checkpoint every step, c moved by one coupling row per
-    step and recomputed exactly at every checkpoint and before a run ends
-    because every maintained loss is zero. Returns the trace and the
-    counts the run should have recorded."""
+    step and recomputed exactly at every checkpoint that does not end the
+    run and before a run ends because every maintained loss is zero.
+    Returns the trace and the counts the run should have recorded."""
     cfg.validate()
     x = resolve_x0(cfg.x0, system)
     stream = DrawStream(skd.make_rng(cfg.seed))
-    check_every = cfg.check_every or 100
     exact_f = isinstance(rule, skd.CappedRule)
     rec = _Recorder(method, system, x, "expected" if exact_f else "selected",
                     cfg.track_cesaro)
     counts = dict.fromkeys(COUNT_KEYS, 0)
     q = family.q
+    # Only the vector kinds have linear values to scan.
+    vector = family.kind in VECTOR_KINDS
+    check_every = cfg.check_every or (100 if vector else 1)
 
     def cesaro_loss(x_sum, k):
         if not cfg.track_cesaro or k == 0:
@@ -44,7 +47,7 @@ def reference_run(method, system, family, rule, cfg, gamma):
         sel = skd.select(rule, family, x, stream, linear)
         counts["losses_read"] += sel.losses.size
         counts["candidates"] += sel.candidates
-        if linear is None and sel.losses.size == q:
+        if vector and linear is None and sel.losses.size == q:
             counts["full_scans"] += 1
         return sel
 
@@ -104,7 +107,7 @@ def reference_run(method, system, family, rule, cfg, gamma):
             if res <= cfg.tol:
                 converged = True
                 break
-            if c is not None:
+            if c is not None and k < cfg.max_iters:
                 c = exact_scan(x)
                 if gamma != 0.0:
                     c_prev = exact_scan(x_prev)
@@ -114,8 +117,9 @@ def reference_run(method, system, family, rule, cfg, gamma):
 
 
 def loop_instances(kind):
-    """Two (system, family, omega) cases per vector kind: one where G = B
-    (every step is 1) and one where it is not, at omega 0.9."""
+    """Two (family, omega) cases per kind: one where G = B (every step is
+    1) and one where it is not, at omega 0.9 (full: G != B at omega 1, and
+    G = B at omega 0.9)."""
     if kind == "row":
         # A square SPD system caches a coupling; a tall one does not.
         spd = gaussian_system(20, 10, seed=41, spd=True, metric="system")
@@ -129,18 +133,31 @@ def loop_instances(kind):
         yield fam, 1.0
         plain = gaussian_system(24, 10, seed=44)
         yield skd.SketchFamily("lsqcol", plain), 0.9
-    else:
+    elif kind == "spectral":
         system, fam = family_on("spectral", 20, 10, seed=45)
         yield fam, 1.0
         steep = gaussian_system(20, 10, seed=46, spd=True, metric="steepest")
         yield skd.SketchFamily("spectral", steep), 0.9
+    elif kind == "block":
+        system, fam = family_on("block", 24, 8, seed=47, block_size=3)
+        yield fam, 1.0
+        tall = gaussian_system(24, 8, seed=48)
+        other = skd.LinearSystem(A=tall.A, b=tall.b, G=tall.A.T @ tall.A,
+                                 x_star=tall.x_star)
+        yield skd.SketchFamily("block", other, block_size=5), 0.9
+    else:
+        steep = gaussian_system(12, 6, seed=49, spd=True, metric="steepest")
+        yield skd.SketchFamily("full", steep), 1.0
+        system, fam = family_on("full", 12, 6, seed=49)
+        yield fam, 0.9
 
 
 TRACE_FIELDS = ("ks", "residuals", "rel_errors", "err_g_sq", "f_values",
                 "selected", "x_final", "cesaro_f", "x_cesaro")
 
 
-@pytest.mark.parametrize("kind", ["row", "lsqcol", "spectral"])
+@pytest.mark.parametrize("kind", ["row", "lsqcol", "spectral", "block",
+                                  "full"])
 @pytest.mark.parametrize("rule", ["uniform", "greedy:4", "maxdist",
                                   "capped:0.5,1,m,exact"])
 @pytest.mark.parametrize("gamma", [0.0, 0.3])
@@ -153,6 +170,14 @@ def test_loop_equals_one_step_api(kind, rule, gamma, check_every,
         cfg = skd.SolverConfig(omega=omega, gamma=gamma, tol=1e-11,
                                max_iters=150, seed=5, check_every=check_every,
                                track_cesaro=track_cesaro)
+        if rule == "greedy:4" and fam.q < 4:
+            # tau exceeds the one-sketch full family: both refuse it.
+            with pytest.raises(skd.InvalidConfigError):
+                skd.run_ssdm(system, fam, skd.parse_rule(rule), cfg)
+            with pytest.raises(skd.InvalidConfigError):
+                reference_run("ssdm", system, fam, skd.parse_rule(rule), cfg,
+                              gamma)
+            continue
         got = skd.run_ssdm(system, fam, skd.parse_rule(rule), cfg)
         want, counts = reference_run("ssdm", system, fam, skd.parse_rule(rule),
                                      cfg, gamma)
@@ -209,13 +234,14 @@ class TestStepCounts:
                                                      per_checkpoint,
                                                      max_iters, checkpoints):
         # Maintained values: one exact scan at the start, then one (two
-        # with momentum, for c and c_prev) after each checkpoint.
+        # with momentum, for c and c_prev) after each checkpoint but the
+        # last, which ends the run at max_iters.
         system, fam = family_on("spectral", 60, 30, seed=33)
         cfg = skd.SolverConfig(gamma=gamma, tol=0.0, max_iters=max_iters,
                                check_every=100)
         trace = skd.run_ssdm(system, fam, skd.greedy(20), cfg)
         assert len(trace.ks) - 1 == checkpoints
-        assert trace.counts["full_scans"] == 1 + per_checkpoint * checkpoints
+        assert trace.counts["full_scans"] == 1 + per_checkpoint * (checkpoints - 1)
         assert trace.counts["losses_read"] == 20 * max_iters
 
     def test_full_scans_every_step_without_a_coupling(self):

@@ -14,8 +14,15 @@ coordinate-descent and spectral instances under five rules at two
 momentum values, and steepest descent and conjugate gradients. Each
 instance then runs its second rule once with a checkpoint every iteration
 (gamma 0) and once tracking the Cesaro average (gamma 0.3); the Cesaro
-lines also digest cesaro_f and x_cesaro. --seed sets every solver seed. BLAS is pinned to one thread, as in the benchmark, so
-the digests do not depend on the core count.
+lines also digest cesaro_f and x_cesaro. The last lines cover the block
+and full families, whose steps are the public select, evaluate and
+apply_update calls: blocks of 10 rows of the 300x60 row instance under the
+five rules, and the full sketch of the 120-dim SPD instance with B = A,
+G = I (the steepest descent geometry) at the steepest descent tolerance,
+whose one rule stands in for its second. A block or full run checks every
+iteration by default, so those instances skip the check_every=1 run. --seed sets every solver seed. BLAS
+is pinned to one thread, as in the benchmark, so the digests do not
+depend on the core count.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import sketchdescent as skd  # noqa: E402
 from sketchdescent.problems import loaded_arrays  # noqa: E402
+from sketchdescent.sketching import VECTOR_KINDS  # noqa: E402
 
 GAMMAS = (0.0, 0.3)
 SMALL_RULES = ("uniform", "greedy:5", "maxdist", "capped:0.5,1,m,exact",
@@ -43,6 +51,8 @@ SMALL_RULES = ("uniform", "greedy:5", "maxdist", "capped:0.5,1,m,exact",
 GRID_RULES = ("greedy:20", "greedy:100", "maxdist", "uniform",
               "capped:0.5,1,m,exact")
 FULLSCAN_RULES = ("maxdist", "capped:0.5,1,m,exact", "greedy:5", "uniform")
+FULL_RULES = ("maxdist",)  # one sketch: every rule picks it
+SD_TOL = 1e-8  # plain CG's true residual stalls near 2e-9 on the SPD instance
 
 
 def grid_system() -> skd.LinearSystem:
@@ -58,17 +68,24 @@ def with_metric(base: skd.LinearSystem, W) -> skd.LinearSystem:
 
 
 def instances():
-    """(name, system, family kind, rules) for every sketched configuration."""
-    yield "grid", grid_system(), "spectral", GRID_RULES
-    yield "fullscan", skd.generate(skd.GenSpec("gaussian", 2000, 200, seed=1)), \
-        "row", FULLSCAN_RULES
+    """(name, family, rules, run options) for every sketched configuration."""
+    yield "grid", skd.SketchFamily("spectral", grid_system()), GRID_RULES, {}
+    fullscan = skd.generate(skd.GenSpec("gaussian", 2000, 200, seed=1))
+    yield "fullscan", skd.SketchFamily("row", fullscan), FULLSCAN_RULES, {}
     rows = skd.generate(skd.GenSpec("gaussian", 300, 60, seed=2))
-    yield "row", rows, "row", SMALL_RULES
+    yield "row", skd.SketchFamily("row", rows), SMALL_RULES, {}
     AtA = rows.A.T @ rows.A
-    yield "lsqcol", with_metric(rows, 0.5 * (AtA + AtA.T)), "lsqcol", SMALL_RULES
+    yield "lsqcol", skd.SketchFamily(
+        "lsqcol", with_metric(rows, 0.5 * (AtA + AtA.T))), SMALL_RULES, {}
     spd = skd.generate(skd.GenSpec("gaussian-normal-equations", 600, 120, seed=3))
-    yield "cd", with_metric(spd, spd.A), "row", SMALL_RULES
-    yield "spectral", with_metric(spd, spd.A), "spectral", SMALL_RULES
+    yield "cd", skd.SketchFamily("row", with_metric(spd, spd.A)), SMALL_RULES, {}
+    yield "spectral", skd.SketchFamily(
+        "spectral", with_metric(spd, spd.A)), SMALL_RULES, {}
+    yield "block", skd.SketchFamily("block", rows, block_size=10), \
+        SMALL_RULES, {}
+    steepest = skd.LinearSystem(A=spd.A, b=spd.b, B=spd.A, x_star=spd.x_star)
+    yield "full", skd.SketchFamily("full", steepest), FULL_RULES, \
+        {"tol": SD_TOL}
 
 
 def digest(trace, cesaro: bool = False) -> str:
@@ -98,26 +115,29 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--seed", type=int, default=0)
     seed = p.parse_args(argv).seed
-    for name, system, kind, rules in instances():
-        family = skd.SketchFamily(kind, system)
+    for name, family, rules, opts in instances():
+        system, kind = family.system, family.kind
         for text in rules:
             for gamma in GAMMAS:
                 trace = run("ssdm", system, family, skd.parse_rule(text),
-                            gamma=gamma, seed=seed)
+                            gamma=gamma, seed=seed, **opts)
                 label = f"{name}/{kind} {text} gamma={gamma:g}"
                 print(f"{label:<48} {trace.iterations:>7} {digest(trace)}",
                       flush=True)
-        rule = skd.parse_rule(rules[1])
-        for tag, extra in (("check_every=1", {"check_every": 1}),
-                           ("track_cesaro", {"gamma": 0.3, "track_cesaro": True})):
-            trace = run("ssdm", system, family, rule, seed=seed, **extra)
-            label = f"{name}/{kind} {rules[1]} {tag}"
+        second = rules[min(1, len(rules) - 1)]
+        rule = skd.parse_rule(second)
+        extras = [("track_cesaro", {"gamma": 0.3, "track_cesaro": True})]
+        if kind in VECTOR_KINDS:
+            extras.insert(0, ("check_every=1", {"check_every": 1}))
+        for tag, extra in extras:
+            trace = run("ssdm", system, family, rule, seed=seed,
+                        **opts, **extra)
+            label = f"{name}/{kind} {second} {tag}"
             print(f"{label:<48} {trace.iterations:>7} "
                   f"{digest(trace, 'track_cesaro' in extra)}", flush=True)
         if name == "spectral":
-            # Plain CG's true residual stalls near 2e-9 on this system.
             for method in ("sd", "cg"):
-                trace = run(method, system, seed=seed, tol=1e-8)
+                trace = run(method, system, seed=seed, tol=SD_TOL)
                 label = f"{name}/{method}"
                 print(f"{label:<48} {trace.iterations:>7} {digest(trace)}",
                       flush=True)
