@@ -206,20 +206,23 @@ def capped_threshold(losses: np.ndarray, rule: CappedRule) -> float:
 
     Exact mode takes tau = 1 as the mean loss and tau = q as the largest,
     and sorts the losses once for any other tau, so capped:theta,1,m,exact
-    sorts nothing.
+    sorts nothing. The mean is losses.sum() / q, np.mean's bits without
+    its per-call overhead, as this runs once per capped step.
     """
-    if not rule.exact:
-        return float(np.mean(losses))
+    losses = np.asarray(losses, dtype=np.float64)
     q = losses.size
+    mean = float(losses.sum() / q)
+    if not rule.exact:
+        return mean
     taus = [GreedyRule(tau).resolve_tau(q) for tau in (rule.tau1, rule.tau2)]
     if any(1 < tau < q for tau in taus):
-        v = np.sort(np.asarray(losses, dtype=np.float64))
+        v = np.sort(losses)
 
     def expectation(tau):
         if tau == 1:
-            return float(np.mean(losses))
+            return mean
         if tau == q:
-            return float(np.max(losses))
+            return float(losses.max())
         return _sorted_max_expectation(v, tau)
 
     e1, e2 = map(expectation, taus)
@@ -367,7 +370,7 @@ def select(rule, family, x: np.ndarray, rng: np.random.Generator | DrawStream,
     if isinstance(rule, CappedRule):
         losses = family.losses(x, None, linear)
         zero = losses.size - int(np.count_nonzero(losses))
-        if not np.any(losses > 0.0):
+        if zero == q:  # a NaN is nonzero, so it is never read as solved
             return Selection(None, losses, zero)
         thr = capped_threshold(losses, rule)
         cand = capped_candidates(losses, rule, thr)

@@ -29,9 +29,16 @@ A step along D[:, i] moves every linear value by a fixed vector: c changes
 by -t K'[i] for a step of length t, where K' = D' W is the q x q coupling.
 When q <= n the family caches K' (never larger than D), so a solver whose
 rule reads many losses can keep c up to date in O(q) per step and hand it
-to :meth:`SketchFamily.losses` instead of paying a scan. A slow reference path
-(:meth:`SketchFamily.generic_evaluate`) materializes S_i and H_i explicitly
-and exists so tests can pin the fast paths against it.
+to :meth:`SketchFamily.losses` instead of paying a scan.
+
+Spectral sketches with B = G = A (B's factor is A's, G's is B's) are
+sketch-and-project with B = A, which in the eigen-coordinates y = U' x is
+coordinate descent on the diagonal system Lambda y = U' b. Such a family
+is ``diagonal``: it takes the closed form D = U (the eigenvector array
+itself), d = lambda and K' = Lambda, with no solve and no product, caches
+no coupling, and reads c = lambda y - U' b elementwise
+(:meth:`SketchFamily.eigen_linear_values`), so a solver can step one
+coordinate of y at a time.
 """
 
 from __future__ import annotations
@@ -93,6 +100,7 @@ class SketchFamily:
         self.kind = kind
         self.system = system
         self.g_equals_b = system.g_equals_b
+        self.diagonal = False
         A = system.A
         m, n = A.shape
         Bf = system.B_factor
@@ -121,12 +129,18 @@ class SketchFamily:
                 self._d = np.einsum("ji,ji->i", W, Binv_W)
         elif kind == "spectral":
             self.q = n
-            lam, U = system.A_factor.eig()
+            Af = system.A_factor
+            lam, U = Af.eig()
             self.eigvals = lam
             self.eigvecs = U
             self._Utb = U.T @ system.b
-            W = U * lam  # w_i = lambda_i u_i
-            if Bf.is_identity:
+            # Told by identity, not by a numeric test (module notes).
+            self.diagonal = Bf is Af and self.g_equals_b
+            W = None if self.diagonal else U * lam  # w_i = lambda_i u_i
+            if self.diagonal:
+                Binv_W = U  # B^{-1} W = A^{-1} U Lambda = U
+                self._d = lam
+            elif Bf.is_identity:
                 Binv_W = W
                 self._d = lam * lam
             else:
@@ -167,8 +181,9 @@ class SketchFamily:
             # when G = B, where every step is 1.
             self._steps = (None if self.g_equals_b
                            else self._d / np.einsum("ij,ij->j", W, self._dirs))
-            # K' = D' W, kept only when it is no larger than D.
-            if self.q <= n:
+            # K' = D' W, kept only when it is no larger than D; a diagonal
+            # family's K' is Lambda, which no solver reads.
+            if self.q <= n and not self.diagonal:
                 self._coupling = self._dirs.T @ W
 
     # -- fast paths --------------------------------------------------------
@@ -190,6 +205,15 @@ class SketchFamily:
         if indices is None:
             return self.eigvals * c - self._Utb
         return self.eigvals[indices] * c - self._Utb[indices]
+
+    def eigen_linear_values(self, y: np.ndarray, indices=None):
+        """c_i at x = U y for a diagonal family: lambda_i y_i - (U' b)_i.
+
+        Elementwise, with no product; indices as for :meth:`linear_values`.
+        """
+        if indices is None:
+            return self.eigvals * y - self._Utb
+        return self.eigvals[indices] * y[indices] - self._Utb[indices]
 
     def losses(self, x: np.ndarray, indices=None, linear=None) -> np.ndarray:
         """Index losses f_i(x) for the given indices (all q by default).
@@ -266,7 +290,7 @@ class SketchFamily:
         res = sys.A @ x - sys.b
         u = self._Af.solve(res)
         Bu = sys.B_factor.apply(u)
-        loss = 0.5 * float(u @ Bu)
+        loss = 0.5 * max(float(u @ Bu), 0.0)  # clamped as B_factor.quad is
         if loss == 0.0:
             return SketchEval(i, 0.0, np.zeros(sys.n), None)
         direction = self._Gf.solve(Bu)
@@ -277,52 +301,6 @@ class SketchFamily:
             den = float(direction @ sys.B_factor.apply(direction))
             step = num / den
         return SketchEval(i, loss, direction, step)
-
-    # -- reference path ----------------------------------------------------
-
-    def sketch_matrix(self, i: int) -> np.ndarray:
-        """S_i as a dense m x k matrix. Reference/testing use."""
-        if not 0 <= i < self.q:
-            raise InvalidInputError(f"index {i} out of range for q={self.q}")
-        A = self.system.A
-        m = self.system.m
-        if self.kind == "row":
-            S = np.zeros((m, 1))
-            S[i, 0] = 1.0
-            return S
-        if self.kind == "lsqcol":
-            return A[:, i:i + 1].copy()
-        if self.kind == "spectral":
-            return self.eigvecs[:, i:i + 1].copy()
-        if self.kind == "block":
-            C = self.blocks[i]
-            S = np.zeros((m, C.size))
-            S[C, np.arange(C.size)] = 1.0
-            return S
-        return A.copy()
-
-    def residual_weight(self, i: int) -> np.ndarray:
-        """H_i as a dense m x m matrix, built from first principles."""
-        sys = self.system
-        S = self.sketch_matrix(i)
-        AtS = sys.A.T @ S
-        K = AtS.T @ sys.B_factor.solve(AtS)
-        return S @ pinv_psd(0.5 * (K + K.T)) @ S.T
-
-    def generic_evaluate(self, i: int, x: np.ndarray) -> SketchEval:
-        """Same contract as :meth:`evaluate` via dense H_i. Slow; tests only."""
-        sys = self.system
-        H = self.residual_weight(i)
-        res = sys.A @ x - sys.b
-        loss = 0.5 * float(res @ (H @ res))
-        grad = sys.A.T @ (H @ res)
-        direction = sys.G_factor.solve(grad)
-        if loss == 0.0:
-            return SketchEval(i, loss, direction, None)
-        num = float(direction @ sys.G_factor.apply(direction))
-        v = H @ (sys.A @ direction)
-        den = float(direction @ (sys.A.T @ v))
-        return SketchEval(i, loss, direction, num / den)
 
     # -- theory hooks ------------------------------------------------------
 
@@ -357,7 +335,8 @@ class SketchFamily:
 
         Row i is how all q linear values move per unit step along D[:, i].
         Cached at construction for the vector kinds when q <= n, so it is
-        never larger than the direction matrix; None otherwise.
+        never larger than the direction matrix; None otherwise, and for a
+        diagonal family, whose K' is Lambda.
         """
         return self._coupling
 

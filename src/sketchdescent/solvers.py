@@ -10,13 +10,21 @@ two steps bound once per run:
   spectral) it binds the family's arrays (d, the coupling K'), the rule's
   tau and the run's DrawStream, and does the arithmetic of sampling.select
   expression for expression: draw, gather the losses 0.5 c_s^2 / d_s, one
-  argmax. For block and full families it calls select.
+  argmax. For block families it calls select; a full family's one sketch
+  is picked by every rule, so its pick reads the loss from evaluate.
 - move(x, i) returns the next iterate and the step t taken along D[:, i].
   For the vector kinds it is SketchFamily.evaluate and apply_update spelled
   out: the chosen index's exact c_i from one dot, then
   x <- x - (omega step) ((c_i / d_i) D[:, i]). Block and full families,
   which have no scalar c_i and no coupling, call evaluate and
   apply_update.
+
+A diagonal family (spectral with B = G = A, see the sketching module) runs
+the same loop after a change of variables: x holds y = U'x, pick reads
+c = lambda y - U'b elementwise (O(tau) for a sample, no product), move
+writes the one coordinate y_i -= omega c_i / lambda_i, heavy ball is
+y + gamma (y - y_prev), and no c is kept. x = U y is formed only at
+checkpoints, at the all-zero stop, for the Cesaro loss and at the end.
 
 The public one-step functions stay the reference the loop is tested
 against.
@@ -38,9 +46,13 @@ distance, capped) on a family that caches its coupling K' keeps the q
 linear values up to date, O(q) per step, instead of scanning A, A' or U:
 each step moves them by a multiple of one row of K'. They are recomputed
 exactly at every checkpoint that does not end the run, and before a run
-ends because every maintained loss is zero. The chosen index's own value is always computed exactly, and
-a selected loss that is NaN or infinite stops the run at once. A full scan
-finds every loss zero when the largest one is zero (losses are >= 0).
+ends because every maintained loss is zero. The chosen index's own value
+is always computed exactly, and a selected loss that is NaN or infinite
+stops the run at once. A full scan finds every loss zero when the largest
+one is zero (losses are >= 0; a NaN maximum is not zero). A run whose
+exact losses are all zero ends there with a checkpoint, and is reported
+converged only if that checkpoint's true residual meets tol: c_i can round
+to zero while ||A x - b|| is still above it.
 
 Every run tallies its steps in IterationTrace.counts (losses read, zero
 steps, full scans, capped candidates); the counts change no other field.
@@ -283,36 +295,43 @@ def _run_sketched(method: str, system: LinearSystem, family: SketchFamily,
     cfg.validate()
     if family.system is not system:
         raise InvalidConfigError("family was built for a different system")
-    x = resolve_x0(cfg.x0, system)
+    x0 = resolve_x0(cfg.x0, system)
     vector = family.kind in VECTOR_KINDS
     check_every = cfg.check_every or (100 if vector else 1)
     exact_f = isinstance(rule, CappedRule)
-    rec = _Recorder(method, system, x, "expected" if exact_f else "selected",
+    rec = _Recorder(method, system, x0, "expected" if exact_f else "selected",
                     cfg.track_cesaro)
     track_cesaro = cfg.track_cesaro
+    # A diagonal family runs in eigen-coordinates: x below holds y = U'x,
+    # and x = U y is formed only where an iterate is recorded or returned.
+    U = family.eigvecs if family.diagonal else None
+
+    def to_x(v):
+        return v if U is None else U @ v
 
     def cesaro_loss(xsum, k):
         if not track_cesaro or k == 0:
             return np.nan
-        return rule_expectation(family.losses(xsum / k), rule)
+        return rule_expectation(family.losses(to_x(xsum / k)), rule)
 
-    res0 = system.residual_norm(x)
-    rec.record(0, x, res0, np.nan, -1)
+    res0 = system.residual_norm(x0)
+    rec.record(0, x0, res0, np.nan, -1)
     if res0 <= cfg.tol:
-        return rec.finish(0, True, x, x.copy() if track_cesaro else None)
+        return rec.finish(0, True, x0, x0.copy() if track_cesaro else None)
+    x = x0 if U is None else U.T @ x0
     counts = rec.counts
     stream = DrawStream(make_rng(cfg.seed))
+    tol, max_iters = cfg.tol, cfg.max_iters
+    heavy = gamma != 0.0
     if vector:
         pick = _vector_picker(rule, family, stream, counts)
-        move = _vector_mover(family, cfg.omega, counts)
+        move = _vector_mover(family, cfg.omega, counts, in_place=not heavy)
     else:
         pick, move = _public_step(rule, family, stream, cfg.omega, counts)
     linear_values = family.linear_values
-    tol, max_iters = cfg.tol, cfg.max_iters
-    heavy = gamma != 0.0
     # Maintain c only where it saves work: a rule reading one loss pays no
-    # scan, and a checkpoint every step recomputes c anyway. Block and full
-    # families have no coupling.
+    # scan, and a checkpoint every step recomputes c anyway. Block, full and
+    # diagonal families have no coupling.
     coupling = family.coupling
     if check_every == 1 or (isinstance(rule, GreedyRule)
                             and rule.resolve_tau(family.q) == 1):
@@ -336,15 +355,16 @@ def _run_sketched(method: str, system: LinearSystem, family: SketchFamily,
             c = linear_values(x)
             chosen = pick(x, c)
         if chosen is None:
-            # Every loss is exactly zero: already solved.
-            converged = True
+            # Every loss is exactly zero. The run ends there, converged only
+            # if the true residual meets tol: c can round to zero first.
             k -= 1
-            rec.record(k, x, system.residual_norm(x), 0.0, last_sel,
-                       cesaro_loss(x_sum, k))
+            converged = rec.checkpoint(k, to_x(x), tol, f_value=0.0,
+                                       sel_index=last_sel,
+                                       cesaro_f=cesaro_loss(x_sum, k))
             break
         i, loss, last_f = chosen
         if not math.isfinite(loss):
-            _diverge(rec, k - 1, x, f"selected loss {loss} at iteration {k}")
+            _diverge(rec, k - 1, to_x(x), f"selected loss {loss} at iteration {k}")
         last_sel = i
         x_next, t = move(x, i)
         if heavy:
@@ -360,7 +380,7 @@ def _run_sketched(method: str, system: LinearSystem, family: SketchFamily,
             x_sum += x
         if k % check_every and k < max_iters:
             continue
-        if rec.checkpoint(k, x, tol, f_value=last_f, sel_index=last_sel,
+        if rec.checkpoint(k, to_x(x), tol, f_value=last_f, sel_index=last_sel,
                           cesaro_f=cesaro_loss(x_sum, k)):
             converged = True
             break
@@ -370,8 +390,10 @@ def _run_sketched(method: str, system: LinearSystem, family: SketchFamily,
             if heavy:
                 counts["full_scans"] += 1
                 c_prev = linear_values(x_prev)
-    x_cesaro = (x_sum / k) if (track_cesaro and k > 0) else (
-        x.copy() if track_cesaro else None)
+    x = to_x(x)
+    x_cesaro = None
+    if track_cesaro:
+        x_cesaro = to_x(x_sum / k) if k > 0 else x.copy()
     return rec.finish(k, converged, x, x_cesaro)
 
 
@@ -381,12 +403,14 @@ def _vector_picker(rule, family: SketchFamily, stream: DrawStream,
 
     Returns pick(x, c) -> (index, chosen loss, f value), or None when a
     full scan finds every loss zero. c holds the maintained linear values
-    at x, or is None; without it a full scan recomputes them exactly. The
-    arithmetic is select's: the same gathers, losses and argmax.
+    at x, or is None; without it a full scan recomputes them exactly (for
+    a diagonal family x is y = U'x and the values are read elementwise).
+    The arithmetic is select's: the same gathers, losses and argmax.
     """
     q = family.q
     d = family.denominators
-    linear_values = family.linear_values
+    linear_values = (family.eigen_linear_values if family.diagonal
+                     else family.linear_values)
     if isinstance(rule, GreedyRule):
         tau = rule.resolve_tau(q)
         if tau < q:
@@ -423,27 +447,45 @@ def _vector_picker(rule, family: SketchFamily, stream: DrawStream,
                 counts["full_scans"] += 1
                 c = linear_values(x)
             losses = 0.5 * c * c / d
-            if not np.any(losses > 0.0):
+            # Losses are >= 0, so a zero maximum means all are zero; a NaN
+            # maximum is never read as solved.
+            if losses.max() == 0.0:
                 return None
             cand = sampling.capped_candidates(
                 losses, rule, sampling.capped_threshold(losses, rule))
             counts["candidates"] += cand.size
             i = int(cand[stream.pick(cand.size)])
-            return i, float(losses[i]), float(np.mean(losses[cand]))
+            lc = losses[cand]
+            return i, float(losses[i]), float(lc.sum() / lc.size)
         return pick
     raise InvalidConfigError(f"unknown rule type {type(rule).__name__}")
 
 
-def _vector_mover(family: SketchFamily, omega: float, counts: dict):
+def _vector_mover(family: SketchFamily, omega: float, counts: dict,
+                  in_place: bool):
     """One run's update step on a vector family, bound once.
 
     Returns move(x, i) -> (x_next, t): the arithmetic of evaluate and
     apply_update, x - (omega step) ((c_i / d_i) D[:, i]), with c_i exact,
     and the length t of the step along D[:, i] that moves the linear
-    values by -t K'[i], or None when c_i = 0 and x stays.
+    values by -t K'[i], or None when c_i = 0 and x stays. On a diagonal
+    family x is y = U'x, D[:, i] is e_i there and the step writes y_i
+    alone, into y itself when in_place; t is None, as no c is kept.
     """
-    linear_values = family.linear_values
     d = family.denominators
+    if family.diagonal:
+        linear_values = family.eigen_linear_values
+
+        def move(y, i):
+            ci = float(linear_values(y, i))
+            if ci == 0.0:
+                counts["zero_steps"] += 1
+                return y, None
+            y_next = y if in_place else y.copy()
+            y_next[i] -= omega * (ci / d[i])
+            return y_next, None
+        return move
+    linear_values = family.linear_values
     dirs = family.direction_matrix
     steps = family.steps
 
@@ -465,8 +507,27 @@ def _vector_mover(family: SketchFamily, omega: float, counts: dict):
 def _public_step(rule, family: SketchFamily, stream: DrawStream,
                  omega: float, counts: dict):
     """pick and move for a block or full family: select, then evaluate and
-    apply_update, one public call each per step."""
+    apply_update, one public call each per step. A full family has one
+    sketch, which every rule picks, so its pick reads the loss from
+    evaluate and its move applies that same evaluation: one solve with A
+    per step, not two."""
     exact_f = isinstance(rule, CappedRule)
+    if family.kind == "full":
+        rule_expectation(np.ones(1), rule)  # refuses what select refuses
+        held = []
+
+        def pick(x, c):
+            ev = family.evaluate(0, x)
+            counts["losses_read"] += 1
+            if ev.loss == 0.0:
+                return None
+            counts["candidates"] += exact_f
+            held.append(ev)
+            return 0, ev.loss, ev.loss
+
+        def move(x, i):
+            return apply_update(x, held.pop(), omega), None
+        return pick, move
 
     def pick(x, c):
         sel = select(rule, family, x, stream)

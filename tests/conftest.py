@@ -53,8 +53,9 @@ def rng():
 
 @pytest.fixture
 def kernel_counts(monkeypatch):
-    """Live counts of Cholesky factorizations and symmetric eigensolves."""
-    counts = {"cho_factor": 0, "eigh": 0}
+    """Live counts of Cholesky factorizations, solves with a Cholesky
+    factor and symmetric eigensolves."""
+    counts = {"cho_factor": 0, "cho_solve": 0, "eigh": 0}
 
     def counting(module, name):
         original = getattr(module, name)
@@ -66,5 +67,6 @@ def kernel_counts(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counting(scipy.linalg, "cho_factor")
+    counting(scipy.linalg, "cho_solve")
     counting(np.linalg, "eigh")
     return counts

@@ -312,8 +312,9 @@ class TestKernelCounts:
         assert len(result.reports) == 3
         # B = G = A share one Cholesky factor; A's eigendecomposition serves
         # both the family and G^{-1/2}; the summed operator is decomposed
-        # once for all three rules.
-        assert kernel_counts == {"cho_factor": 1, "eigh": 2}
+        # once for all three rules. The family's D = U and d = lambda take
+        # no solve, and its runs step in eigen-coordinates.
+        assert kernel_counts == {"cho_factor": 1, "cho_solve": 0, "eigh": 2}
 
     @pytest.mark.parametrize("method", ["cg", "sd"])
     def test_classical_methods_factor_once(self, kernel_counts, method):

@@ -457,6 +457,14 @@ class TestSelectContract:
         assert sel.index is not None
         assert math.isnan(sel.chosen_loss)
 
+    @pytest.mark.parametrize("rule", ["maxdist", "capped:0.5,1,m",
+                                      "capped:0.5,1,m,exact"])
+    def test_nan_among_zero_losses_is_not_solved(self, rule):
+        fam = FixedLosses(np.array([0.0, 0.0, np.nan, 0.0]))
+        sel = skd.select(skd.parse_rule(rule), fam, None, make_rng(0))
+        assert sel.index == 2
+        assert math.isnan(sel.chosen_loss)
+
     def test_full_scan_chosen_loss_and_ties(self):
         losses = np.array([0.3, 0.9, 0.1, 0.9, 0.9, 0.2])
         sel = skd.select(skd.max_distance(), FixedLosses(losses), None,

@@ -6,6 +6,7 @@ from sketchdescent.errors import InvalidConfigError, InvalidInputError, NotSpdEr
 from sketchdescent.sketching import KINDS, VECTOR_KINDS
 
 from conftest import family_on, gaussian_system
+from dense_reference import generic_evaluate
 
 
 def diag_system(diag, b=None, BG=None, steepest=False):
@@ -133,7 +134,7 @@ class TestClosedFormMatchesGeneric:
                 x = rng.standard_normal(system.n)
                 i = int(rng.integers(fam.q))
                 fast = fam.evaluate(i, x)
-                slow = fam.generic_evaluate(i, x)
+                slow = generic_evaluate(fam, i, x)
                 scale = max(1.0, abs(slow.loss))
                 assert abs(fast.loss - slow.loss) <= 1e-9 * scale
                 assert np.allclose(fast.direction, slow.direction,
@@ -166,7 +167,7 @@ class TestClosedFormMatchesGeneric:
             assert batch[i] == pytest.approx(fast.loss, rel=1e-12)
             assert fast.loss == 0.5 * fast.linear ** 2 / fam.denominators[i]
             assert gathered[i] == pytest.approx(fast.loss, rel=1e-12)
-            slow = fam.generic_evaluate(i, x)
+            slow = generic_evaluate(fam, i, x)
             assert np.allclose(fast.direction, slow.direction,
                                rtol=1e-9, atol=1e-9)
             if fast.step is not None and slow.step is not None:
@@ -182,6 +183,14 @@ class TestCoupling:
         system = gaussian_system(20, 8, seed=10, spd=spd, metric=metric)
         fam = skd.SketchFamily(kind, system)
         K = fam.coupling
+        if kind == "spectral" and metric == "system":
+            # B = G = A: K' = Lambda and D = U in closed form, no coupling.
+            assert fam.diagonal
+            assert K is None
+            assert fam.direction_matrix is fam.eigvecs
+            assert np.array_equal(fam.denominators, fam.eigvals)
+            return
+        assert not fam.diagonal
         assert K.shape == (fam.q, fam.q)
         e = np.einsum("ij,ij->j", fam.w_matrix, fam.direction_matrix)
         np.testing.assert_allclose(np.diag(K), e, rtol=1e-12, atol=0.0)

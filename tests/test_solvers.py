@@ -273,8 +273,11 @@ class TestSketchedSolver:
 
 def maintained_instances():
     """(label, system, family) triples whose families cache a coupling."""
+    # Spectral sketches keep a coupling under the identity geometry; with
+    # B = G = A they step in eigen-coordinates and keep none.
+    plain = gaussian_system(24, 12, seed=31, spd=True)
+    yield "spectral", plain, skd.SketchFamily("spectral", plain)
     spd = gaussian_system(24, 12, seed=31, spd=True, metric="system")
-    yield "spectral", spd, skd.SketchFamily("spectral", spd)
     yield "cd", spd, skd.SketchFamily("row", spd)
     for metric in ("normal", "identity"):
         system = gaussian_system(30, 12, seed=32, metric=metric)
@@ -332,7 +335,8 @@ class TestMaintainedLinearValues:
                                       equal_nan=field == "f_values"), label
 
     def test_full_scans_only_at_start_and_checkpoints(self, monkeypatch):
-        system, fam = family_on("spectral", 60, 30, seed=33)
+        system = gaussian_system(60, 30, seed=33, spd=True)
+        fam = skd.SketchFamily("spectral", system)
         scans = []
         exact = fam.linear_values
 
@@ -367,9 +371,28 @@ class TestMaintainedLinearValues:
         assert trace.final_residual() == 0.0
         assert np.array_equal(trace.x_final, system.b)
 
+    @pytest.mark.parametrize("rule", ["capped:0.5,1,m", "capped:0.5,1,m,exact",
+                                      "capped:0.5,2,m,exact"])
+    def test_nan_among_zero_maintained_losses_is_not_solved(self, rule):
+        # A = I, b = 2, x0 = 0: every exact c_i is -2. With every coupling
+        # row set to ones and column 5 to NaN, the first step (any index,
+        # t = -2) leaves the maintained c zero everywhere but a NaN at 5.
+        # The capped scan must raise there, not read the zeros as solved.
+        n = 6
+        system = skd.LinearSystem(A=np.eye(n), b=np.full(n, 2.0),
+                                  x_star=np.full(n, 2.0))
+        fam = skd.SketchFamily("row", system)
+        fam._coupling = np.ones((n, n))
+        fam._coupling[:, 5] = np.nan
+        cfg = skd.SolverConfig(x0="zero", tol=1e-12, check_every=1000)
+        with pytest.raises(DivergenceError) as exc:
+            skd.run_ssd(system, fam, skd.parse_rule(rule), cfg)
+        assert exc.value.trace.iterations == 1
+
     @pytest.mark.parametrize("rule", ["maxdist", "capped:0.5,1,m"])
     def test_nan_linear_value_caught_within_one_iteration(self, rule):
-        system, fam = family_on("spectral", 24, 12, seed=34)
+        system = gaussian_system(24, 12, seed=34, spd=True)
+        fam = skd.SketchFamily("spectral", system)
         fam._coupling = fam.coupling.copy()
         fam._coupling[:, 5] = np.nan  # c[5] is NaN after the first step
         cfg = skd.SolverConfig(tol=0.0, max_iters=500, check_every=100)

@@ -75,9 +75,9 @@ def reference_run(method, system, family, rule, cfg, gamma):
             c = exact_scan(x)
             sel = select(c)
         if sel.index is None:
-            converged = True
-            rec.record(k - 1, x, system.residual_norm(x), 0.0, last_sel,
-                       cesaro_loss(x_sum, k - 1))
+            res = system.residual_norm(x)
+            converged = res <= cfg.tol
+            rec.record(k - 1, x, res, 0.0, last_sel, cesaro_loss(x_sum, k - 1))
             k -= 1
             break
         assert math.isfinite(sel.chosen_loss)
@@ -116,10 +116,85 @@ def reference_run(method, system, family, rule, cfg, gamma):
     return rec.finish(k, converged, x, x_cesaro), counts
 
 
+def eigen_reference_run(method, system, family, rule, cfg, gamma):
+    """reference_run for a spectral family with B = G = A, written in the
+    eigen-coordinates y = U'x, where the method is coordinate descent on
+    Lambda y = U'b: every step's linear values c = lambda y - U'b go to
+    select as given values, the chosen coordinate moves by
+    -omega c_i / lambda_i, and x = U y is formed only to record it. No
+    linear values are carried between steps."""
+    cfg.validate()
+    x0 = resolve_x0(cfg.x0, system)
+    stream = DrawStream(skd.make_rng(cfg.seed))
+    exact_f = isinstance(rule, skd.CappedRule)
+    rec = _Recorder(method, system, x0, "expected" if exact_f else "selected",
+                    cfg.track_cesaro)
+    counts = dict.fromkeys(COUNT_KEYS, 0)
+    lam, U = system.A_factor.eig()
+    Utb = U.T @ system.b
+    check_every = cfg.check_every or 100
+
+    def cesaro_loss(y_sum, k):
+        if not cfg.track_cesaro or k == 0:
+            return np.nan
+        return skd.rule_expectation(family.losses(U @ (y_sum / k)), rule)
+
+    res0 = system.residual_norm(x0)
+    rec.record(0, x0, res0, np.nan, -1)
+    if res0 <= cfg.tol:
+        return rec.finish(0, True, x0, x0.copy() if cfg.track_cesaro else None), counts
+    y = U.T @ x0
+    y_prev = y.copy()
+    y_sum = np.zeros_like(y)
+    last_sel, last_f = -1, np.nan
+    k = 0
+    converged = False
+    while k < cfg.max_iters:
+        k += 1
+        sel = skd.select(rule, family, None, stream, lam * y - Utb)
+        counts["losses_read"] += sel.losses.size
+        counts["candidates"] += sel.candidates
+        if sel.losses.size == family.q:
+            counts["full_scans"] += 1
+        if sel.index is None:
+            k -= 1
+            x = U @ y
+            res = system.residual_norm(x)
+            converged = res <= cfg.tol
+            rec.record(k, x, res, 0.0, last_sel, cesaro_loss(y_sum, k))
+            break
+        assert math.isfinite(sel.chosen_loss)
+        i = last_sel = sel.index
+        last_f = sel.expected_loss if exact_f else sel.chosen_loss
+        ci = lam[i] * y[i] - Utb[i]
+        y_next = y.copy()
+        if ci == 0.0:
+            counts["zero_steps"] += 1
+        else:
+            y_next[i] -= cfg.omega * (ci / lam[i])
+        if gamma != 0.0:
+            y_next = y_next + gamma * (y - y_prev)
+        y_prev, y = y, y_next
+        if cfg.track_cesaro:
+            y_sum += y
+        if k % check_every == 0 or k == cfg.max_iters:
+            x = U @ y
+            res = system.residual_norm(x)
+            rec.record(k, x, res, last_f, last_sel, cesaro_loss(y_sum, k))
+            if res <= cfg.tol:
+                converged = True
+                break
+    x_cesaro = None
+    if cfg.track_cesaro:
+        x_cesaro = U @ (y_sum / k) if k > 0 else U @ y
+    return rec.finish(k, converged, U @ y, x_cesaro), counts
+
+
 def loop_instances(kind):
     """Two (family, omega) cases per kind: one where G = B (every step is
     1) and one where it is not, at omega 0.9 (full: G != B at omega 1, and
-    G = B at omega 0.9)."""
+    G = B at omega 0.9). Block adds a family of one block, which is not a
+    full family and steps through select and evaluate."""
     if kind == "row":
         # A square SPD system caches a coupling; a tall one does not.
         spd = gaussian_system(20, 10, seed=41, spd=True, metric="system")
@@ -145,6 +220,7 @@ def loop_instances(kind):
         other = skd.LinearSystem(A=tall.A, b=tall.b, G=tall.A.T @ tall.A,
                                  x_star=tall.x_star)
         yield skd.SketchFamily("block", other, block_size=5), 0.9
+        yield skd.SketchFamily("block", system, block_size=24), 0.9
     else:
         steep = gaussian_system(12, 6, seed=49, spd=True, metric="steepest")
         yield skd.SketchFamily("full", steep), 1.0
@@ -171,7 +247,7 @@ def test_loop_equals_one_step_api(kind, rule, gamma, check_every,
                                max_iters=150, seed=5, check_every=check_every,
                                track_cesaro=track_cesaro)
         if rule == "greedy:4" and fam.q < 4:
-            # tau exceeds the one-sketch full family: both refuse it.
+            # tau exceeds a one-sketch family: both refuse it.
             with pytest.raises(skd.InvalidConfigError):
                 skd.run_ssdm(system, fam, skd.parse_rule(rule), cfg)
             with pytest.raises(skd.InvalidConfigError):
@@ -179,8 +255,10 @@ def test_loop_equals_one_step_api(kind, rule, gamma, check_every,
                               gamma)
             continue
         got = skd.run_ssdm(system, fam, skd.parse_rule(rule), cfg)
-        want, counts = reference_run("ssdm", system, fam, skd.parse_rule(rule),
-                                     cfg, gamma)
+        # Spectral with B = G = A steps in eigen-coordinates.
+        runner = eigen_reference_run if fam.diagonal else reference_run
+        want, counts = runner("ssdm", system, fam, skd.parse_rule(rule), cfg,
+                              gamma)
         label = f"{kind} {rule} omega={omega}"
         assert got.iterations == want.iterations, label
         assert got.converged == want.converged, label
@@ -236,7 +314,8 @@ class TestStepCounts:
         # Maintained values: one exact scan at the start, then one (two
         # with momentum, for c and c_prev) after each checkpoint but the
         # last, which ends the run at max_iters.
-        system, fam = family_on("spectral", 60, 30, seed=33)
+        system = gaussian_system(60, 30, seed=33, spd=True)
+        fam = skd.SketchFamily("spectral", system)
         cfg = skd.SolverConfig(gamma=gamma, tol=0.0, max_iters=max_iters,
                                check_every=100)
         trace = skd.run_ssdm(system, fam, skd.greedy(20), cfg)
@@ -273,9 +352,81 @@ class TestStepCounts:
         assert 60 <= want < 60 * 40
         assert trace.counts["candidates"] == want
 
+    @pytest.mark.parametrize("metric, per_step", [("steepest", 1), ("system", 2)])
+    def test_full_family_solves_with_A_once_per_step(self, kernel_counts,
+                                                     metric, per_step):
+        # One solve with A for the loss and the direction, plus one with G
+        # when G = A; the pick reuses the step's evaluation.
+        system = gaussian_system(60, 20, seed=61, spd=True, metric=metric)
+        fam = skd.SketchFamily("full", system)
+
+        def solves(steps):
+            before = kernel_counts["cho_solve"]
+            cfg = skd.SolverConfig(tol=0.0, max_iters=steps)
+            assert skd.run_ssd(system, fam, skd.uniform(), cfg).iterations == steps
+            return kernel_counts["cho_solve"] - before
+
+        assert solves(20) - solves(10) == 10 * per_step
+
     def test_block_runs_count_through_the_generic_loop(self):
         system, fam = family_on("block", 30, 10, seed=54, block_size=5)
         cfg = skd.SolverConfig(tol=0.0, max_iters=40, check_every=10)
         trace = skd.run_ssd(system, fam, skd.max_distance(), cfg)
         assert trace.counts["losses_read"] == 40 * fam.q
         assert trace.counts["full_scans"] == 0
+
+
+class TestEigenCoordinates:
+    """Spectral sketches with B = G = A: a closed-form family whose runs
+    step in the eigen-coordinates y = U'x."""
+
+    def test_build_makes_no_solve(self, kernel_counts):
+        system = gaussian_system(40, 20, seed=60, spd=True, metric="system")
+        fam = skd.SketchFamily("spectral", system)
+        assert fam.diagonal
+        assert kernel_counts["cho_solve"] == 0
+        assert fam.coupling is None and fam.steps is None
+        assert fam.direction_matrix is fam.eigvecs
+        assert np.array_equal(fam.denominators, fam.eigvals)
+        plain = gaussian_system(40, 20, seed=60, spd=True)
+        assert not skd.SketchFamily("spectral", plain).diagonal
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("rule", ["maxdist", "capped:0.5,1,m,exact"])
+    def test_first_n_steps_match_one_step_api(self, rule, seed):
+        # In exact arithmetic both take the same steps, and each step zeroes
+        # the chosen c_i, so the first n choices stand well clear of the
+        # roundoff left at the chosen ones. Iterates differ by the
+        # roundoff of a few n-term dot products over vectors no longer
+        # than ||x0|| + ||x*||; the allowance is twice that.
+        system = gaussian_system(30, 12, seed=seed, spd=True, metric="system")
+        fam = skd.SketchFamily("spectral", system)
+        n, parsed = system.n, skd.parse_rule(rule)
+        x = resolve_x0("ones1000", system)
+        u = np.finfo(np.float64).eps / 2
+        allowance = 2 * n * u * (np.linalg.norm(x) + np.linalg.norm(system.x_star))
+        stream = DrawStream(skd.make_rng(3))
+        for k in range(1, n + 1):
+            sel = skd.select(parsed, fam, x, stream)
+            x = skd.apply_update(x, fam.evaluate(sel.index, x))
+            cfg = skd.SolverConfig(tol=0.0, max_iters=k, check_every=1, seed=3)
+            trace = skd.run_ssd(system, fam, parsed, cfg)
+            assert trace.selected[k] == sel.index
+            assert np.linalg.norm(trace.x_final - x) <= allowance
+        assert sorted(trace.selected[1:]) == list(range(n))
+
+    @pytest.mark.parametrize("rule", ["maxdist", "capped:0.5,1,m,exact"])
+    def test_all_zero_stop_reports_the_true_residual(self, rule):
+        # Every c_i = lambda_i y_i - (U'b)_i rounds to exactly zero while
+        # ||A x - b|| is still about 4e-13: the run stops there, converged
+        # only if that residual meets tol.
+        system = gaussian_system(60, 20, seed=1, spd=True, metric="system")
+        fam = skd.SketchFamily("spectral", system)
+        parsed = skd.parse_rule(rule)
+        trace = skd.run_ssd(system, fam, parsed, skd.SolverConfig(tol=1e-14))
+        res = trace.final_residual()
+        assert trace.f_values[-1] == 0.0 and trace.ks[-1] == trace.iterations < 100
+        assert res == system.residual_norm(trace.x_final)
+        assert res > 1e-14 and not trace.converged
+        met = skd.run_ssd(system, fam, parsed, skd.SolverConfig(tol=res))
+        assert met.converged and met.iterations == trace.iterations

@@ -20,9 +20,14 @@ apply_update calls: blocks of 10 rows of the 300x60 row instance under the
 five rules, and the full sketch of the 120-dim SPD instance with B = A,
 G = I (the steepest descent geometry) at the steepest descent tolerance,
 whose one rule stands in for its second. A block or full run checks every
-iteration by default, so those instances skip the check_every=1 run. --seed sets every solver seed. BLAS
-is pinned to one thread, as in the benchmark, so the digests do not
-depend on the core count.
+iteration by default, so those instances skip the check_every=1 run. The
+grid and spectral instances carry B = G = A, under which a spectral family
+steps in eigen-coordinates; the last lines run the 120-dim SPD instance's
+spectral family under the identity geometry (B = G = I), which keeps its
+linear values through the coupling, under the five small rules plus the
+two extra runs. --seed sets every solver seed. BLAS is pinned to one
+thread, as in the benchmark, so the digests do not depend on the core
+count.
 """
 
 from __future__ import annotations
@@ -86,6 +91,7 @@ def instances():
     steepest = skd.LinearSystem(A=spd.A, b=spd.b, B=spd.A, x_star=spd.x_star)
     yield "full", skd.SketchFamily("full", steepest), FULL_RULES, \
         {"tol": SD_TOL}
+    yield "spectral-id", skd.SketchFamily("spectral", spd), SMALL_RULES, {}
 
 
 def digest(trace, cesaro: bool = False) -> str:
