@@ -34,7 +34,6 @@ from .problems import (
     GenSpec,
     LinearSystem,
     generate,
-    make_consistent,
     resolve_x_star,
 )
 from .loaders import load_libsvm, load_matrix_market, save_matrix_market
@@ -101,7 +100,7 @@ __all__ = [
     "ParseError", "EmptyMatrixError",
     "make_rng", "standard_normal", "derive_seed",
     "SpdFactor", "sym_eig", "pinv_psd",
-    "LinearSystem", "GenSpec", "generate", "make_consistent",
+    "LinearSystem", "GenSpec", "generate",
     "resolve_x_star",
     "load_matrix_market", "save_matrix_market", "load_libsvm",
     "SketchFamily", "SketchEval", "apply_update",

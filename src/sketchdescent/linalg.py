@@ -101,11 +101,11 @@ class SpdFactor:
     """The factorizations of one SPD matrix (or the identity), each made once.
 
     The Cholesky factor is made at construction, which doubles as the SPD
-    check; the eigendecomposition behind :meth:`eig`, :meth:`sqrt` and
-    :meth:`inv_sqrt` is made on first use and kept. M = None with a
-    dimension n stands for the identity, stored without a matrix so that
-    solves and products are free; B = G = identity is the common case for
-    row-action solvers and must not cost O(n^2) per iteration.
+    check; the eigendecomposition behind :meth:`eig` and :meth:`inv_sqrt`
+    is made on first use and kept. M = None with a dimension n stands for
+    the identity, stored without a matrix so that solves and products are
+    free; B = G = identity is the common case for row-action solvers and
+    must not cost O(n^2) per iteration.
     """
 
     def __init__(self, M=None, n: int | None = None):
@@ -150,10 +150,6 @@ class SpdFactor:
 
     def dense(self) -> np.ndarray:
         return np.eye(self.n) if self.is_identity else self.matrix
-
-    def sqrt(self) -> np.ndarray:
-        w, V = self.eig()
-        return (V * np.sqrt(w)) @ V.T
 
     def inv_sqrt(self) -> np.ndarray:
         w, V = self.eig()

@@ -33,8 +33,8 @@ class LinearSystem:
     Parameters
     ----------
     A : (m, n) ndarray
-        Coefficient matrix. Zero rows are rejected; drop them first with
-        :func:`make_consistent`.
+        Coefficient matrix. Zero rows are rejected; :func:`loaded_arrays`
+        drops them from a loaded matrix and draws its solution.
     b : (m,) ndarray
         Right-hand side. Must be consistent with x_star when one is stored.
     B : (n, n) ndarray or None
@@ -204,22 +204,6 @@ def loaded_arrays(A, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     if A.shape[0] == 0:
         raise InvalidInputError("matrix has no nonzero rows")
     return A, standard_normal(make_rng(seed), A.shape[1])
-
-
-def make_consistent(
-    A,
-    seed: int = 0,
-    B=None,
-    G=None,
-    label: str = "",
-) -> LinearSystem:
-    """Wrap an externally loaded matrix in a consistent system.
-
-    Sets b = A x* for the solution drawn by :func:`loaded_arrays`, after
-    its zero rows are dropped.
-    """
-    A, x_star = loaded_arrays(A, seed)
-    return LinearSystem(A=A, b=A @ x_star, B=B, G=G, x_star=x_star, label=label)
 
 
 def resolve_x_star(system: LinearSystem, x0: np.ndarray) -> tuple[np.ndarray, bool]:

@@ -33,7 +33,7 @@ __all__ = [
     "uniform", "greedy", "max_distance", "capped", "parse_rule",
     "gs_expectation_weights", "subset_max_expectation",
     "capped_threshold", "capped_candidates", "rule_expectation",
-    "draw_sample", "DrawStream", "select",
+    "draw_sample", "DrawStream", "sample_size", "choose", "select",
 ]
 
 # Uniforms one DrawStream refill may draw: 128 KiB of doubles.
@@ -233,7 +233,7 @@ def capped_candidates(losses: np.ndarray, rule: CappedRule,
                       threshold: float | None = None) -> np.ndarray:
     """Indices whose loss reaches the threshold. Never empty.
 
-    The threshold defaults to capped_threshold(losses, rule); select passes
+    The threshold defaults to capped_threshold(losses, rule); choose passes
     the one it has already computed, so a capped step sorts only once.
     """
     thr = capped_threshold(losses, rule) if threshold is None else threshold
@@ -320,16 +320,16 @@ class DrawStream:
 class Selection:
     """Outcome of one selection step.
 
-    index is None only when the rule evaluated every loss and found them all
-    zero, i.e. the iterate already solves the system. A greedy sample of
-    tau < q indices whose losses are all zero still returns its smallest
-    index; the update there is a no-op. losses holds the evaluated losses:
-    all q of them for full scans, else those of the ascending sample.
-    zero_losses counts exact zeros among them; the rate certificates use
-    it. chosen_loss is the loss of the selected index at selection time.
-    The capped rule also reports its admission threshold, the size of its
-    candidate set and its rule-expected loss, the mean loss over the
-    candidates, which equals rule_expectation(losses, rule).
+    index is None only when the rule evaluated every loss and the largest
+    was exactly zero, i.e. the iterate already solves the system. A greedy
+    sample of tau < q indices whose losses are all zero still returns its
+    smallest index; the update there is a no-op. losses holds the evaluated
+    losses: all q of them for full scans, else those of the ascending
+    sample. zero_losses counts exact zeros among them; the rate
+    certificates use it. chosen_loss is the loss of the selected index at
+    selection time. The capped rule also reports its admission threshold,
+    the size of its candidate set and its rule-expected loss, the mean loss
+    over the candidates, which equals rule_expectation(losses, rule).
     """
 
     index: int | None
@@ -341,42 +341,64 @@ class Selection:
     candidates: int = 0
 
 
-def select(rule, family, x: np.ndarray, rng: np.random.Generator | DrawStream,
-           linear: np.ndarray | None = None) -> Selection:
+def sample_size(rule, q: int) -> int:
+    """Losses one step of the rule reads on a family of q: tau, or q for
+    capped. Refuses a tau above q and a rule of unknown type."""
+    if isinstance(rule, GreedyRule):
+        return rule.resolve_tau(q)
+    if isinstance(rule, CappedRule):
+        return q
+    raise InvalidConfigError(f"unknown rule type {type(rule).__name__}")
+
+
+def choose(rule, losses: np.ndarray, stream: DrawStream, sample=None):
+    """The rule's choice among the losses of the ascending sample, or of
+    all q indices when sample is None (a full scan).
+
+    Returns (index, loss, f, threshold, candidates): f is the value a
+    trace records, the chosen loss or for capped the candidates' mean
+    loss, lc.sum() / lc.size (np.mean's bits without its overhead);
+    threshold and candidates are None and 0 for greedy. Returns None when
+    a full scan's largest loss is exactly zero: losses are >= 0, so the
+    iterate solves the system. A NaN is its own argmax, never read as
+    solved. Greedy ties break to the smallest index. capped_candidates is
+    looked up by its module name, so a wrapper of it sees every step.
+    """
+    if isinstance(rule, GreedyRule):
+        j = losses.argmax()  # the method skips np.argmax's dispatch
+        loss = float(losses[j])
+        if sample is not None:
+            return int(sample[j]), loss, loss, None, 0
+        return None if loss == 0.0 else (int(j), loss, loss, None, 0)
+    if isinstance(rule, CappedRule):
+        if losses.max() == 0.0:
+            return None
+        thr = capped_threshold(losses, rule)
+        cand = capped_candidates(losses, rule, thr)
+        i = int(cand[stream.pick(cand.size)])
+        lc = losses[cand]
+        return i, float(losses[i]), float(lc.sum() / lc.size), thr, cand.size
+    raise InvalidConfigError(f"unknown rule type {type(rule).__name__}")
+
+
+def select(rule, family, x: np.ndarray,
+           rng: np.random.Generator | DrawStream) -> Selection:
     """Run one selection step of the rule on the family at x.
 
-    rng is the run's DrawStream, or a generator that this step alone draws
-    from; both give the same draws.
-
-    Greedy ties (equal losses in the sample) break to the smallest index;
-    the sample is kept in ascending order so argmax does that on its own.
-    Full scans (tau = q, capped) let the family read every loss without
-    gathering an index array; a capped step computes its threshold once.
-    linear, when given, is forwarded to family.losses: the caller's
-    maintained linear values at x.
+    Draws the sample (none for a full scan), evaluates its losses, counts
+    their zeros and hands them to :func:`choose`. rng is the run's
+    DrawStream, or a generator that this step alone draws from; both give
+    the same draws.
     """
     q = family.q
     stream = rng if isinstance(rng, DrawStream) else DrawStream(rng, 1)
-    if isinstance(rule, GreedyRule):
-        tau = rule.resolve_tau(q)
-        sample = None if tau == q else stream.sample(q, tau)
-        losses = family.losses(x, sample, linear)
-        zero = losses.size - int(np.count_nonzero(losses))  # a NaN is nonzero
-        if zero == q:
-            return Selection(None, losses, zero)
-        j = int(losses.argmax())  # the method skips np.argmax's dispatch
-        pick = j if sample is None else int(sample[j])
-        return Selection(pick, losses, zero, chosen_loss=float(losses[j]))
-    if isinstance(rule, CappedRule):
-        losses = family.losses(x, None, linear)
-        zero = losses.size - int(np.count_nonzero(losses))
-        if zero == q:  # a NaN is nonzero, so it is never read as solved
-            return Selection(None, losses, zero)
-        thr = capped_threshold(losses, rule)
-        cand = capped_candidates(losses, rule, thr)
-        pick = int(cand[stream.pick(cand.size)])
-        return Selection(pick, losses, zero, threshold=thr,
-                         chosen_loss=float(losses[pick]),
-                         expected_loss=float(np.mean(losses[cand])),
-                         candidates=cand.size)
-    raise InvalidConfigError(f"unknown rule type {type(rule).__name__}")
+    tau = sample_size(rule, q)
+    sample = None if tau == q else stream.sample(q, tau)
+    losses = family.losses(x, sample)
+    zero = losses.size - int(np.count_nonzero(losses))  # a NaN is nonzero
+    chosen = choose(rule, losses, stream, sample)
+    if chosen is None:
+        return Selection(None, losses, zero)
+    i, loss, f, thr, cand = chosen
+    expected = f if isinstance(rule, CappedRule) else None
+    return Selection(i, losses, zero, thr, loss, expected, cand)

@@ -28,8 +28,8 @@ strided column differed in the last bit on 436 of 500 eigenvectors of a
 A step along D[:, i] moves every linear value by a fixed vector: c changes
 by -t K'[i] for a step of length t, where K' = D' W is the q x q coupling.
 When q <= n the family caches K' (never larger than D), so a solver whose
-rule reads many losses can keep c up to date in O(q) per step and hand it
-to :meth:`SketchFamily.losses` instead of paying a scan.
+rule reads many losses can keep c up to date in O(q) per step and read
+its losses from c instead of paying a scan.
 
 Spectral sketches with B = G = A (B's factor is A's, G's is B's) are
 sketch-and-project with B = A, which in the eigen-coordinates y = U' x is
@@ -215,12 +215,8 @@ class SketchFamily:
             return self.eigvals * y - self._Utb
         return self.eigvals[indices] * y[indices] - self._Utb[indices]
 
-    def losses(self, x: np.ndarray, indices=None, linear=None) -> np.ndarray:
-        """Index losses f_i(x) for the given indices (all q by default).
-
-        linear, for the vector kinds, holds all q linear values at x as the
-        caller maintains them; the losses are then read from it, not from x.
-        """
+    def losses(self, x: np.ndarray, indices=None) -> np.ndarray:
+        """Index losses f_i(x) for the given indices (all q by default)."""
         if indices is not None:
             indices = np.asarray(indices, dtype=np.intp)
             # One argmax pass over the indices read as unsigned (-1 is huge).
@@ -228,10 +224,7 @@ class SketchFamily:
             if unsigned.size and unsigned[unsigned.argmax()] >= self.q:
                 raise InvalidInputError(f"index out of range for q={self.q}")
         if self.kind in VECTOR_KINDS:
-            if linear is None:
-                c = self.linear_values(x, indices)
-            else:
-                c = linear if indices is None else linear[indices]
+            c = self.linear_values(x, indices)
             return 0.5 * c * c / (self._d if indices is None else self._d[indices])
         if indices is None:
             indices = np.arange(self.q)
@@ -380,15 +373,20 @@ def _column_dots(M: np.ndarray, indices, v: np.ndarray):
     return cols.copy().dot(v) if cols.ndim == 1 else cols.T @ v
 
 
+def check_omega(omega: float) -> None:
+    """Refuse a relaxation outside the open interval (0, 2), NaN included:
+    there the one-step contraction guarantees are void."""
+    if not 0.0 < omega < 2.0:
+        raise InvalidConfigError(f"omega must be in (0, 2), got {omega}")
+
+
 def apply_update(x: np.ndarray, ev: SketchEval, omega: float = 1.0) -> np.ndarray:
     """Relaxed exact-step update x - omega * step * direction.
 
-    omega must lie in (0, 2); outside that open interval the one-step
-    contraction guarantees are void. A zero-loss evaluation has no defined
-    step and leaves x untouched.
+    omega must lie in (0, 2) (:func:`check_omega`). A zero-loss evaluation
+    has no defined step and leaves x untouched.
     """
-    if not 0.0 < omega < 2.0:
-        raise InvalidConfigError(f"omega must be in (0, 2), got {omega}")
+    check_omega(omega)
     if ev.step is None:
         return x
     return x - (omega * ev.step) * ev.direction

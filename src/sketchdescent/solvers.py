@@ -6,12 +6,14 @@ iterate move by omega times that step, optionally plus a heavy ball term
 gamma * (x_k - x_{k-1}). One loop runs it for every sketch kind, through
 two steps bound once per run:
 
-- pick(x, c) chooses the index. For the vector kinds (row, lsqcol,
-  spectral) it binds the family's arrays (d, the coupling K'), the rule's
-  tau and the run's DrawStream, and does the arithmetic of sampling.select
-  expression for expression: draw, gather the losses 0.5 c_s^2 / d_s, one
-  argmax. For block families it calls select; a full family's one sketch
-  is picked by every rule, so its pick reads the loss from evaluate.
+- pick(x, c) chooses the index. It binds the rule's tau and the run's
+  DrawStream, draws the sample, forms the sampled losses and hands them to
+  sampling.choose, the one code that takes the argmax, tests for all
+  zeros and makes the capped pick; sampling.select does the same through
+  it. A vector family's (row, lsqcol, spectral) losses are
+  0.5 c_s^2 / d_s, read from c when it is kept; a block family's come
+  from SketchFamily.losses. A full family's one sketch is picked by every
+  rule, so its pick reads the loss from evaluate.
 - move(x, i) returns the next iterate and the step t taken along D[:, i].
   For the vector kinds it is SketchFamily.evaluate and apply_update spelled
   out: the chosen index's exact c_i from one dot, then
@@ -26,8 +28,8 @@ writes the one coordinate y_i -= omega c_i / lambda_i, heavy ball is
 y + gamma (y - y_prev), and no c is kept. x = U y is formed only at
 checkpoints, at the all-zero stop, for the Cesaro loss and at the end.
 
-The public one-step functions stay the reference the loop is tested
-against.
+The loop is tested against a step-by-step run through the public
+evaluate and apply_update, with a selection written apart from choose.
 
 Steepest descent and conjugate gradients get dedicated loops so they can
 serve as independent references: steepest descent must coincide with the
@@ -40,6 +42,9 @@ solver also checks that the iterate is finite and runs the stopping test
 ||A x - b|| <= tol, all in _Recorder.checkpoint. Vector families
 default to a checkpoint every 100 iterations so the O(m n) residual never
 dominates the O(n) iteration; everything else checks every iteration.
+A run that stops between checkpoints because it can take no further step
+(every loss zero, or no curvature left along the steepest descent or CG
+direction) records its last iterate there.
 
 A rule that reads more than one loss per iteration (greedy tau > 1, max
 distance, capped) on a family that caches its coupling K' keeps the q
@@ -70,9 +75,9 @@ from .errors import DivergenceError, InvalidConfigError, SizeLimitError
 from .linalg import as_vector, pinv_psd
 from .problems import LinearSystem, resolve_x_star
 from .rng import make_rng
-from . import sampling
-from .sampling import CappedRule, DrawStream, GreedyRule, rule_expectation, select
-from .sketching import VECTOR_KINDS, SketchFamily, apply_update
+from .sampling import (CappedRule, DrawStream, choose, rule_expectation,
+                       sample_size)
+from .sketching import VECTOR_KINDS, SketchFamily, apply_update, check_omega
 
 DIVERGENCE_NORM = 1e12
 
@@ -103,12 +108,11 @@ class SolverConfig:
     track_cesaro: bool = False
 
     def validate(self) -> None:
-        if not 0.0 < self.omega < 2.0:
-            raise InvalidConfigError(f"omega must be in (0, 2), got {self.omega}")
-        if self.gamma < 0.0:
-            raise InvalidConfigError(f"gamma must be >= 0, got {self.gamma}")
-        if self.tol < 0.0:
-            raise InvalidConfigError(f"tol must be >= 0, got {self.tol}")
+        check_omega(self.omega)
+        if not 0.0 <= self.gamma < math.inf:  # refuses NaN
+            raise InvalidConfigError(f"gamma must be finite and >= 0, got {self.gamma}")
+        if not 0.0 <= self.tol < math.inf:
+            raise InvalidConfigError(f"tol must be finite and >= 0, got {self.tol}")
         if self.max_iters < 0:
             raise InvalidConfigError(f"max_iters must be >= 0, got {self.max_iters}")
         if self.check_every is not None and self.check_every < 1:
@@ -298,6 +302,7 @@ def _run_sketched(method: str, system: LinearSystem, family: SketchFamily,
     x0 = resolve_x0(cfg.x0, system)
     vector = family.kind in VECTOR_KINDS
     check_every = cfg.check_every or (100 if vector else 1)
+    tau = sample_size(rule, family.q)  # the one rule check, every kind
     exact_f = isinstance(rule, CappedRule)
     rec = _Recorder(method, system, x0, "expected" if exact_f else "selected",
                     cfg.track_cesaro)
@@ -323,18 +328,17 @@ def _run_sketched(method: str, system: LinearSystem, family: SketchFamily,
     stream = DrawStream(make_rng(cfg.seed))
     tol, max_iters = cfg.tol, cfg.max_iters
     heavy = gamma != 0.0
-    if vector:
-        pick = _vector_picker(rule, family, stream, counts)
-        move = _vector_mover(family, cfg.omega, counts, in_place=not heavy)
+    if family.kind == "full":
+        pick, move = _full_step(family, cfg.omega, counts, exact_f)
     else:
-        pick, move = _public_step(rule, family, stream, cfg.omega, counts)
+        pick = _picker(rule, family, tau, stream, counts)
+        move = _mover(family, cfg.omega, counts, in_place=not heavy)
     linear_values = family.linear_values
     # Maintain c only where it saves work: a rule reading one loss pays no
     # scan, and a checkpoint every step recomputes c anyway. Block, full and
     # diagonal families have no coupling.
     coupling = family.coupling
-    if check_every == 1 or (isinstance(rule, GreedyRule)
-                            and rule.resolve_tau(family.q) == 1):
+    if check_every == 1 or (tau == 1 and not exact_f):
         coupling = None
     c = c_prev = None
     if coupling is not None:
@@ -362,7 +366,8 @@ def _run_sketched(method: str, system: LinearSystem, family: SketchFamily,
                                        sel_index=last_sel,
                                        cesaro_f=cesaro_loss(x_sum, k))
             break
-        i, loss, last_f = chosen
+        i, loss, last_f, _, candidates = chosen
+        counts["candidates"] += candidates
         if not math.isfinite(loss):
             _diverge(rec, k - 1, to_x(x), f"selected loss {loss} at iteration {k}")
         last_sel = i
@@ -397,81 +402,60 @@ def _run_sketched(method: str, system: LinearSystem, family: SketchFamily,
     return rec.finish(k, converged, x, x_cesaro)
 
 
-def _vector_picker(rule, family: SketchFamily, stream: DrawStream,
-                   counts: dict):
-    """One run's selection step on a vector family, bound once.
+def _picker(rule, family: SketchFamily, tau: int, stream: DrawStream,
+            counts: dict):
+    """One run's selection step on a vector or block family, bound once.
 
-    Returns pick(x, c) -> (index, chosen loss, f value), or None when a
-    full scan finds every loss zero. c holds the maintained linear values
-    at x, or is None; without it a full scan recomputes them exactly (for
-    a diagonal family x is y = U'x and the values are read elementwise).
-    The arithmetic is select's: the same gathers, losses and argmax.
+    pick(x, c) draws a sample of tau (none when tau is q) and returns what
+    choose makes of its losses. A vector family's are 0.5 c_s^2 / d_s, read
+    from the kept linear values c, or when c is None from exact ones (in
+    y = U'x for a diagonal family); a block family's are family.losses.
     """
     q = family.q
+    sample = stream.sample if tau < q else None
+    if family.kind == "block":
+        def pick(x, c):
+            counts["losses_read"] += tau
+            s = None if sample is None else sample(q, tau)
+            return choose(rule, family.losses(x, s), stream, s)
+        return pick
     d = family.denominators
     linear_values = (family.eigen_linear_values if family.diagonal
                      else family.linear_values)
-    if isinstance(rule, GreedyRule):
-        tau = rule.resolve_tau(q)
-        if tau < q:
-            sample = stream.sample
 
-            def pick(x, c):
-                counts["losses_read"] += tau
-                s = sample(q, tau)
-                cs = linear_values(x, s) if c is None else c[s]
-                losses = 0.5 * cs * cs / d[s]
-                j = losses.argmax()
-                loss = float(losses[j])
-                return int(s[j]), loss, loss
-            return pick
-
-        def pick(x, c):
-            counts["losses_read"] += q
-            if c is None:
-                counts["full_scans"] += 1
-                c = linear_values(x)
-            losses = 0.5 * c * c / d
-            i = int(losses.argmax())
-            loss = float(losses[i])
-            # Losses are >= 0, so a zero maximum means all are zero; a NaN
-            # is its own argmax and is caught by the caller.
-            return None if loss == 0.0 else (i, loss, loss)
-        return pick
-    if isinstance(rule, CappedRule):
-        # Read through the module, as select does, so that a wrapper of
-        # sampling.capped_candidates (perfbench's tracer) sees every step.
-        def pick(x, c):
-            counts["losses_read"] += q
-            if c is None:
-                counts["full_scans"] += 1
-                c = linear_values(x)
-            losses = 0.5 * c * c / d
-            # Losses are >= 0, so a zero maximum means all are zero; a NaN
-            # maximum is never read as solved.
-            if losses.max() == 0.0:
-                return None
-            cand = sampling.capped_candidates(
-                losses, rule, sampling.capped_threshold(losses, rule))
-            counts["candidates"] += cand.size
-            i = int(cand[stream.pick(cand.size)])
-            lc = losses[cand]
-            return i, float(losses[i]), float(lc.sum() / lc.size)
-        return pick
-    raise InvalidConfigError(f"unknown rule type {type(rule).__name__}")
+    def pick(x, c):
+        counts["losses_read"] += tau
+        if sample is not None:
+            s = sample(q, tau)
+            cs = linear_values(x, s) if c is None else c[s]
+            return choose(rule, 0.5 * cs * cs / d[s], stream, s)
+        if c is None:
+            counts["full_scans"] += 1
+            c = linear_values(x)
+        return choose(rule, 0.5 * c * c / d, stream)
+    return pick
 
 
-def _vector_mover(family: SketchFamily, omega: float, counts: dict,
-                  in_place: bool):
-    """One run's update step on a vector family, bound once.
+def _mover(family: SketchFamily, omega: float, counts: dict,
+           in_place: bool):
+    """One run's update step on a vector or block family, bound once.
 
-    Returns move(x, i) -> (x_next, t): the arithmetic of evaluate and
-    apply_update, x - (omega step) ((c_i / d_i) D[:, i]), with c_i exact,
-    and the length t of the step along D[:, i] that moves the linear
-    values by -t K'[i], or None when c_i = 0 and x stays. On a diagonal
-    family x is y = U'x, D[:, i] is e_i there and the step writes y_i
-    alone, into y itself when in_place; t is None, as no c is kept.
+    Returns move(x, i) -> (x_next, t). On a vector family it is the
+    arithmetic of evaluate and apply_update,
+    x - (omega step) ((c_i / d_i) D[:, i]), with c_i exact, and t is the
+    length of the step along D[:, i] that moves the linear values by
+    -t K'[i], or None when c_i = 0 and x stays. On a diagonal family x is
+    y = U'x, D[:, i] is e_i there and the step writes y_i alone, into y
+    itself when in_place. A block family, which has no scalar c_i, calls
+    evaluate and apply_update. t is None wherever no c is kept.
     """
+    if family.kind == "block":
+        def move(x, i):
+            ev = family.evaluate(i, x)
+            if ev.step is None:
+                counts["zero_steps"] += 1
+            return apply_update(x, ev, omega), None
+        return move
     d = family.denominators
     if family.diagonal:
         linear_values = family.eigen_linear_values
@@ -504,45 +488,23 @@ def _vector_mover(family: SketchFamily, omega: float, counts: dict,
     return move
 
 
-def _public_step(rule, family: SketchFamily, stream: DrawStream,
-                 omega: float, counts: dict):
-    """pick and move for a block or full family: select, then evaluate and
-    apply_update, one public call each per step. A full family has one
-    sketch, which every rule picks, so its pick reads the loss from
-    evaluate and its move applies that same evaluation: one solve with A
-    per step, not two."""
-    exact_f = isinstance(rule, CappedRule)
-    if family.kind == "full":
-        rule_expectation(np.ones(1), rule)  # refuses what select refuses
-        held = []
-
-        def pick(x, c):
-            ev = family.evaluate(0, x)
-            counts["losses_read"] += 1
-            if ev.loss == 0.0:
-                return None
-            counts["candidates"] += exact_f
-            held.append(ev)
-            return 0, ev.loss, ev.loss
-
-        def move(x, i):
-            return apply_update(x, held.pop(), omega), None
-        return pick, move
+def _full_step(family: SketchFamily, omega: float, counts: dict,
+               capped: bool):
+    """pick and move for a full family. Its one sketch is picked by every
+    rule, so pick reads the loss from evaluate and move applies that same
+    evaluation with apply_update: one solve with A per step, not two."""
+    held = []
 
     def pick(x, c):
-        sel = select(rule, family, x, stream)
-        counts["losses_read"] += sel.losses.size
-        counts["candidates"] += sel.candidates
-        if sel.index is None:
+        ev = family.evaluate(0, x)
+        counts["losses_read"] += 1
+        if ev.loss == 0.0:
             return None
-        return (sel.index, sel.chosen_loss,
-                sel.expected_loss if exact_f else sel.chosen_loss)
+        held.append(ev)
+        return 0, ev.loss, ev.loss, None, int(capped)
 
     def move(x, i):
-        ev = family.evaluate(i, x)
-        if ev.step is None:
-            counts["zero_steps"] += 1
-        return apply_update(x, ev, omega), None
+        return apply_update(x, held.pop(), omega), None
     return pick, move
 
 
@@ -598,6 +560,12 @@ def run_sd(system: LinearSystem, cfg: SolverConfig | None = None) -> IterationTr
         Ares = A @ res
         den = float(res @ Ares)
         if den <= 0.0:
+            # No descent left (res is zero, or A not positive along it): the
+            # run ends at the last iterate, with a checkpoint.
+            k -= 1
+            converged = rec.ks[-1] != k and rec.checkpoint(
+                k, x, cfg.tol, float(np.linalg.norm(res)), f_value=f_of(res),
+                sel_index=0)
             break
         alpha = float(res @ res) / den
         x = x - (cfg.omega * alpha) * res
@@ -643,6 +611,10 @@ def run_cg_momentum(system: LinearSystem, cfg: SolverConfig | None = None) -> It
         Ap = A @ p
         pAp = float(p @ Ap)
         if pAp <= 0.0:
+            # As in run_sd: the run ends at the last iterate, checkpointed.
+            k -= 1
+            converged = rec.ks[-1] != k and rec.checkpoint(
+                k, x, cfg.tol, f_value=f_of(x), sel_index=0)
             break
         alpha = uu / pAp
         x = x + alpha * p

@@ -38,7 +38,7 @@ from .linalg import DEFAULT_EIG_CUTOFF, sym_eig
 from .problems import resolve_x_star
 from .rng import make_rng, standard_normal
 from .sampling import CappedRule, GreedyRule, rule_expectation
-from .sketching import VECTOR_KINDS, SketchFamily
+from .sketching import VECTOR_KINDS, SketchFamily, check_omega
 
 # Dense eigendecompositions get expensive and inaccurate past desk scale.
 MAX_THEORY_DIM = 500
@@ -298,14 +298,9 @@ class RateBundle:
         return self.cesaro_loss_coeff * err0_g_sq / k
 
 
-def _check_omega(omega: float) -> None:
-    if not 0.0 < omega < 2.0:
-        raise InvalidConfigError(f"omega must be in (0, 2), got {omega}")
-
-
 def predicted_rates(report: SpectralReport, omega: float = 1.0) -> RateBundle:
     """Turn a spectral report into certified decay factors."""
-    _check_omega(omega)
+    check_omega(omega)
     accel = 2.0 * omega - omega * omega
     cond = report.cond
     shape = 4.0 * cond / (1.0 + cond) ** 2
@@ -386,7 +381,7 @@ def momentum_rate(report: SpectralReport, gamma: float, omega: float = 1.0,
     omega) and, when loss_weight > 0, loss_slack < loss_weight * mu_lo /
     mu_hi.
     """
-    _check_omega(omega)
+    check_omega(omega)
     zeta, xi = float(loss_weight), float(loss_slack)
     if zeta < 0.0 or xi < 0.0:
         raise InvalidConfigError("loss_weight and loss_slack must be >= 0")
@@ -438,7 +433,7 @@ def momentum_rate(report: SpectralReport, gamma: float, omega: float = 1.0,
 def momentum_cesaro_admissible(report: SpectralReport, gamma: float,
                                omega: float) -> bool:
     """Parameter test for the averaged-iterate momentum bound."""
-    _check_omega(omega)
+    check_omega(omega)
     if gamma < 0.0:
         raise InvalidConfigError(f"gamma must be >= 0, got {gamma}")
     return (omega / report.mu_hi

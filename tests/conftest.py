@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 import sketchdescent as skd
+from sketchdescent.problems import loaded_arrays
 
 
 def gaussian_system(m, n, seed=0, spd=False, metric="identity"):
@@ -27,6 +28,14 @@ def gaussian_system(m, n, seed=0, spd=False, metric="identity"):
         raise ValueError(metric)
     return skd.LinearSystem(A=base.A, b=base.b, B=BG, G=BG,
                             x_star=base.x_star, label=base.label)
+
+
+def consistent(A, seed=0, **geometry):
+    """System A x* = b for a loaded matrix, built as bench.build_system
+    builds one: loaded_arrays drops the zero rows and draws x*. B, G and
+    label pass through to LinearSystem."""
+    A, x_star = loaded_arrays(A, seed)
+    return skd.LinearSystem(A=A, b=A @ x_star, x_star=x_star, **geometry)
 
 
 def family_on(kind, m, n, seed=0, block_size=None):

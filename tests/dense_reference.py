@@ -1,15 +1,20 @@
-"""A slow reference for the sketch families' fast paths.
+"""Slow references for the package's fast paths.
 
 It materializes S_i and H_i = S_i (S_i' A B^{-1} A' S_i)^+ S_i' as dense
 matrices, from first principles, so tests can pin SketchFamily.evaluate
 against it. It reads only the family's kind, its system, its blocks and its
 eigenvectors, none of the cached arrays the fast path uses.
+
+reference_choose writes out the selection rules' choice among evaluated
+losses apart from sampling.choose, so the solver loop can be pinned
+against selection code it does not share.
 """
 
 import numpy as np
 
 from sketchdescent.errors import InvalidInputError
 from sketchdescent.linalg import pinv_psd
+from sketchdescent.sampling import GreedyRule, capped_threshold
 from sketchdescent.sketching import SketchEval
 
 
@@ -58,3 +63,25 @@ def generic_evaluate(fam, i: int, x: np.ndarray) -> SketchEval:
     v = H @ (sys.A @ direction)
     den = float(direction @ (sys.A.T @ v))
     return SketchEval(i, loss, direction, num / den)
+
+
+def reference_choose(rule, losses: np.ndarray, stream, sample=None):
+    """(index, loss, f, candidates) for the losses of the ascending sample,
+    or of all q indices when sample is None; None when that full scan's
+    largest loss is zero. Greedy takes the first position holding the
+    largest loss, mapped through the sample, and f is its loss. Capped
+    keeps the losses at or above capped_threshold (the largest alone if
+    none is), picks one with the stream and takes f as np.mean over them.
+    Losses must be finite."""
+    top = losses.max()
+    first_top = int(np.flatnonzero(losses == top)[0])
+    if sample is None and top == 0.0:
+        return None
+    if isinstance(rule, GreedyRule):
+        index = first_top if sample is None else int(sample[first_top])
+        return index, float(top), float(top), 0
+    cand = np.flatnonzero(losses >= capped_threshold(losses, rule))
+    if cand.size == 0:
+        cand = np.array([first_top])
+    index = int(cand[stream.pick(cand.size)])
+    return index, float(losses[index]), float(np.mean(losses[cand])), cand.size

@@ -9,6 +9,8 @@ from sketchdescent.bench import parse_family
 from sketchdescent.errors import InvalidConfigError
 from sketchdescent.rng import derive_seed
 
+from conftest import consistent
+
 
 def gen_dataset(m, n, spd=False, seed=0):
     kind = "gaussian-normal-equations" if spd else "gaussian"
@@ -365,7 +367,7 @@ class TestOneSystemPerDataset:
     def test_same_system_as_separate_wrapping(self, tmp_path):
         ds, A = self.spd_mtx(tmp_path)
         system = skd.build_system(ds, "spectral")
-        plain = skd.make_consistent(A, seed=3, label=ds.label)
+        plain = consistent(A, seed=3, label=ds.label)
         assert np.array_equal(system.A, plain.A)
         assert np.array_equal(system.b, plain.b)
         assert np.array_equal(system.x_star, plain.x_star)

@@ -89,6 +89,14 @@ class TestExitCodes:
         assert run_cli(*BASE, "--gamma", "0.4") == 1
         assert "ssdm" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [("--tol", "nan"), ("--tol", "inf"),
+                                       ("--method", "ssdm", "--gamma", "nan"),
+                                       ("--method", "ssdm", "--gamma", "inf")])
+    def test_non_finite_tol_or_gamma_exits_one(self, capsys, flags):
+        assert run_cli("--gen", "30x10", "--reps", "1", *flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sketchbench: ") and "finite" in err
+
     def test_divergence_exits_two(self, tmp_path, capsys):
         out = tmp_path / "div.csv"
         code = run_cli("--gen", "12x5", "--method", "ssdm", "--gamma", "1.5",

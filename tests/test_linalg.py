@@ -109,11 +109,11 @@ class TestSqrts:
         assert np.allclose(R @ M @ R, np.eye(2), atol=1e-8)
         assert np.allclose(R, R.T)
 
-    def test_sqrt_squares_back(self):
+    def test_inv_sqrt_squares_to_inverse(self):
         for seed in range(3):
             M = random_spd(7, seed)
-            S = SpdFactor(M).sqrt()
-            assert np.allclose(S @ S, M, atol=1e-9)
+            R = SpdFactor(M).inv_sqrt()
+            assert np.allclose(R @ R @ M, np.eye(7), atol=1e-9)
 
     def test_inv_sqrt_rejects_semidefinite(self):
         with pytest.raises(NotSpdError):
@@ -144,7 +144,9 @@ class TestSpdFactor:
         assert np.allclose(f.solve(f.apply(v)), v, rtol=1e-10, atol=1e-12)
         R = f.inv_sqrt()
         assert np.allclose(R @ M @ R, np.eye(8), atol=1e-8)
-        assert np.allclose(f.sqrt() @ R, np.eye(8), atol=1e-8)
+        w, V = np.linalg.eigh(M)
+        root = (V * np.sqrt(w)) @ V.T  # reference M^{1/2}
+        assert np.allclose(root @ R, np.eye(8), atol=1e-8)
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotSpdError):

@@ -7,6 +7,8 @@ from sketchdescent.linalg import pinv_psd
 from sketchdescent.problems import CONSISTENCY_TOL
 from sketchdescent.rng import make_rng, standard_normal
 
+from conftest import consistent
+
 
 class TestGenSpec:
     def test_validation(self):
@@ -106,25 +108,28 @@ class TestLinearSystem:
 
 
 class TestMakeConsistent:
+    """A consistent system made from a loaded matrix: loaded_arrays wrapped
+    in a LinearSystem, as bench.build_system does."""
+
     def test_drops_zero_rows_with_warning(self):
         A = np.array([[1.0, 2.0], [0.0, 0.0], [3.0, 4.0]])
         with pytest.warns(UserWarning):
-            system = skd.make_consistent(A, seed=1)
+            system = consistent(A, seed=1)
         assert system.m == 2
 
     def test_identity_gives_b_equal_x_star(self):
-        system = skd.make_consistent(np.eye(3), seed=4)
+        system = consistent(np.eye(3), seed=4)
         assert np.array_equal(system.b, system.x_star)
 
     def test_rejects_all_zero(self):
         with pytest.raises(InvalidInputError):
             with pytest.warns(UserWarning):
-                skd.make_consistent(np.zeros((2, 2)), seed=0)
+                consistent(np.zeros((2, 2)), seed=0)
 
     def test_metric_passthrough(self):
         system = skd.generate(
             skd.GenSpec("gaussian-normal-equations", 8, 3, seed=7))
-        wrapped = skd.make_consistent(system.A, seed=2, B=system.A, G=system.A)
+        wrapped = consistent(system.A, seed=2, B=system.A, G=system.A)
         assert wrapped.g_equals_b
         assert np.linalg.norm(wrapped.A @ wrapped.x_star - wrapped.b) < 1e-12
 

@@ -28,7 +28,7 @@ class FixedLosses:
         self.q = losses.size
         self._losses = losses
 
-    def losses(self, x, indices=None, linear=None):
+    def losses(self, x, indices=None):
         return self._losses if indices is None else self._losses[indices]
 
 
@@ -483,3 +483,71 @@ class TestSelectContract:
             assert sel.index == min(i for i in sample if losses[i] == top)
             assert sel.chosen_loss == losses[sel.index]
             assert np.array_equal(sel.losses, losses[sample])
+
+
+class TestChoose:
+    """sampling.choose on hand-made loss vectors."""
+
+    RULES = ["maxdist", "capped:0.5,1,m", "capped:0.5,1,m,exact",
+             "capped:0.3,2,m,exact"]
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_full_scan_of_zeros_is_solved(self, rule):
+        stream = DrawStream(make_rng(0))
+        assert sampling.choose(skd.parse_rule(rule), np.zeros(5), stream) is None
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_nan_among_zeros_is_chosen(self, rule):
+        losses = np.array([0.0, 0.0, np.nan, 0.0])
+        chosen = sampling.choose(skd.parse_rule(rule), losses,
+                                 DrawStream(make_rng(0)))
+        assert chosen[0] == 2 and math.isnan(chosen[1])
+
+    def test_nan_in_a_sample_is_chosen(self):
+        chosen = sampling.choose(skd.greedy(3), np.array([0.0, np.nan, 0.0]),
+                                 DrawStream(make_rng(0)), np.array([1, 4, 6]))
+        assert chosen[0] == 4 and math.isnan(chosen[1])
+
+    def test_all_zero_sample_returns_its_first_index(self):
+        sample = np.array([2, 5, 7])
+        chosen = sampling.choose(skd.greedy(3), np.zeros(3),
+                                 DrawStream(make_rng(0)), sample)
+        assert chosen == (2, 0.0, 0.0, None, 0)
+
+    def test_ties_go_to_the_smallest_index(self):
+        stream = DrawStream(make_rng(0))
+        losses = np.array([0.3, 0.9, 0.1, 0.9, 0.9])
+        assert sampling.choose(skd.max_distance(), losses, stream)[0] == 1
+        sample = np.array([0, 3, 6, 8, 9])
+        assert sampling.choose(skd.greedy(5), losses, stream, sample)[0] == 3
+        # Equal losses admit every index; the pick is floor(u * 5).
+        u = make_rng(1).random()
+        chosen = sampling.choose(skd.capped(exact=True), np.full(5, 0.4),
+                                 DrawStream(make_rng(1)))
+        assert chosen[0] == int(u * 5) and chosen[4] == 5
+
+    @pytest.mark.parametrize("rule", RULES[1:])
+    def test_capped_f_and_threshold(self, rule):
+        parsed = skd.parse_rule(rule)
+        losses = np.random.default_rng(3).exponential(size=40)
+        losses[[4, 17]] = 0.0
+        index, loss, f, thr, count = sampling.choose(
+            parsed, losses, DrawStream(make_rng(5)))
+        assert f == rule_expectation(losses, parsed)
+        assert thr == capped_threshold(losses, parsed)
+        cand = capped_candidates(losses, parsed)
+        assert count == cand.size and index in cand
+        assert loss == losses[index]
+
+    def test_greedy_f_is_the_chosen_loss(self):
+        losses = np.array([0.2, 0.7, 0.5])
+        assert sampling.choose(skd.max_distance(), losses,
+                               DrawStream(make_rng(0))) == (1, 0.7, 0.7, None, 0)
+
+    def test_unknown_rule_type_refused(self):
+        with pytest.raises(InvalidConfigError):
+            sampling.choose(object(), np.ones(3), DrawStream(make_rng(0)))
+        with pytest.raises(InvalidConfigError):
+            sampling.sample_size(object(), 3)
+        with pytest.raises(InvalidConfigError):
+            sampling.sample_size(skd.greedy(4), 3)

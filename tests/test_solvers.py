@@ -10,7 +10,7 @@ from sketchdescent.errors import (
 from sketchdescent.linalg import SpdFactor
 from sketchdescent.solvers import _Recorder, resolve_x0
 
-from conftest import family_on, gaussian_system
+from conftest import consistent, family_on, gaussian_system
 
 
 def steepest_pair(n, seed=0):
@@ -48,7 +48,9 @@ class TestConfig:
     def test_validation_errors(self):
         bad = [dict(omega=0.0), dict(omega=2.0), dict(omega=-0.5),
                dict(gamma=-0.1), dict(tol=-1e-3), dict(max_iters=-1),
-               dict(check_every=0), dict(x0="nowhere")]
+               dict(check_every=0), dict(x0="nowhere"), dict(omega=np.nan),
+               dict(gamma=np.nan), dict(gamma=np.inf), dict(tol=np.nan),
+               dict(tol=np.inf)]
         for kwargs in bad:
             with pytest.raises(InvalidConfigError):
                 skd.SolverConfig(**kwargs).validate()
@@ -95,7 +97,7 @@ class TestResolveX0:
 class TestSketchedSolver:
     def test_single_row_converges_in_one_step(self):
         A = np.array([[3.0, 4.0, 0.0]])
-        system = skd.make_consistent(A, seed=0)
+        system = consistent(A, seed=0)
         fam = skd.SketchFamily("row", system)
         cfg = skd.SolverConfig(x0="zero", check_every=1)
         trace = skd.run_ssd(system, fam, skd.uniform(), cfg)
@@ -290,7 +292,7 @@ class TestMaintainedLinearValues:
 
     @pytest.mark.parametrize("gamma", [0.0, 0.3])
     def test_maintained_values_track_exact_ones(self, monkeypatch, gamma):
-        picker = skd.solvers._vector_picker
+        picker = skd.solvers._picker
         for label, system, fam in maintained_instances():
             seen = []
 
@@ -303,7 +305,7 @@ class TestMaintainedLinearValues:
                     return pick(x, linear)
                 return step
 
-            monkeypatch.setattr(skd.solvers, "_vector_picker", recording)
+            monkeypatch.setattr(skd.solvers, "_picker", recording)
             cfg = skd.SolverConfig(gamma=gamma, tol=0.0, max_iters=300,
                                    check_every=10_000)
             trace = skd.run_ssdm(system, fam, skd.max_distance(), cfg)
@@ -440,6 +442,55 @@ class TestSteepestDescent:
         assert np.linalg.norm(sd.x_final - full.x_final) <= 1e-10
 
 
+def assert_same_run(a, b):
+    """Equal traces, wall times aside."""
+    assert (a.iterations, a.converged) == (b.iterations, b.converged)
+    for name in ("ks", "residuals", "rel_errors", "f_values", "selected",
+                 "x_final"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+class TestStopsBetweenCheckpoints:
+    """A run that can take no further step ends at its last iterate with a
+    checkpoint, whatever check_every is."""
+
+    def test_sd_solved_between_checkpoints(self):
+        # Step 1 solves 2 x = 4 exactly; step 2 finds res' A res = 0.
+        system = skd.LinearSystem(A=np.array([[2.0]]), b=np.array([4.0]),
+                                  x_star=np.array([2.0]))
+        runs = [skd.run_sd(system, skd.SolverConfig(x0="zero", check_every=every))
+                for every in (5, 1)]
+        assert runs[0].converged and runs[0].iterations == 1
+        assert list(runs[0].ks) == [0, 1] and runs[0].final_residual() == 0.0
+        assert_same_run(*runs)
+
+    def test_cg_curvature_underflow_between_checkpoints(self):
+        # After step 1 the search direction is about (1e-200, 1e-100), so
+        # p' A p is about 1e-350 and underflows to 0 at step 2.
+        A = np.diag([1.0, 1e-150])
+        system = skd.LinearSystem(A=A, b=np.array([1.0, 1e-100]),
+                                  x_star=np.array([1.0, 1e50]))
+        runs = [skd.run_cg_momentum(system, skd.SolverConfig(
+            x0="zero", check_every=every)) for every in (5, 1)]
+        assert runs[0].converged and runs[0].iterations == 1
+        assert runs[0].ks[-1] == 1
+        assert_same_run(*runs)
+
+    @pytest.mark.parametrize("run", [skd.run_sd, skd.run_cg_momentum])
+    def test_no_step_taken_counts_no_iteration(self, run):
+        # r' A r = 1e-350 underflows before the first update: the run
+        # reports zero iterations and records x0 once.
+        system = skd.LinearSystem(A=np.array([[1e-150]]),
+                                  b=np.array([1e-100]),
+                                  x_star=np.array([1e50]))
+        for every in (1, 5):
+            trace = run(system, skd.SolverConfig(x0="zero", tol=0.0,
+                                                 check_every=every))
+            assert trace.iterations == 0 and not trace.converged
+            assert list(trace.ks) == [0]
+            assert np.array_equal(trace.x_final, [0.0])
+
+
 class TestConjugateGradients:
     def test_identity_system_one_step(self):
         b = np.array([1.0, 2.0, 3.0])
@@ -449,7 +500,7 @@ class TestConjugateGradients:
 
     def test_two_distinct_eigenvalues_two_steps(self):
         A = np.diag([1.0, 2.0, 2.0, 1.0])
-        system = skd.make_consistent(A, seed=17)
+        system = consistent(A, seed=17)
         cfg = skd.SolverConfig(x0="zero", tol=1e-12)
         trace = skd.run_cg_momentum(system, cfg)
         assert trace.converged and trace.iterations <= 2

@@ -12,11 +12,26 @@ from sketchdescent.sketching import VECTOR_KINDS
 from sketchdescent.solvers import COUNT_KEYS, _Recorder, resolve_x0
 
 from conftest import family_on, gaussian_system
+from dense_reference import reference_choose
+
+
+def reference_pick(rule, q, stream, losses_of, counts):
+    """One selection step: draw the rule's sample (none for a full scan),
+    read losses_of(sample) and choose with reference_choose. Tallies the
+    losses read and the capped candidates."""
+    tau = rule.resolve_tau(q) if isinstance(rule, skd.GreedyRule) else q
+    sample = None if tau == q else stream.sample(q, tau)
+    losses = losses_of(sample)
+    counts["losses_read"] += losses.size
+    chosen = reference_choose(rule, losses, stream, sample)
+    if chosen is not None:
+        counts["candidates"] += chosen[3]
+    return chosen
 
 
 def reference_run(method, system, family, rule, cfg, gamma):
-    """One sketched run, step by step through select, evaluate and
-    apply_update, keeping the maintained linear values the same way the
+    """One sketched run, step by step through reference_choose, evaluate
+    and apply_update, keeping the maintained linear values the same way the
     solver does: a rule reading more than one loss on a family with a
     coupling, no checkpoint every step, c moved by one coupling row per
     step and recomputed exactly at every checkpoint that does not end the
@@ -43,13 +58,16 @@ def reference_run(method, system, family, rule, cfg, gamma):
         counts["full_scans"] += 1
         return family.linear_values(at)
 
-    def select(linear):
-        sel = skd.select(rule, family, x, stream, linear)
-        counts["losses_read"] += sel.losses.size
-        counts["candidates"] += sel.candidates
-        if vector and linear is None and sel.losses.size == q:
-            counts["full_scans"] += 1
-        return sel
+    def select(c):
+        def losses_of(sample):
+            if c is None:
+                if vector and sample is None:
+                    counts["full_scans"] += 1
+                return family.losses(x, sample)
+            if sample is None:
+                return 0.5 * c * c / d
+            return 0.5 * c[sample] * c[sample] / d[sample]
+        return reference_pick(rule, q, stream, losses_of, counts)
 
     res0 = system.residual_norm(x)
     rec.record(0, x, res0, np.nan, -1, cesaro_loss(None, 0))
@@ -70,20 +88,19 @@ def reference_run(method, system, family, rule, cfg, gamma):
     converged = False
     while k < cfg.max_iters:
         k += 1
-        sel = select(c)
-        if sel.index is None and c is not None:
+        chosen = select(c)
+        if chosen is None and c is not None:
             c = exact_scan(x)
-            sel = select(c)
-        if sel.index is None:
+            chosen = select(c)
+        if chosen is None:
             res = system.residual_norm(x)
             converged = res <= cfg.tol
             rec.record(k - 1, x, res, 0.0, last_sel, cesaro_loss(x_sum, k - 1))
             k -= 1
             break
-        assert math.isfinite(sel.chosen_loss)
-        last_sel = sel.index
-        last_f = sel.expected_loss if exact_f else sel.chosen_loss
-        ev = family.evaluate(sel.index, x)
+        last_sel, loss, last_f, _ = chosen
+        assert math.isfinite(loss)
+        ev = family.evaluate(last_sel, x)
         if ev.step is None:
             counts["zero_steps"] += 1
         x_next = skd.apply_update(x, ev, cfg.omega)
@@ -119,8 +136,8 @@ def reference_run(method, system, family, rule, cfg, gamma):
 def eigen_reference_run(method, system, family, rule, cfg, gamma):
     """reference_run for a spectral family with B = G = A, written in the
     eigen-coordinates y = U'x, where the method is coordinate descent on
-    Lambda y = U'b: every step's linear values c = lambda y - U'b go to
-    select as given values, the chosen coordinate moves by
+    Lambda y = U'b: every step's losses are read from the linear values
+    c = lambda y - U'b, the chosen coordinate moves by
     -omega c_i / lambda_i, and x = U y is formed only to record it. No
     linear values are carried between steps."""
     cfg.validate()
@@ -151,21 +168,23 @@ def eigen_reference_run(method, system, family, rule, cfg, gamma):
     converged = False
     while k < cfg.max_iters:
         k += 1
-        sel = skd.select(rule, family, None, stream, lam * y - Utb)
-        counts["losses_read"] += sel.losses.size
-        counts["candidates"] += sel.candidates
-        if sel.losses.size == family.q:
-            counts["full_scans"] += 1
-        if sel.index is None:
+        def losses_of(sample):
+            c = lam * y - Utb
+            if sample is None:
+                counts["full_scans"] += 1
+                return 0.5 * c * c / lam
+            return 0.5 * c[sample] * c[sample] / lam[sample]
+        chosen = reference_pick(rule, family.q, stream, losses_of, counts)
+        if chosen is None:
             k -= 1
             x = U @ y
             res = system.residual_norm(x)
             converged = res <= cfg.tol
             rec.record(k, x, res, 0.0, last_sel, cesaro_loss(y_sum, k))
             break
-        assert math.isfinite(sel.chosen_loss)
-        i = last_sel = sel.index
-        last_f = sel.expected_loss if exact_f else sel.chosen_loss
+        i, loss, last_f, _ = chosen
+        assert math.isfinite(loss)
+        last_sel = i
         ci = lam[i] * y[i] - Utb[i]
         y_next = y.copy()
         if ci == 0.0:
@@ -194,7 +213,7 @@ def loop_instances(kind):
     """Two (family, omega) cases per kind: one where G = B (every step is
     1) and one where it is not, at omega 0.9 (full: G != B at omega 1, and
     G = B at omega 0.9). Block adds a family of one block, which is not a
-    full family and steps through select and evaluate."""
+    full family and picks through the shared picker."""
     if kind == "row":
         # A square SPD system caches a coupling; a tall one does not.
         spd = gaussian_system(20, 10, seed=41, spd=True, metric="system")

@@ -5,7 +5,8 @@
 Run from the root of a checkout: the package is imported from ./src. Each
 line names one configuration and gives its iteration count and one SHA-256
 digest of the trace's iterations, ks, residuals, f_values, selected,
-err_g_sq and x_final bytes. Equal lines on two checkouts mean the two ran
+err_g_sq and x_final bytes, then its four step counts in COUNT_KEYS order
+(losses read, zero steps, full scans, capped candidates). Equal lines on two checkouts mean the two ran
 the same arithmetic, so a change that claims to keep traces is checked by
 diffing this output against its parent's. The list covers the
 sketchbench_grid benchmark instance (500-dim spectral), the
@@ -15,8 +16,8 @@ momentum values, and steepest descent and conjugate gradients. Each
 instance then runs its second rule once with a checkpoint every iteration
 (gamma 0) and once tracking the Cesaro average (gamma 0.3); the Cesaro
 lines also digest cesaro_f and x_cesaro. The last lines cover the block
-and full families, whose steps are the public select, evaluate and
-apply_update calls: blocks of 10 rows of the 300x60 row instance under the
+and full families, whose moves are the public evaluate and apply_update
+calls: blocks of 10 rows of the 300x60 row instance under the
 five rules, and the full sketch of the 120-dim SPD instance with B = A,
 G = I (the steepest descent geometry) at the steepest descent tolerance,
 whose one rule stands in for its second. A block or full run checks every
@@ -49,6 +50,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import sketchdescent as skd  # noqa: E402
 from sketchdescent.problems import loaded_arrays  # noqa: E402
 from sketchdescent.sketching import VECTOR_KINDS  # noqa: E402
+from sketchdescent.solvers import COUNT_KEYS  # noqa: E402
 
 GAMMAS = (0.0, 0.3)
 SMALL_RULES = ("uniform", "greedy:5", "maxdist", "capped:0.5,1,m,exact",
@@ -104,6 +106,8 @@ def digest(trace, cesaro: bool = False) -> str:
         fields += [(trace.cesaro_f, np.float64), (trace.x_cesaro, np.float64)]
     for arr, dtype in fields:
         h.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+    h.update(np.array([trace.counts[key] for key in COUNT_KEYS],
+                      dtype=np.int64).tobytes())
     return h.hexdigest()
 
 
