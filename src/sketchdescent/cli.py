@@ -83,8 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write one averaged series file per grid cell")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--theory", action="store_true",
-                   help="append spectral constants and predicted rates "
-                        "to the meta file")
+                   help="append each dataset's spectral constants, one "
+                        "report per rule, to the meta file")
     return p
 
 

@@ -360,11 +360,12 @@ def _run_sketched(method: str, system: LinearSystem, family: SketchFamily,
             chosen = pick(x, c)
         if chosen is None:
             # Every loss is exactly zero. The run ends there, converged only
-            # if the true residual meets tol: c can round to zero first.
+            # if the true residual meets tol: c can round to zero first. A
+            # k checkpointed already did not meet it and is not recorded twice.
             k -= 1
-            converged = rec.checkpoint(k, to_x(x), tol, f_value=0.0,
-                                       sel_index=last_sel,
-                                       cesaro_f=cesaro_loss(x_sum, k))
+            converged = rec.ks[-1] != k and rec.checkpoint(
+                k, to_x(x), tol, f_value=0.0, sel_index=last_sel,
+                cesaro_f=cesaro_loss(x_sum, k))
             break
         i, loss, last_f, _, candidates = chosen
         counts["candidates"] += candidates

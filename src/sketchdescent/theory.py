@@ -139,83 +139,27 @@ class SpectralReport:
         return "\n".join(lines) + "\n"
 
 
-def _whitened_sum(family: SketchFamily) -> np.ndarray:
-    """Sum of the T_i as a dense symmetric matrix."""
-    sys = family.system
-    n = sys.n
-    if family.kind in VECTOR_KINDS:
-        W = family.w_matrix
-        Z = (W / family.denominators) @ W.T
-    elif family.kind == "block":
-        Z = np.zeros((n, n))
-        for i in range(family.q):
-            Z += family.curvature_matrix(i)
-    else:
-        Z = sys.B_factor.dense()
-    return _whiten(sys, Z)
-
-
 def whitened_operator(family: SketchFamily, i: int) -> np.ndarray:
     """T_i as a dense matrix. Reference/testing use."""
-    return _whiten(family.system, family.curvature_matrix(i))
+    sys = family.system
+    Gih = None if sys.G_factor.is_identity else sys.G_factor.inv_sqrt()
+    return _whiten(family.curvature_matrix(i), Gih)
 
 
-def _whiten(system, Z: np.ndarray) -> np.ndarray:
-    """G^{-1/2} Z G^{-1/2}, symmetrized."""
-    if not system.G_factor.is_identity:
-        Gih = system.G_factor.inv_sqrt()
+def _whiten(Z: np.ndarray, Gih: np.ndarray | None) -> np.ndarray:
+    """G^{-1/2} Z G^{-1/2}, symmetrized; Gih is G^{-1/2}, None when G = I."""
+    if Gih is not None:
         Z = Gih @ Z @ Gih
     return 0.5 * (Z + Z.T)
 
 
-def _index_spectra(family: SketchFamily):
-    """Per-index (eig_max, eig_min_pos, eig_min, rank) arrays, plus each
-    T_i's range basis (None for the rank-one vector kinds) and, for a
-    single matrix sketch (q = 1), T_0's decomposition: T_0 is then the
-    summed operator itself."""
-    sys = family.system
-    n = sys.n
-    q = family.q
-    if family.kind in VECTOR_KINDS:
-        W = family.w_matrix
-        d = family.denominators
-        e = np.einsum("ij,ij->j", W, family.direction_matrix)
-        top = e / d
-        eig_max = top
-        eig_min_pos = top.copy()
-        eig_min = top.copy() if n == 1 else np.zeros(q)
-        rank = np.ones(q, dtype=np.intp)
-        return eig_max, eig_min_pos, eig_min, rank, None, None
-    eig_max = np.empty(q)
-    eig_min_pos = np.empty(q)
-    eig_min = np.empty(q)
-    rank = np.empty(q, dtype=np.intp)
-    bases = []
-    for i in range(q):
-        w, V = sym_eig(whitened_operator(family, i))
-        keep = _positive(w)
-        pos = w[keep]
-        if pos.size == 0:
-            raise InvalidInputError(f"sketch index {i} has a zero operator")
-        eig_max[i] = w[-1]
-        eig_min_pos[i] = pos[0]
-        rank[i] = pos.size
-        eig_min[i] = w[0] if pos.size == n else 0.0
-        bases.append(V[:, keep])
-    return eig_max, eig_min_pos, eig_min, rank, bases, (w, V) if q == 1 else None
+def _operators(family: SketchFamily) -> list:
+    """One pass over a family's operators, made once per public call.
 
-
-def _positive(w: np.ndarray) -> np.ndarray:
-    """Mask of the eigenvalues above the relative rank cutoff."""
-    return w > DEFAULT_EIG_CUTOFF * max(1.0, w[-1])
-
-
-def spectral_report(family: SketchFamily, rule=None,
-                    zero_losses: int = 0) -> SpectralReport:
-    """Compute every spectral constant for a family and a sampling rule.
-
-    rule defaults to uniform sampling. zero_losses feeds the effective
-    divisor in the greedy lower constant; 0 is the safe generic value.
+    Returns [Gih, W, ops, zsum]: G^{-1/2} from one inv_sqrt (None when
+    G = I); for the vector kinds W = A'S, no ops and zsum = W D^{-1} W';
+    for block and full no W, and ops yields each T_i in index order while
+    adding Z_i into zsum, the sum of the Z_i once ops is exhausted.
     """
     sys = family.system
     if sys.n > MAX_THEORY_DIM or sys.m > 10 * MAX_THEORY_DIM:
@@ -223,16 +167,72 @@ def spectral_report(family: SketchFamily, rule=None,
             f"spectral_report is dense-only; {sys.m}x{sys.n} exceeds "
             f"the {MAX_THEORY_DIM} desk-scale limit"
         )
-    eig_max, eig_min_pos, eig_min, rank, bases, only = _index_spectra(family)
-    wT, VT = only if only is not None else sym_eig(_whitened_sum(family))
+    Gih = None if sys.G_factor.is_identity else sys.G_factor.inv_sqrt()
+    if family.kind in VECTOR_KINDS:
+        W = family.w_matrix
+        return [Gih, W, None, (W / family.denominators) @ W.T]
+    zsum = np.zeros((sys.n, sys.n))
+
+    def ops():
+        for i in range(family.q):
+            Z = family.curvature_matrix(i)
+            np.add(zsum, Z, out=zsum)
+            Z = _whiten(Z, Gih)  # T_i; the raw Z_i is freed before its eigh
+            yield Z
+    return [Gih, None, ops(), zsum]
+
+
+def _positive(w: np.ndarray) -> np.ndarray:
+    """Mask of the eigenvalues above the relative rank cutoff."""
+    return w > DEFAULT_EIG_CUTOFF * max(1.0, w[-1])
+
+
+def _report(family: SketchFamily, parts: list) -> SpectralReport:
+    """The family's report, without a rule, from the parts of one
+    _operators pass (ops may be its stream or a list of the same T_i). It
+    empties parts and drops each array after its last use, so one that no
+    caller kept is freed before the summed operator's eigh."""
+    Gih, W, ops, zsum = parts
+    parts.clear()
+    n, q = family.system.n, family.q
+    if ops is None:
+        # Rank-one T_i: the one nonzero eigenvalue is w_i'G^{-1}w_i / d_i.
+        eig_max = (np.einsum("ij,ij->j", W, family.direction_matrix)
+                   / family.denominators)
+        eig_min_pos = eig_max.copy()
+        eig_min = eig_max.copy() if n == 1 else np.zeros(q)
+        rank = np.ones(q, dtype=np.intp)
+        bases = None
+    else:
+        eig_max, eig_min_pos, eig_min = np.empty((3, q))
+        rank = np.empty(q, dtype=np.intp)
+        bases = []
+        for i, T in enumerate(ops):
+            w, V = sym_eig(T)
+            keep = _positive(w)
+            pos = w[keep]
+            if pos.size == 0:
+                raise InvalidInputError(f"sketch index {i} has a zero operator")
+            eig_max[i] = w[-1]
+            eig_min_pos[i] = pos[0]
+            rank[i] = pos.size
+            eig_min[i] = w[0] if pos.size == n else 0.0
+            bases.append(V[:, keep])
+    del W
+    if bases and q == 1:  # one matrix sketch: T_0 is the summed operator
+        wT, VT = w, V
+    else:
+        tsum = _whiten(zsum, Gih)
+        del Gih, zsum
+        wT, VT = sym_eig(tsum)
     keep = _positive(wT)
     posT = wT[keep]
     if posT.size == 0:
         raise InvalidInputError("summed whitened operator is zero")
-    base = SpectralReport(
+    return SpectralReport(
         kind=family.kind,
-        q=family.q,
-        n=sys.n,
+        q=q,
+        n=n,
         eig_max=eig_max,
         eig_min_pos=eig_min_pos,
         eig_min=eig_min,
@@ -251,6 +251,17 @@ def spectral_report(family: SketchFamily, rule=None,
         tsum_basis=VT[:, keep],
         index_bases=bases,
     )
+
+
+def spectral_report(family: SketchFamily, rule=None,
+                    zero_losses: int = 0) -> SpectralReport:
+    """Compute every spectral constant for a family and a sampling rule.
+
+    rule defaults to uniform sampling. zero_losses feeds the effective
+    divisor in the greedy lower constant; 0 is the safe generic value.
+    The T_i are streamed: one n x n operator is held at a time.
+    """
+    base = _report(family, _operators(family))
     return base.with_rule(GreedyRule(1) if rule is None else rule, zero_losses)
 
 
@@ -383,8 +394,9 @@ def momentum_rate(report: SpectralReport, gamma: float, omega: float = 1.0,
     """
     check_omega(omega)
     zeta, xi = float(loss_weight), float(loss_slack)
-    if zeta < 0.0 or xi < 0.0:
-        raise InvalidConfigError("loss_weight and loss_slack must be >= 0")
+    if not (0.0 <= zeta < math.inf and 0.0 <= xi < math.inf):  # refuses NaN
+        raise InvalidConfigError(
+            f"loss_weight and loss_slack must be finite and >= 0, got {zeta}, {xi}")
     if zeta == 0.0 and xi > 0.0:
         raise InvalidConfigError("loss_slack > 0 requires loss_weight > 0")
     if zeta > 0.0 and xi >= zeta * report.mu_lo / report.mu_hi:
@@ -393,10 +405,10 @@ def momentum_rate(report: SpectralReport, gamma: float, omega: float = 1.0,
             f"{zeta * report.mu_lo / report.mu_hi:.6g}, got {xi}"
         )
     floor = max(xi, zeta - 2.0 + omega)
-    if gamma < floor:
+    if not floor <= gamma < math.inf:
         raise InvalidConfigError(
             f"gamma must be >= max(loss_slack, loss_weight - 2 + omega) "
-            f"= {floor:.6g}, got {gamma}"
+            f"= {floor:.6g} and finite, got {gamma}"
         )
     coef_cur = (1.0 + 3.0 * gamma + 2.0 * gamma * gamma
                 - ((gamma + 2.0 - omega - zeta) * omega / report.mu_hi)
@@ -434,8 +446,8 @@ def momentum_cesaro_admissible(report: SpectralReport, gamma: float,
                                omega: float) -> bool:
     """Parameter test for the averaged-iterate momentum bound."""
     check_omega(omega)
-    if gamma < 0.0:
-        raise InvalidConfigError(f"gamma must be >= 0, got {gamma}")
+    if not 0.0 <= gamma < math.inf:
+        raise InvalidConfigError(f"gamma must be finite and >= 0, got {gamma}")
     return (omega / report.mu_hi
             + gamma * (1.0 + report.mu_hi / report.mu_lo)) < 2.0
 
@@ -471,11 +483,36 @@ def cesaro_bound(report: SpectralReport, gamma: float, omega: float,
 
 @dataclass
 class CheckResult:
+    """Worst relative violation of one inequality. update records each
+    check while verify_inequalities runs; finish then sets passed."""
+
     name: str
-    checked: int
-    worst: float
-    passed: bool
+    checked: int = 0
+    worst: float = -np.inf
+    passed: bool = False
     where: tuple | None = None
+
+    def update(self, where, *chain) -> None:
+        """Record violations of chain[0] <= chain[1] <= ..., pair by pair
+        (arrays or scalars)."""
+        for lhs, rhs in zip(chain, chain[1:]):
+            lhs = np.atleast_1d(np.asarray(lhs, dtype=np.float64))
+            rhs = np.atleast_1d(np.asarray(rhs, dtype=np.float64))
+            scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+            v = (lhs - rhs) / scale
+            self.checked += v.size
+            j = int(np.argmax(v))
+            if v[j] > self.worst:
+                self.worst = float(v[j])
+                self.where = (where, j) if v.size > 1 else (where,)
+
+    def finish(self, rtol: float) -> "CheckResult":
+        """Pass when something was checked and no violation exceeds rtol;
+        worst reads 0 when nothing was checked."""
+        self.passed = self.checked > 0 and self.worst <= rtol
+        if not np.isfinite(self.worst):
+            self.worst = 0.0
+        return self
 
 
 @dataclass
@@ -502,32 +539,16 @@ class InequalityReport:
         return "\n".join(lines) + "\n"
 
 
-class _Tracker:
-    """Accumulates the worst relative violation of one inequality."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self.checked = 0
-        self.worst = -np.inf
-        self.where = None
-
-    def update(self, lhs, rhs, where) -> None:
-        """Record violations of lhs <= rhs (arrays or scalars)."""
-        lhs = np.atleast_1d(np.asarray(lhs, dtype=np.float64))
-        rhs = np.atleast_1d(np.asarray(rhs, dtype=np.float64))
-        scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-        v = (lhs - rhs) / scale
-        self.checked += v.size
-        j = int(np.argmax(v))
-        if v[j] > self.worst:
-            self.worst = float(v[j])
-            self.where = (where, j) if v.size > 1 else (where,)
-
-    def result(self, rtol: float) -> CheckResult:
-        passed = self.checked > 0 and self.worst <= rtol
-        return CheckResult(self.name, self.checked,
-                           self.worst if np.isfinite(self.worst) else 0.0,
-                           passed, self.where)
+# verify_inequalities' checks, in report order; the two pd_ checks are
+# reported only when every T_i is positive definite.
+_CHECKS = (
+    "quad2_within_eig_bounds_of_quad1", "quad3_within_eig_bounds_of_quad2",
+    "rayleigh_bounds_on_operator_range", "step_within_inverse_eig_brackets",
+    "step_matches_quadratic_ratio", "fast_loss_matches_whitened_quadratic",
+    "product_ratio_at_least_one", "product_ratio_gap_bound",
+    "pd_cross_ratio_bound", "pd_product_ratio_bound",
+    "constant_chain_consistency",
+)
 
 
 def verify_inequalities(family: SketchFamily, rules=None, trials: int = 1000,
@@ -551,17 +572,17 @@ def verify_inequalities(family: SketchFamily, rules=None, trials: int = 1000,
     a violation above rtol marks the entry failed.
     """
     sys = family.system
-    if sys.n > MAX_THEORY_DIM:
-        raise SizeLimitError(f"n={sys.n} exceeds the desk-scale limit")
     if trials < 1:
         raise InvalidInputError("trials must be >= 1")
-    report = spectral_report(family)
+    parts = _operators(family)
+    if parts[2] is not None:
+        parts[2] = list(parts[2])  # the trials reuse every T_i
+    Gih, W, T_list = parts[:3]
+    report = _report(family, parts)
     if rules is None:
-        rules = [GreedyRule(1)]
-        if family.q >= 2:
-            rules.append(GreedyRule(2))
-            rules.append(GreedyRule(None))
-            rules.append(CappedRule(0.5, 1, None, exact=True))
+        rules = [GreedyRule(1)] + ([
+            GreedyRule(2), GreedyRule(None), CappedRule(0.5, 1, None, exact=True)
+        ] if family.q >= 2 else [])
     for rule in rules:
         if isinstance(rule, CappedRule) and not rule.exact:
             raise InvalidConfigError(
@@ -571,140 +592,96 @@ def verify_inequalities(family: SketchFamily, rules=None, trials: int = 1000,
 
     rng = make_rng(seed)
     x_star, _ = resolve_x_star(sys, np.zeros(sys.n))
-    Gih = None if sys.G_factor.is_identity else sys.G_factor.inv_sqrt()
     Q = report.tsum_basis
+    lo, hi, mu_lo, mu_hi = (report.eig_min_pos, report.eig_max,
+                            report.mu_lo, report.mu_hi)
+    table = [CheckResult(name) for name in _CHECKS]
+    (quad21, quad32, rayleigh, step, step_ratio, loss, prod_lo, prod_hi,
+     pd_cross, pd_prod, chain) = table
+    sandwich = {r.label: CheckResult(f"expected_loss_sandwich[{r.label}]")
+                for r in rules}
 
-    vector = family.kind in VECTOR_KINDS
-    if vector:
-        W = family.w_matrix
-        d = family.denominators
-        V = W if Gih is None else Gih @ W
-        e = report.eig_max * d  # ||v_i||^2
-        steps = d / e
-    else:
-        T_list = [whitened_operator(family, i) for i in range(family.q)]
-        proj_bases = report.index_bases
-
-    out = InequalityReport(trials=trials, rtol=rtol)
-    t_quad21 = _Tracker("quad2_within_eig_bounds_of_quad1")
-    t_quad32 = _Tracker("quad3_within_eig_bounds_of_quad2")
-    t_rayleigh = _Tracker("rayleigh_bounds_on_operator_range")
-    t_step = _Tracker("step_within_inverse_eig_brackets")
-    t_step_ratio = _Tracker("step_matches_quadratic_ratio")
-    t_loss = _Tracker("fast_loss_matches_whitened_quadratic")
-    t_prod_lo = _Tracker("product_ratio_at_least_one")
-    t_prod_hi = _Tracker("product_ratio_gap_bound")
-    t_pd_cross = _Tracker("pd_cross_ratio_bound")
-    t_pd_prod = _Tracker("pd_product_ratio_bound")
-    t_chain = _Tracker("constant_chain_consistency")
-    rule_trackers = {r.label: _Tracker(f"expected_loss_sandwich[{r.label}]")
-                     for r in rules}
+    def lift(v):
+        """G^{-1/2} v: a whitened error as x - x*."""
+        return v if Gih is None else Gih @ v
 
     # Index-constant parts of the chains, checked once.
-    gap_mid = (report.eig_max - report.eig_min) ** 2 / (4.0 * report.eig_min_pos ** 2)
-    t_chain.update(1.0 + gap_mid, 1.0 + report.cond ** 2 / 4.0, "setup")
-    t_chain.update(report.mu_lo, report.eig_min_pos, "setup")
-    t_chain.update(report.eig_max, report.mu_hi, "setup")
+    gap_mid = (hi - report.eig_min) ** 2 / (4.0 * lo ** 2)
+    chain.update("setup", 1.0 + gap_mid, 1.0 + report.cond ** 2 / 4.0)
+    chain.update("setup", mu_lo, lo)
+    chain.update("setup", hi, mu_hi)
+    vector = T_list is None
     if vector:
+        d = family.denominators
+        V = lift(W)
+        e = hi * d  # ||v_i||^2
+        steps = d / e
         # The exact step never depends on x for rank-one sketches.
-        t_step.update(1.0 / report.mu_hi, 1.0 / report.eig_max, "setup")
-        t_step.update(1.0 / report.eig_max, steps, "setup")
-        t_step.update(steps, 1.0 / report.eig_min_pos, "setup")
-        t_step.update(1.0 / report.eig_min_pos, 1.0 / report.mu_lo, "setup")
-        probe = x_star + (Q[:, 0] if Gih is None else Gih @ Q[:, 0])
+        step.update("setup", 1.0 / mu_hi, 1.0 / hi, steps, 1.0 / lo, 1.0 / mu_lo)
+        probe = x_star + lift(Q[:, 0])
         for i in range(min(family.q, 8)):
             ev = family.evaluate(i, probe)
             if ev.step is not None:
-                t_step_ratio.update(ev.step, steps[i], "setup")
-                t_step_ratio.update(steps[i], ev.step, "setup")
+                step_ratio.update("setup", ev.step, steps[i], ev.step)
 
     tiny = 1e-140
     for t in range(trials):
         r = Q @ standard_normal(rng, Q.shape[1])
         rr = float(r @ r)
-        x = x_star + (r if Gih is None else Gih @ r)
+        x = x_star + lift(r)
         losses = family.losses(x)
         zeros = int(np.count_nonzero(losses == 0.0))
 
         if vector:
             p = V.T @ r
             q1 = p * p / d
-            g = report.eig_max
-            q2 = q1 * g
-            q3 = q2 * g
+            q2 = q1 * hi
+            q3 = q2 * hi
+            rp_sq = p * p / e
+            rayleigh.update(t, lo * rp_sq, q1, hi * rp_sq)
         else:
-            q1 = np.empty(family.q)
-            q2 = np.empty(family.q)
-            q3 = np.empty(family.q)
+            q1, q2, q3 = np.empty((3, family.q))
             for i, T in enumerate(T_list):
                 Tr = T @ r
                 q1[i] = float(r @ Tr)
                 q2[i] = float(Tr @ Tr)
                 q3[i] = float(Tr @ (T @ Tr))
-
-        t_quad21.update(report.eig_min_pos * q1, q2, t)
-        t_quad21.update(q2, report.eig_max * q1, t)
-        t_quad32.update(report.eig_min_pos * q2, q3, t)
-        t_quad32.update(q3, report.eig_max * q2, t)
-        t_loss.update(losses, 0.5 * q1, t)
-        t_loss.update(0.5 * q1, losses, t)
-
-        if vector:
-            rp_sq = p * p / e
-            t_rayleigh.update(report.eig_min_pos * rp_sq, q1, t)
-            t_rayleigh.update(q1, report.eig_max * rp_sq, t)
-        else:
-            for i, T in enumerate(T_list):
-                rp = proj_bases[i] @ (proj_bases[i].T @ r)
+                basis = report.index_bases[i]
+                rp = basis @ (basis.T @ r)
                 rp_sq = float(rp @ rp)
-                val = float(rp @ (T @ rp))
-                t_rayleigh.update(report.eig_min_pos[i] * rp_sq, val, (t, i))
-                t_rayleigh.update(val, report.eig_max[i] * rp_sq, (t, i))
-            for i in range(family.q):
-                ev = family.evaluate(i, x)
-                if ev.step is None:
+                rayleigh.update((t, i), lo[i] * rp_sq, float(rp @ (T @ rp)),
+                                hi[i] * rp_sq)
+                s = family.evaluate(i, x).step
+                if s is None:
                     continue
-                t_step.update(1.0 / report.mu_hi, 1.0 / report.eig_max[i], (t, i))
-                t_step.update(1.0 / report.eig_max[i], ev.step, (t, i))
-                t_step.update(ev.step, 1.0 / report.eig_min_pos[i], (t, i))
-                t_step.update(1.0 / report.eig_min_pos[i], 1.0 / report.mu_lo, (t, i))
+                step.update((t, i), 1.0 / mu_hi, 1.0 / hi[i], s,
+                            1.0 / lo[i], 1.0 / mu_lo)
                 if q3[i] > tiny:
-                    t_step_ratio.update(ev.step, q2[i] / q3[i], (t, i))
-                    t_step_ratio.update(q2[i] / q3[i], ev.step, (t, i))
+                    step_ratio.update((t, i), s, q2[i] / q3[i], s)
 
+        quad21.update(t, lo * q1, q2, hi * q1)
+        quad32.update(t, lo * q2, q3, hi * q2)
+        loss.update(t, losses, 0.5 * q1, losses)
         mask = (q1 > tiny) & (q2 > tiny) & (q3 > tiny)
         if np.any(mask):
             ratio = q1[mask] * q3[mask] / (q2[mask] * q2[mask])
-            t_prod_lo.update(1.0, ratio, t)
-            t_prod_hi.update(ratio, 1.0 + gap_mid[mask], t)
+            prod_lo.update(t, 1.0, ratio)
+            prod_hi.update(t, ratio, 1.0 + gap_mid[mask])
             if report.all_pd:
                 cross = rr * q3[mask] / (q1[mask] * q2[mask])
-                kanto = ((report.eig_max[mask] + report.eig_min[mask]) ** 2
-                         / (4.0 * report.eig_max[mask] * report.eig_min[mask]))
-                t_pd_cross.update(cross, kanto, t)
-                t_pd_prod.update(ratio, kanto, t)
+                kanto = ((hi[mask] + report.eig_min[mask]) ** 2
+                         / (4.0 * hi[mask] * report.eig_min[mask]))
+                pd_cross.update(t, cross, kanto)
+                pd_prod.update(t, ratio, kanto)
 
         for rule in rules:
             lam_lo, lam_hi = sandwich_constants(
-                report.tsum_eig_min_pos, report.tsum_eig_max, report.mu_hi,
+                report.tsum_eig_min_pos, report.tsum_eig_max, mu_hi,
                 family.q, rule, zeros)
             exp_loss = rule_expectation(losses, rule)
-            tr = rule_trackers[rule.label]
-            tr.update(lam_lo * rr, 2.0 * exp_loss, t)
-            tr.update(2.0 * exp_loss, lam_hi * rr, t)
+            sandwich[rule.label].update(t, lam_lo * rr, 2.0 * exp_loss,
+                                        lam_hi * rr)
 
-    out.entries.append(t_quad21.result(rtol))
-    out.entries.append(t_quad32.result(rtol))
-    out.entries.append(t_rayleigh.result(rtol))
-    out.entries.append(t_step.result(rtol))
-    out.entries.append(t_step_ratio.result(rtol))
-    out.entries.append(t_loss.result(rtol))
-    out.entries.append(t_prod_lo.result(rtol))
-    out.entries.append(t_prod_hi.result(rtol))
-    if report.all_pd:
-        out.entries.append(t_pd_cross.result(rtol))
-        out.entries.append(t_pd_prod.result(rtol))
-    out.entries.append(t_chain.result(rtol))
-    for tr in rule_trackers.values():
-        out.entries.append(tr.result(rtol))
-    return out
+    checks = [c for c in table if report.all_pd or not c.name.startswith("pd_")]
+    checks += sandwich.values()
+    return InequalityReport(trials, rtol, [c.finish(rtol) for c in checks])

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import math
@@ -11,6 +12,7 @@ from sketchdescent.errors import (
     InvalidInputError,
     SizeLimitError,
 )
+from sketchdescent.linalg import SpdFactor
 from sketchdescent.sampling import rule_expectation
 from sketchdescent import theory
 from sketchdescent.theory import sandwich_constants
@@ -282,6 +284,20 @@ class TestMomentumRate:
         with pytest.raises(InvalidConfigError, match="omega"):
             skd.momentum_rate(rep, 0.1, omega=2.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_refused(self, bad):
+        _, fam = family_on("row", 8, 4, seed=13)
+        rep = skd.spectral_report(fam)
+        for kwargs in ({"gamma": bad},
+                       {"gamma": 0.1, "loss_weight": bad},
+                       {"gamma": 0.1, "loss_weight": 0.2, "loss_slack": bad}):
+            with pytest.raises(InvalidConfigError):
+                skd.momentum_rate(rep, **kwargs)
+        with pytest.raises(InvalidConfigError, match="finite"):
+            skd.momentum_cesaro_admissible(rep, bad, 1.0)
+        with pytest.raises(InvalidConfigError):
+            skd.cesaro_bound(rep, bad, 1.0, 1, 1.0, 1.0)
+
     def test_lyapunov_assembly(self):
         _, fam = family_on("row", 8, 4, seed=14)
         rep = skd.spectral_report(fam)
@@ -442,12 +458,39 @@ class TestSharedSpectra:
         before = kernel_counts["eigh"]
         report = skd.spectral_report(fam)
         assert kernel_counts["eigh"] - before == 2
-        w, V = np.linalg.eigh(theory._whitened_sum(fam))
+        w, V = np.linalg.eigh(skd.whitened_operator(fam, 0))
         keep = theory._positive(w)
         assert report.tsum_eig_max == w[-1]
         assert report.tsum_eig_min_pos == w[keep][0]
         assert report.tsum_rank == int(keep.sum())
         assert np.array_equal(report.tsum_basis, V[:, keep])
+
+
+    def test_each_operator_built_once_per_call(self, monkeypatch):
+        # Seven blocks under B = G = A'A: each public call builds each Z_i
+        # once, takes G^{-1/2} once and whitens each Z_i and their sum once.
+        system = gaussian_system(28, 10, seed=114, metric="normal")
+        fam = skd.SketchFamily("block", system, block_size=4)
+        assert fam.q == 7
+        calls = collections.Counter()
+
+        def spy(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+
+        spy(skd.SketchFamily, "curvature_matrix")
+        spy(SpdFactor, "inv_sqrt")
+        spy(theory, "_whiten")
+        report = skd.verify_inequalities(fam, trials=5, seed=1)
+        assert report.all_passed, report.to_text()
+        assert calls == {"curvature_matrix": 7, "inv_sqrt": 1, "_whiten": 8}
+        calls.clear()
+        skd.spectral_report(fam)
+        assert calls == {"curvature_matrix": 7, "inv_sqrt": 1, "_whiten": 8}
 
 
 class TestEnumeratedSandwich:

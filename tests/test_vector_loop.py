@@ -35,7 +35,8 @@ def reference_run(method, system, family, rule, cfg, gamma):
     solver does: a rule reading more than one loss on a family with a
     coupling, no checkpoint every step, c moved by one coupling row per
     step and recomputed exactly at every checkpoint that does not end the
-    run and before a run ends because every maintained loss is zero.
+    run and before a run ends because every maintained loss is zero. That
+    end is recorded unless its k is checkpointed already.
     Returns the trace and the counts the run should have recorded."""
     cfg.validate()
     x = resolve_x0(cfg.x0, system)
@@ -93,10 +94,11 @@ def reference_run(method, system, family, rule, cfg, gamma):
             c = exact_scan(x)
             chosen = select(c)
         if chosen is None:
-            res = system.residual_norm(x)
-            converged = res <= cfg.tol
-            rec.record(k - 1, x, res, 0.0, last_sel, cesaro_loss(x_sum, k - 1))
             k -= 1
+            if rec.ks[-1] != k:
+                res = system.residual_norm(x)
+                converged = res <= cfg.tol
+                rec.record(k, x, res, 0.0, last_sel, cesaro_loss(x_sum, k))
             break
         last_sel, loss, last_f, _ = chosen
         assert math.isfinite(loss)
@@ -177,10 +179,11 @@ def eigen_reference_run(method, system, family, rule, cfg, gamma):
         chosen = reference_pick(rule, family.q, stream, losses_of, counts)
         if chosen is None:
             k -= 1
-            x = U @ y
-            res = system.residual_norm(x)
-            converged = res <= cfg.tol
-            rec.record(k, x, res, 0.0, last_sel, cesaro_loss(y_sum, k))
+            if rec.ks[-1] != k:
+                x = U @ y
+                res = system.residual_norm(x)
+                converged = res <= cfg.tol
+                rec.record(k, x, res, 0.0, last_sel, cesaro_loss(y_sum, k))
             break
         i, loss, last_f, _ = chosen
         assert math.isfinite(loss)
@@ -433,6 +436,19 @@ class TestEigenCoordinates:
             assert trace.selected[k] == sel.index
             assert np.linalg.norm(trace.x_final - x) <= allowance
         assert sorted(trace.selected[1:]) == list(range(n))
+
+    @pytest.mark.parametrize("rule", ["maxdist", "capped:0.5,1,m,exact"])
+    def test_all_zero_stop_after_a_checkpoint_adds_no_row(self, rule):
+        # With a checkpoint every step, the all-zero stop falls on a k that
+        # is recorded already: the trace keeps one row for it.
+        system = gaussian_system(60, 20, seed=1, spd=True, metric="system")
+        fam = skd.SketchFamily("spectral", system)
+        cfg = skd.SolverConfig(tol=1e-14, check_every=1)
+        trace = skd.run_ssd(system, fam, skd.parse_rule(rule), cfg)
+        assert np.all(np.diff(trace.ks) > 0)
+        assert trace.ks[-1] == trace.iterations
+        assert trace.final_residual() == system.residual_norm(trace.x_final)
+        assert not trace.converged
 
     @pytest.mark.parametrize("rule", ["maxdist", "capped:0.5,1,m,exact"])
     def test_all_zero_stop_reports_the_true_residual(self, rule):

@@ -29,6 +29,13 @@ linear values through the coupling, under the five small rules plus the
 two extra runs. --seed sets every solver seed. BLAS is pinned to one
 thread, as in the benchmark, so the digests do not depend on the core
 count.
+
+After the trace lines come the theory lines: for every instance above,
+plus blocks of 10 rows of the 300x60 row instance under B = G = A'A
+(a weighted G^{-1/2} on a block family), the SHA-256 of
+spectral_report(family, rule).to_text() for each rule the instance runs,
+then of verify_inequalities(family, trials=100, seed=--seed).to_text().
+The whole script takes about 20 s on one core.
 """
 
 from __future__ import annotations
@@ -96,6 +103,22 @@ def instances():
     yield "spectral-id", skd.SketchFamily("spectral", spd), SMALL_RULES, {}
 
 
+def theory_texts(insts, seed: int):
+    """(label, text) of each instance's spectral reports and inequality
+    checks."""
+    rows = skd.generate(skd.GenSpec("gaussian", 300, 60, seed=2))
+    AtA = rows.A.T @ rows.A
+    weighted = skd.SketchFamily("block", with_metric(rows, 0.5 * (AtA + AtA.T)),
+                                block_size=10)
+    for name, family, rules in insts + [("block-normal", weighted, SMALL_RULES)]:
+        label = f"{name}/{family.kind}"
+        for text in rules:
+            report = skd.spectral_report(family, skd.parse_rule(text))
+            yield f"{label} theory {text}", report.to_text()
+        checks = skd.verify_inequalities(family, trials=100, seed=seed)
+        yield f"{label} verify", checks.to_text()
+
+
 def digest(trace, cesaro: bool = False) -> str:
     h = hashlib.sha256()
     h.update(np.int64(trace.iterations).tobytes())
@@ -125,7 +148,9 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--seed", type=int, default=0)
     seed = p.parse_args(argv).seed
+    insts = []
     for name, family, rules, opts in instances():
+        insts.append((name, family, rules))
         system, kind = family.system, family.kind
         for text in rules:
             for gamma in GAMMAS:
@@ -151,6 +176,9 @@ def main(argv=None) -> int:
                 label = f"{name}/{method}"
                 print(f"{label:<48} {trace.iterations:>7} {digest(trace)}",
                       flush=True)
+    for label, text in theory_texts(insts, seed):
+        print(f"{label:<56} {hashlib.sha256(text.encode()).hexdigest()}",
+              flush=True)
     return 0
 
 
