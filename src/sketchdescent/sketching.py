@@ -286,10 +286,11 @@ class SketchFamily:
         loss = 0.5 * max(float(u @ Bu), 0.0)  # clamped as B_factor.quad is
         if loss == 0.0:
             return SketchEval(i, 0.0, np.zeros(sys.n), None)
-        direction = self._Gf.solve(Bu)
-        if self.g_equals_b:
+        if self.g_equals_b:  # G^{-1} B u is u itself
+            direction = u
             step = 1.0
         else:
+            direction = self._Gf.solve(Bu)
             num = float(Bu @ direction)
             den = float(direction @ sys.B_factor.apply(direction))
             step = num / den

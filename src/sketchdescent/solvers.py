@@ -11,9 +11,10 @@ two steps bound once per run:
   sampling.choose, the one code that takes the argmax, tests for all
   zeros and makes the capped pick; sampling.select does the same through
   it. A vector family's (row, lsqcol, spectral) losses are
-  0.5 c_s^2 / d_s, read from c when it is kept; a block family's come
-  from SketchFamily.losses. A full family's one sketch is picked by every
-  rule, so its pick reads the loss from evaluate.
+  0.5 c_s^2 / d_s, read from c when it is kept, or kept themselves on a
+  diagonal run (below); a block family's come from SketchFamily.losses.
+  A full family's one sketch is picked by every rule, so its pick reads
+  the loss from evaluate.
 - move(x, i) returns the next iterate and the step t taken along D[:, i].
   For the vector kinds it is SketchFamily.evaluate and apply_update spelled
   out: the chosen index's exact c_i from one dot, then
@@ -22,11 +23,16 @@ two steps bound once per run:
   apply_update.
 
 A diagonal family (spectral with B = G = A, see the sketching module) runs
-the same loop after a change of variables: x holds y = U'x, pick reads
-c = lambda y - U'b elementwise (O(tau) for a sample, no product), move
-writes the one coordinate y_i -= omega c_i / lambda_i, heavy ball is
-y + gamma (y - y_prev), and no c is kept. x = U y is formed only at
-checkpoints, at the all-zero stop, for the Cesaro loss and at the end.
+the same loop after a change of variables: x holds y = U'x and move writes
+the one coordinate y_i -= omega c_i / lambda_i, c = lambda y - U'b.
+Without momentum a step changes loss i alone, so the run keeps its losses
+L = 0.5 c c / lambda, built by one scan: pick reads L, or L_s for a
+sample, as it is, and move rewrites L_i from the new y_i in the scan's
+expression order, so L equals a fresh scan bit for bit and is never
+recomputed. Heavy ball, y + gamma (y - y_prev), moves every coordinate, so
+its pick reads c elementwise every step (O(tau) for a sample, no product)
+and nothing is kept. x = U y is formed only at checkpoints, at the
+all-zero stop, for the Cesaro loss and at the end.
 
 The loop is tested against a step-by-step run through the public
 evaluate and apply_update, with a selection written apart from choose.
@@ -40,11 +46,14 @@ instead of held fixed.
 Residuals, errors and wall times are recorded at checkpoints, where every
 solver also checks that the iterate is finite and runs the stopping test
 ||A x - b|| <= tol, all in _Recorder.checkpoint. Vector families
-default to a checkpoint every 100 iterations so the O(m n) residual never
-dominates the O(n) iteration; everything else checks every iteration.
-A run that stops between checkpoints because it can take no further step
-(every loss zero, or no curvature left along the steepest descent or CG
-direction) records its last iterate there.
+default to a checkpoint every 100 iterations, which spreads its O(m n)
+products over 100 O(n) iterations; everything else checks every
+iteration. A diagonal step costs far less than O(n), so there the
+checkpoints (U y, the residual, the B-norm error: three n x n products
+each) take about as long as the steps between them. A run that stops
+between checkpoints because it can take no further step (every loss
+zero, or no curvature left along the steepest descent or CG direction)
+records its last iterate there.
 
 A rule that reads more than one loss per iteration (greedy tau > 1, max
 distance, capped) on a family that caches its coupling K' keeps the q
@@ -138,8 +147,10 @@ class IterationTrace:
     counts tallies what a sketched run's steps did: losses_read, the index
     losses its selections evaluated; zero_steps, the steps whose exact
     linear value (or loss) was zero, so the update was skipped; full_scans,
-    the exact recomputes of all q linear values; candidates, the capped
-    candidate-set sizes, summed. Every count is 0 for sd and cg.
+    the exact scans of all q linear values (per full-scan pick, or at the
+    start and checkpoints where c is maintained; a diagonal run without
+    momentum makes one, which builds the losses it keeps); candidates, the
+    capped candidate-set sizes, summed. Every count is 0 for sd and cg.
     """
 
     method: str
@@ -331,8 +342,15 @@ def _run_sketched(method: str, system: LinearSystem, family: SketchFamily,
     if family.kind == "full":
         pick, move = _full_step(family, cfg.omega, counts, exact_f)
     else:
-        pick = _picker(rule, family, tau, stream, counts)
-        move = _mover(family, cfg.omega, counts, in_place=not heavy)
+        # Kept losses (module notes). A checkpoint-time correction of U'b
+        # would change every c_i, so it would have to rebuild them.
+        losses = None
+        if family.diagonal and not heavy:
+            counts["full_scans"] += 1
+            c0 = family.eigen_linear_values(x)
+            losses = 0.5 * c0 * c0 / family.denominators
+        pick = _picker(rule, family, tau, stream, counts, losses)
+        move = _mover(family, cfg.omega, counts, losses)
     linear_values = family.linear_values
     # Maintain c only where it saves work: a rule reading one loss pays no
     # scan, and a checkpoint every step recomputes c anyway. Block, full and
@@ -404,16 +422,25 @@ def _run_sketched(method: str, system: LinearSystem, family: SketchFamily,
 
 
 def _picker(rule, family: SketchFamily, tau: int, stream: DrawStream,
-            counts: dict):
+            counts: dict, losses: np.ndarray | None):
     """One run's selection step on a vector or block family, bound once.
 
     pick(x, c) draws a sample of tau (none when tau is q) and returns what
-    choose makes of its losses. A vector family's are 0.5 c_s^2 / d_s, read
-    from the kept linear values c, or when c is None from exact ones (in
-    y = U'x for a diagonal family); a block family's are family.losses.
+    choose makes of its losses: the run's kept losses when given, as they
+    are. Otherwise a vector family's are 0.5 c_s^2 / d_s, read from the
+    kept linear values c, or when c is None from exact ones (in y = U'x
+    for a diagonal family); a block family's are family.losses.
     """
     q = family.q
     sample = stream.sample if tau < q else None
+    if losses is not None:
+        def pick(y, c):
+            counts["losses_read"] += tau
+            if sample is None:
+                return choose(rule, losses, stream)
+            s = sample(q, tau)
+            return choose(rule, losses[s], stream, s)
+        return pick
     if family.kind == "block":
         def pick(x, c):
             counts["losses_read"] += tau
@@ -438,7 +465,7 @@ def _picker(rule, family: SketchFamily, tau: int, stream: DrawStream,
 
 
 def _mover(family: SketchFamily, omega: float, counts: dict,
-           in_place: bool):
+           losses: np.ndarray | None):
     """One run's update step on a vector or block family, bound once.
 
     Returns move(x, i) -> (x_next, t). On a vector family it is the
@@ -446,9 +473,11 @@ def _mover(family: SketchFamily, omega: float, counts: dict,
     x - (omega step) ((c_i / d_i) D[:, i]), with c_i exact, and t is the
     length of the step along D[:, i] that moves the linear values by
     -t K'[i], or None when c_i = 0 and x stays. On a diagonal family x is
-    y = U'x, D[:, i] is e_i there and the step writes y_i alone, into y
-    itself when in_place. A block family, which has no scalar c_i, calls
-    evaluate and apply_update. t is None wherever no c is kept.
+    y = U'x, D[:, i] is e_i there and the step writes y_i alone: into y
+    itself, then losses[i] from the new y_i as a scan forms it, when the
+    run keeps its losses; into a copy (heavy ball) when not. A block
+    family, which has no scalar c_i, calls evaluate and apply_update. t is
+    None wherever no c is kept.
     """
     if family.kind == "block":
         def move(x, i):
@@ -466,9 +495,13 @@ def _mover(family: SketchFamily, omega: float, counts: dict,
             if ci == 0.0:
                 counts["zero_steps"] += 1
                 return y, None
-            y_next = y if in_place else y.copy()
-            y_next[i] -= omega * (ci / d[i])
-            return y_next, None
+            if losses is None:
+                y = y.copy()
+            y[i] -= omega * (ci / d[i])
+            if losses is not None:
+                c = linear_values(y, i)
+                losses[i] = 0.5 * c * c / d[i]
+            return y, None
         return move
     linear_values = family.linear_values
     dirs = family.direction_matrix

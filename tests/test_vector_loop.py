@@ -141,7 +141,10 @@ def eigen_reference_run(method, system, family, rule, cfg, gamma):
     Lambda y = U'b: every step's losses are read from the linear values
     c = lambda y - U'b, the chosen coordinate moves by
     -omega c_i / lambda_i, and x = U y is formed only to record it. No
-    linear values are carried between steps."""
+    linear values or losses are carried between steps, so the run shares
+    nothing with the solver's kept losses; only its full_scans tally
+    follows the solver: one build scan at gamma = 0, else one per full
+    scan."""
     cfg.validate()
     x0 = resolve_x0(cfg.x0, system)
     stream = DrawStream(skd.make_rng(cfg.seed))
@@ -162,6 +165,8 @@ def eigen_reference_run(method, system, family, rule, cfg, gamma):
     rec.record(0, x0, res0, np.nan, -1)
     if res0 <= cfg.tol:
         return rec.finish(0, True, x0, x0.copy() if cfg.track_cesaro else None), counts
+    if gamma == 0.0:
+        counts["full_scans"] += 1  # the solver's one build scan
     y = U.T @ x0
     y_prev = y.copy()
     y_sum = np.zeros_like(y)
@@ -173,7 +178,8 @@ def eigen_reference_run(method, system, family, rule, cfg, gamma):
         def losses_of(sample):
             c = lam * y - Utb
             if sample is None:
-                counts["full_scans"] += 1
+                if gamma != 0.0:
+                    counts["full_scans"] += 1
                 return 0.5 * c * c / lam
             return 0.5 * c[sample] * c[sample] / lam[sample]
         chosen = reference_pick(rule, family.q, stream, losses_of, counts)
@@ -216,7 +222,9 @@ def loop_instances(kind):
     """Two (family, omega) cases per kind: one where G = B (every step is
     1) and one where it is not, at omega 0.9 (full: G != B at omega 1, and
     G = B at omega 0.9). Block adds a family of one block, which is not a
-    full family and picks through the shared picker."""
+    full family and picks through the shared picker. Spectral adds its
+    B = G = A family at omega 0.9, where a step leaves a tenth of c_i, so
+    a wrong rewrite of the solver's kept loss would change the picks."""
     if kind == "row":
         # A square SPD system caches a coupling; a tall one does not.
         spd = gaussian_system(20, 10, seed=41, spd=True, metric="system")
@@ -233,6 +241,7 @@ def loop_instances(kind):
     elif kind == "spectral":
         system, fam = family_on("spectral", 20, 10, seed=45)
         yield fam, 1.0
+        yield fam, 0.9
         steep = gaussian_system(20, 10, seed=46, spd=True, metric="steepest")
         yield skd.SketchFamily("spectral", steep), 0.9
     elif kind == "block":
@@ -374,11 +383,12 @@ class TestStepCounts:
         assert 60 <= want < 60 * 40
         assert trace.counts["candidates"] == want
 
-    @pytest.mark.parametrize("metric, per_step", [("steepest", 1), ("system", 2)])
+    @pytest.mark.parametrize("metric, per_step", [("steepest", 1), ("system", 1)])
     def test_full_family_solves_with_A_once_per_step(self, kernel_counts,
                                                      metric, per_step):
-        # One solve with A for the loss and the direction, plus one with G
-        # when G = A; the pick reuses the step's evaluation.
+        # One solve with A for the loss and the direction: G = I needs no
+        # solve, and under G = B = A the direction is that solve's u. The
+        # pick reuses the step's evaluation.
         system = gaussian_system(60, 20, seed=61, spd=True, metric=metric)
         fam = skd.SketchFamily("full", system)
 
@@ -412,6 +422,27 @@ class TestEigenCoordinates:
         assert np.array_equal(fam.denominators, fam.eigvals)
         plain = gaussian_system(40, 20, seed=60, spd=True)
         assert not skd.SketchFamily("spectral", plain).diagonal
+
+    @pytest.mark.parametrize("rule, gamma, read, zero, scans, candidates", [
+        ("uniform", 0.0, 300, 230, 1, 0),
+        ("greedy:5", 0.0, 1500, 141, 1, 0),
+        ("maxdist", 0.0, 6000, 0, 1, 0),
+        ("capped:0.5,1,m,exact", 0.0, 6000, 0, 1, 327),
+        ("maxdist", 0.3, 6000, 0, 300, 0),
+    ])
+    def test_counts_show_which_path_a_run_takes(self, rule, gamma, read, zero,
+                                                scans, candidates):
+        # Without momentum the run keeps its losses from one build scan;
+        # heavy ball moves every coordinate and scans at every maxdist step.
+        # losses_read, zero_steps and candidates are those of the per-step
+        # path the kept losses replaced, at the same seed.
+        system = gaussian_system(40, 20, seed=62, spd=True, metric="system")
+        fam = skd.SketchFamily("spectral", system)
+        cfg = skd.SolverConfig(gamma=gamma, tol=0.0, max_iters=300, seed=7)
+        trace = skd.run_ssdm(system, fam, skd.parse_rule(rule), cfg)
+        assert trace.iterations == 300
+        assert trace.counts == {"losses_read": read, "zero_steps": zero,
+                                "full_scans": scans, "candidates": candidates}
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("rule", ["maxdist", "capped:0.5,1,m,exact"])

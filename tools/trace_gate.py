@@ -5,11 +5,13 @@
 Run from the root of a checkout: the package is imported from ./src. Each
 line names one configuration and gives its iteration count and one SHA-256
 digest of the trace's iterations, ks, residuals, f_values, selected,
-err_g_sq and x_final bytes, then its four step counts in COUNT_KEYS order
-(losses read, zero steps, full scans, capped candidates). Equal lines on two checkouts mean the two ran
-the same arithmetic, so a change that claims to keep traces is checked by
-diffing this output against its parent's. The list covers the
-sketchbench_grid benchmark instance (500-dim spectral), the
+err_g_sq and x_final bytes, then its four step counts as integers in
+COUNT_KEYS order (losses read, zero steps, full scans, capped candidates).
+The counts stay out of the digest, so a change that moves only a count
+shows as such. Equal lines on two checkouts mean the two ran the same
+arithmetic and tallied the same steps, so a change that claims to keep
+traces is checked by diffing this output against its parent's. The list
+covers the sketchbench_grid benchmark instance (500-dim spectral), the
 kaczmarz_fullscan instance (2000x200 rows), small row, column,
 coordinate-descent and spectral instances under five rules at two
 momentum values, and steepest descent and conjugate gradients. Each
@@ -120,6 +122,7 @@ def theory_texts(insts, seed: int):
 
 
 def digest(trace, cesaro: bool = False) -> str:
+    """SHA-256 of the trace fields, then the step counts."""
     h = hashlib.sha256()
     h.update(np.int64(trace.iterations).tobytes())
     fields = [(trace.ks, np.int64), (trace.residuals, np.float64),
@@ -129,9 +132,8 @@ def digest(trace, cesaro: bool = False) -> str:
         fields += [(trace.cesaro_f, np.float64), (trace.x_cesaro, np.float64)]
     for arr, dtype in fields:
         h.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
-    h.update(np.array([trace.counts[key] for key in COUNT_KEYS],
-                      dtype=np.int64).tobytes())
-    return h.hexdigest()
+    counts = " ".join(str(trace.counts[key]) for key in COUNT_KEYS)
+    return f"{h.hexdigest()} {counts}"
 
 
 def run(method, system, family=None, rule=None, **cfg):
