@@ -78,7 +78,6 @@ from .theory import (
     predicted_rates,
     spectral_report,
     verify_inequalities,
-    whitened_operator,
 )
 from .bench import (
     BenchResult,
@@ -112,7 +111,6 @@ __all__ = [
     "SpectralReport", "RateBundle", "MomentumRate", "InequalityReport",
     "spectral_report", "predicted_rates", "momentum_rate",
     "momentum_cesaro_admissible", "cesaro_bound", "verify_inequalities",
-    "whitened_operator",
     "DatasetSpec", "ExperimentPlan", "ResultRow", "BenchResult",
     "build_system", "run_experiment", "emit_csv", "emit_plot_data",
 ]

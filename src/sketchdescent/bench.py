@@ -120,7 +120,9 @@ def build_system(dataset: DatasetSpec, family_kind: str,
         return LinearSystem(A=A, b=b, B=W, G=W, x_star=x_star,
                             label=dataset.label)
 
+    needs = f"metric {metric!r}"
     if metric == "auto":
+        needs = f"the {family_kind} family"
         if family_kind == "row":
             # B = A (coordinate descent) when building that system succeeds.
             try:
@@ -134,7 +136,7 @@ def build_system(dataset: DatasetSpec, family_kind: str,
             return system(A)
         except (InvalidInputError, NotSpdError):
             raise InvalidConfigError(
-                f"metric 'system' needs an SPD matrix; {dataset.label} is not"
+                f"{needs} needs an SPD matrix; {dataset.label} is not"
             ) from None
     if metric == "normal":
         AtA = A.T @ A

@@ -19,7 +19,7 @@ from .bench import (
     run_experiment,
     write_summary,
 )
-from .errors import SketchDescentError
+from .errors import InvalidInputError, SketchDescentError
 from .problems import GenSpec
 from .sampling import parse_rule
 
@@ -39,7 +39,10 @@ def parse_gen(text: str) -> GenSpec:
             f"expected <m>x<n>[:spd], got {text!r}"
         )
     kind = "gaussian-normal-equations" if spd else "gaussian"
-    return GenSpec(kind=kind, m=int(parts[0]), n=int(parts[1]))
+    try:
+        return GenSpec(kind=kind, m=int(parts[0]), n=int(parts[1]))
+    except InvalidInputError as exc:  # argparse shows only this type's text
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def parse_gamma_list(text: str) -> list:

@@ -114,9 +114,6 @@ class LinearSystem:
         """True when descent and projection geometries coincide exactly."""
         return self._G_factor is self._B_factor
 
-    def residual(self, x: np.ndarray) -> np.ndarray:
-        return self.A @ x - self.b
-
     def residual_norm(self, x: np.ndarray) -> float:
         return float(np.linalg.norm(self.A @ x - self.b))
 

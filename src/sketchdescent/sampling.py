@@ -36,7 +36,7 @@ __all__ = [
     "draw_sample", "DrawStream", "sample_size", "choose", "select",
 ]
 
-# Uniforms one DrawStream refill may draw: 128 KiB of doubles.
+# Uniforms one DrawStream refill may draw, at most: 128 KiB of doubles.
 BLOCK_VALUES = 1 << 14
 
 
@@ -271,32 +271,32 @@ def draw_sample(q: int, tau: int, rng: np.random.Generator,
 class DrawStream:
     """One run's index draws, served row by row from blocks.
 
-    A refill draws the uniforms of many steps in one call: draw_sample
-    blocks for greedy samples, plain uniforms for picks. Every draw
-    consumes a fixed share of the generator's stream, so the draws equal
-    those of one refill per step, whatever the block size, provided the
-    stream has no other consumer. A stream serves one kind of draw, a
-    fixed (q, tau) or picks, as one rule in one run does.
+    A refill draws the uniforms of several steps in one call: draw_sample
+    blocks for greedy samples, plain uniforms for picks. The first refill
+    serves one step and each later one twice as many as the last, up to
+    BLOCK_VALUES uniforms, so a short run draws little it never serves.
+    Every draw consumes a fixed share of the generator's stream, so the
+    draws equal those of one refill per step, whatever the block size,
+    provided the stream has no other consumer. A stream serves one kind of
+    draw, a fixed (q, tau) or picks, as one rule in one run does.
     """
 
-    __slots__ = ("rng", "block_values", "_kind", "_block", "_next")
+    __slots__ = ("rng", "_kind", "_block", "_next")
 
-    def __init__(self, rng: np.random.Generator,
-                 block_values: int | None = None):
+    def __init__(self, rng: np.random.Generator):
         self.rng = rng
-        self.block_values = block_values  # None reads BLOCK_VALUES
         self._kind = None
         self._block = ()
         self._next = 0
 
     def _steps(self, kind, per_step: int) -> int:
+        """Steps the next refill serves: double the last one's, capped."""
         if self._kind is None:
             self._kind = kind
         elif kind != self._kind:
             raise InvalidConfigError(
                 f"a draw stream serves one kind of draw: {self._kind}, not {kind}")
-        values = self.block_values or BLOCK_VALUES
-        return max(1, values // per_step)
+        return max(1, min(2 * len(self._block), BLOCK_VALUES // per_step))
 
     def sample(self, q: int, tau: int) -> np.ndarray:
         """The next uniform tau-subset of range(q), ascending."""
@@ -391,7 +391,7 @@ def select(rule, family, x: np.ndarray,
     the same draws.
     """
     q = family.q
-    stream = rng if isinstance(rng, DrawStream) else DrawStream(rng, 1)
+    stream = rng if isinstance(rng, DrawStream) else DrawStream(rng)
     tau = sample_size(rule, q)
     sample = None if tau == q else stream.sample(q, tau)
     losses = family.losses(x, sample)

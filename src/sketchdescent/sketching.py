@@ -36,8 +36,8 @@ sketch-and-project with B = A, which in the eigen-coordinates y = U' x is
 coordinate descent on the diagonal system Lambda y = U' b. Such a family
 is ``diagonal``: it takes the closed form D = U (the eigenvector array
 itself), d = lambda and K' = Lambda, with no solve and no product, caches
-no coupling, and reads c = lambda y - U' b elementwise
-(:meth:`SketchFamily.eigen_linear_values`), so a solver can step one
+no coupling, and keeps U' b as ``Utb`` beside ``eigvals`` and ``eigvecs``,
+so a solver can read c = lambda y - U' b elementwise and step one
 coordinate of y at a time.
 """
 
@@ -133,7 +133,7 @@ class SketchFamily:
             lam, U = Af.eig()
             self.eigvals = lam
             self.eigvecs = U
-            self._Utb = U.T @ system.b
+            self.Utb = U.T @ system.b
             # Told by identity, not by a numeric test (module notes).
             self.diagonal = Bf is Af and self.g_equals_b
             W = None if self.diagonal else U * lam  # w_i = lambda_i u_i
@@ -203,17 +203,8 @@ class SketchFamily:
             return _column_dots(A, indices, A @ x - b)
         c = _column_dots(self.eigvecs, indices, x)
         if indices is None:
-            return self.eigvals * c - self._Utb
-        return self.eigvals[indices] * c - self._Utb[indices]
-
-    def eigen_linear_values(self, y: np.ndarray, indices=None):
-        """c_i at x = U y for a diagonal family: lambda_i y_i - (U' b)_i.
-
-        Elementwise, with no product; indices as for :meth:`linear_values`.
-        """
-        if indices is None:
-            return self.eigvals * y - self._Utb
-        return self.eigvals[indices] * y[indices] - self._Utb[indices]
+            return self.eigvals * c - self.Utb
+        return self.eigvals[indices] * c - self.Utb[indices]
 
     def losses(self, x: np.ndarray, indices=None) -> np.ndarray:
         """Index losses f_i(x) for the given indices (all q by default)."""

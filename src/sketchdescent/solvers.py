@@ -24,7 +24,8 @@ two steps bound once per run:
 
 A diagonal family (spectral with B = G = A, see the sketching module) runs
 the same loop after a change of variables: x holds y = U'x and move writes
-the one coordinate y_i -= omega c_i / lambda_i, c = lambda y - U'b.
+the one coordinate y_i -= omega c_i / lambda_i, c = lambda y - U'b, from
+the family's eigvals and Utb bound once per run.
 Without momentum a step changes loss i alone, so the run keeps its losses
 L = 0.5 c c / lambda, built by one scan: pick reads L, or L_s for a
 sample, as it is, and move rewrites L_i from the new y_i in the scan's
@@ -82,7 +83,7 @@ import numpy as np
 
 from .errors import DivergenceError, InvalidConfigError, SizeLimitError
 from .linalg import as_vector, pinv_psd
-from .problems import LinearSystem, resolve_x_star
+from .problems import PINV_SIZE_LIMIT, LinearSystem, resolve_x_star
 from .rng import make_rng
 from .sampling import (CappedRule, DrawStream, choose, rule_expectation,
                        sample_size)
@@ -200,7 +201,7 @@ def project_onto_gradient_span(system: LinearSystem, x: np.ndarray) -> np.ndarra
     Every sketched gradient lives in that span, so iterates started inside
     it stay inside it; the momentum certificates assume exactly this.
     """
-    if max(system.m, system.n) > 2000:
+    if max(system.m, system.n) > PINV_SIZE_LIMIT:
         raise SizeLimitError("dense projection refused above desk scale")
     A = system.A
     M = A @ system.G_factor.solve(A.T)
@@ -347,7 +348,7 @@ def _run_sketched(method: str, system: LinearSystem, family: SketchFamily,
         losses = None
         if family.diagonal and not heavy:
             counts["full_scans"] += 1
-            c0 = family.eigen_linear_values(x)
+            c0 = family.eigvals * x - family.Utb
             losses = 0.5 * c0 * c0 / family.denominators
         pick = _picker(rule, family, tau, stream, counts, losses)
         move = _mover(family, cfg.omega, counts, losses)
@@ -447,9 +448,14 @@ def _picker(rule, family: SketchFamily, tau: int, stream: DrawStream,
             s = None if sample is None else sample(q, tau)
             return choose(rule, family.losses(x, s), stream, s)
         return pick
-    d = family.denominators
-    linear_values = (family.eigen_linear_values if family.diagonal
-                     else family.linear_values)
+    d = family.denominators  # a diagonal family's is eigvals itself
+    if family.diagonal:  # heavy ball: c = lambda y - U'b, elementwise
+        Utb = family.Utb
+
+        def linear_values(y, s=None):
+            return d * y - Utb if s is None else d[s] * y[s] - Utb[s]
+    else:
+        linear_values = family.linear_values
 
     def pick(x, c):
         counts["losses_read"] += tau
@@ -488,19 +494,20 @@ def _mover(family: SketchFamily, omega: float, counts: dict,
         return move
     d = family.denominators
     if family.diagonal:
-        linear_values = family.eigen_linear_values
+        Utb = family.Utb
 
         def move(y, i):
-            ci = float(linear_values(y, i))
+            di, bi = d[i], Utb[i]
+            ci = float(di * y[i] - bi)
             if ci == 0.0:
                 counts["zero_steps"] += 1
                 return y, None
             if losses is None:
                 y = y.copy()
-            y[i] -= omega * (ci / d[i])
+            y[i] -= omega * (ci / di)
             if losses is not None:
-                c = linear_values(y, i)
-                losses[i] = 0.5 * c * c / d[i]
+                c = di * y[i] - bi
+                losses[i] = 0.5 * c * c / di
             return y, None
         return move
     linear_values = family.linear_values

@@ -82,9 +82,8 @@ class SpectralReport:
 
     rule_label, zero_losses, lam_lo and lam_hi depend on the rule, every
     other field on the family alone; a report for another rule is
-    :meth:`with_rule`. tsum_basis and index_bases hold orthonormal range
-    bases of the summed operator and of each T_i (None for the rank-one
-    kinds), so checks need not decompose them again.
+    :meth:`with_rule`. A report holds constants only: the range bases that
+    :func:`verify_inequalities` draws from come with its own pass.
     """
 
     kind: str
@@ -105,8 +104,6 @@ class SpectralReport:
     zero_losses: int
     lam_lo: float
     lam_hi: float
-    tsum_basis: np.ndarray = field(repr=False)
-    index_bases: list | None = field(repr=False)
 
     def with_rule(self, rule, zero_losses: int = 0) -> "SpectralReport":
         """The same family's report for another rule: new sandwich constants."""
@@ -137,13 +134,6 @@ class SpectralReport:
             f"cond_mean={float(self.cond.mean())!r}",
         ]
         return "\n".join(lines) + "\n"
-
-
-def whitened_operator(family: SketchFamily, i: int) -> np.ndarray:
-    """T_i as a dense matrix. Reference/testing use."""
-    sys = family.system
-    Gih = None if sys.G_factor.is_identity else sys.G_factor.inv_sqrt()
-    return _whiten(family.curvature_matrix(i), Gih)
 
 
 def _whiten(Z: np.ndarray, Gih: np.ndarray | None) -> np.ndarray:
@@ -187,11 +177,13 @@ def _positive(w: np.ndarray) -> np.ndarray:
     return w > DEFAULT_EIG_CUTOFF * max(1.0, w[-1])
 
 
-def _report(family: SketchFamily, parts: list) -> SpectralReport:
-    """The family's report, without a rule, from the parts of one
-    _operators pass (ops may be its stream or a list of the same T_i). It
-    empties parts and drops each array after its last use, so one that no
-    caller kept is freed before the summed operator's eigh."""
+def _report(family: SketchFamily, parts: list) -> tuple:
+    """(report, tsum_basis, index_bases): the family's report, without a
+    rule, from the parts of one _operators pass (ops may be its stream or
+    a list of the same T_i), and orthonormal range bases of the summed
+    operator and of each T_i (None for the rank-one kinds). It empties
+    parts and drops each array after its last use, so one that no caller
+    kept is freed before the summed operator's eigh."""
     Gih, W, ops, zsum = parts
     parts.clear()
     n, q = family.system.n, family.q
@@ -229,7 +221,7 @@ def _report(family: SketchFamily, parts: list) -> SpectralReport:
     posT = wT[keep]
     if posT.size == 0:
         raise InvalidInputError("summed whitened operator is zero")
-    return SpectralReport(
+    report = SpectralReport(
         kind=family.kind,
         q=q,
         n=n,
@@ -248,9 +240,8 @@ def _report(family: SketchFamily, parts: list) -> SpectralReport:
         zero_losses=0,
         lam_lo=np.nan,
         lam_hi=np.nan,
-        tsum_basis=VT[:, keep],
-        index_bases=bases,
     )
+    return report, VT[:, keep], bases
 
 
 def spectral_report(family: SketchFamily, rule=None,
@@ -261,7 +252,7 @@ def spectral_report(family: SketchFamily, rule=None,
     divisor in the greedy lower constant; 0 is the safe generic value.
     The T_i are streamed: one n x n operator is held at a time.
     """
-    base = _report(family, _operators(family))
+    base = _report(family, _operators(family))[0]
     return base.with_rule(GreedyRule(1) if rule is None else rule, zero_losses)
 
 
@@ -578,7 +569,7 @@ def verify_inequalities(family: SketchFamily, rules=None, trials: int = 1000,
     if parts[2] is not None:
         parts[2] = list(parts[2])  # the trials reuse every T_i
     Gih, W, T_list = parts[:3]
-    report = _report(family, parts)
+    report, Q, index_bases = _report(family, parts)
     if rules is None:
         rules = [GreedyRule(1)] + ([
             GreedyRule(2), GreedyRule(None), CappedRule(0.5, 1, None, exact=True)
@@ -592,7 +583,6 @@ def verify_inequalities(family: SketchFamily, rules=None, trials: int = 1000,
 
     rng = make_rng(seed)
     x_star, _ = resolve_x_star(sys, np.zeros(sys.n))
-    Q = report.tsum_basis
     lo, hi, mu_lo, mu_hi = (report.eig_min_pos, report.eig_max,
                             report.mu_lo, report.mu_hi)
     table = [CheckResult(name) for name in _CHECKS]
@@ -646,7 +636,7 @@ def verify_inequalities(family: SketchFamily, rules=None, trials: int = 1000,
                 q1[i] = float(r @ Tr)
                 q2[i] = float(Tr @ Tr)
                 q3[i] = float(Tr @ (T @ Tr))
-                basis = report.index_bases[i]
+                basis = index_bases[i]
                 rp = basis @ (basis.T @ r)
                 rp_sq = float(rp @ rp)
                 rayleigh.update((t, i), lo[i] * rp_sq, float(rp @ (T @ rp)),

@@ -5,6 +5,8 @@ matrices, from first principles, so tests can pin SketchFamily.evaluate
 against it. It reads only the family's kind, its system, its blocks and its
 eigenvectors, none of the cached arrays the fast path uses.
 
+whitened_operator forms T_i with its own G^{-1/2}, for the theory tests.
+
 reference_choose writes out the selection rules' choice among evaluated
 losses apart from sampling.choose, so the solver loop can be pinned
 against selection code it does not share.
@@ -63,6 +65,22 @@ def generic_evaluate(fam, i: int, x: np.ndarray) -> SketchEval:
     v = H @ (sys.A @ direction)
     den = float(direction @ (sys.A.T @ v))
     return SketchEval(i, loss, direction, num / den)
+
+
+def whitened_operator(fam, i: int) -> np.ndarray:
+    """T_i = G^{-1/2} Z_i G^{-1/2}, symmetrized, as a dense n x n matrix.
+
+    G^{-1/2} comes from one np.linalg.eigh of the symmetric part of the
+    system's G (no whitening when G is the identity), not from the
+    system's factors.
+    """
+    Z = fam.curvature_matrix(i)
+    G = fam.system.G
+    if G is not None:
+        w, V = np.linalg.eigh(0.5 * (G + G.T))
+        Gih = (V / np.sqrt(w)) @ V.T
+        Z = Gih @ Z @ Gih
+    return 0.5 * (Z + Z.T)
 
 
 def reference_choose(rule, losses: np.ndarray, stream, sample=None):

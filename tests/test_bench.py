@@ -384,9 +384,15 @@ class TestOneSystemPerDataset:
         system = skd.build_system(ds, "row")
         assert system.B_factor.is_identity
         with pytest.raises(InvalidConfigError,
-                           match="metric 'system' needs an SPD matrix; "
+                           match="the spectral family needs an SPD matrix; "
                                  "gen:12x5 is not"):
             skd.build_system(ds, "spectral")
+
+    def test_forced_system_metric_names_the_metric(self):
+        with pytest.raises(InvalidConfigError,
+                           match="metric 'system' needs an SPD matrix; "
+                                 "gen:12x5 is not"):
+            skd.build_system(gen_dataset(12, 5), "row", "system")
 
 
 class TestPoolSize:

@@ -85,6 +85,23 @@ class TestExitCodes:
     def test_bad_family_exits_one(self, capsys):
         assert run_cli(*BASE, "--family", "diag") == 1
 
+    @pytest.mark.parametrize("family", ["spectral", "full"])
+    def test_non_spd_error_names_the_family(self, capsys, family):
+        assert run_cli("--gen", "20x5", "--family", family, "--reps", "1") == 1
+        err = capsys.readouterr().err
+        assert err == (f"sketchbench: the {family} family needs an SPD matrix; "
+                       "gen:20x5 is not\n")
+
+    @pytest.mark.parametrize("gen, why", [
+        ("3x5:spd", "gaussian-normal-equations needs m >= n for an SPD product"),
+        ("0x5", "m and n must be at least 1"),
+    ])
+    def test_bad_gen_size_says_why(self, capsys, gen, why):
+        assert run_cli("--gen", gen) == 1
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: argument --gen: {why}\n")
+        assert "invalid parse_gen value" not in err
+
     def test_ssd_with_gamma_exits_one(self, capsys):
         assert run_cli(*BASE, "--gamma", "0.4") == 1
         assert "ssdm" in capsys.readouterr().err

@@ -285,10 +285,46 @@ class TestDrawStream:
         stream.sample(10, 2)
         with pytest.raises(InvalidConfigError):
             stream.sample(10, 3)
-        stream = DrawStream(make_rng(0), block_values=1)
+        stream = DrawStream(make_rng(0))
         stream.pick(5)
         with pytest.raises(InvalidConfigError):
             stream.sample(10, 2)
+
+    def test_refills_double_up_to_the_cap(self, monkeypatch):
+        # Greedy:20 on q = 500 takes 40 uniforms a sample, so a cap of 400
+        # uniforms holds 10 steps; a pick takes one, so a cap of 16 holds 16.
+        q, tau, ns = 500, 20, [7 + k % 5 for k in range(100)]
+        rng = make_rng(5)
+        want_samples = [skd.draw_sample(q, tau, rng) for _ in range(100)]
+        rng = make_rng(6)
+        want_picks = [int(rng.random() * n) for n in ns]
+
+        class Recorder:
+            def __init__(self, rng):
+                self.rng, self.sizes = rng, []
+
+            def random(self, size):
+                self.sizes.append(size)
+                return self.rng.random(size)
+
+        drawn = []
+        real = sampling.draw_sample
+
+        def counted(q, tau, rng, draws=None):
+            drawn.append(draws)
+            return real(q, tau, rng, draws)
+
+        monkeypatch.setattr(sampling, "draw_sample", counted)
+        monkeypatch.setattr(sampling, "BLOCK_VALUES", 400)
+        stream = DrawStream(make_rng(5))
+        got = [stream.sample(q, tau) for _ in range(100)]
+        assert all(np.array_equal(a, b) for a, b in zip(got, want_samples))
+        assert drawn == [1, 2, 4, 8] + [10] * 9
+        monkeypatch.setattr(sampling, "BLOCK_VALUES", 16)
+        recorder = Recorder(make_rng(6))
+        stream = DrawStream(recorder)
+        assert [stream.pick(n) for n in ns] == want_picks
+        assert recorder.sizes == [1, 2, 4, 8] + [16] * 6
 
     def test_select_on_a_generator_draws_one_step(self):
         losses = np.random.default_rng(2).random(50)

@@ -444,6 +444,25 @@ class TestEigenCoordinates:
         assert trace.counts == {"losses_read": read, "zero_steps": zero,
                                 "full_scans": scans, "candidates": candidates}
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.3])
+    def test_steps_call_no_family_method(self, monkeypatch, gamma):
+        # A run binds eigvals and Utb once; its steps and checkpoints read
+        # them directly, never through the family's value methods.
+        system = gaussian_system(40, 20, seed=62, spd=True, metric="system")
+        fam = skd.SketchFamily("spectral", system)
+        assert fam.denominators is fam.eigvals
+        calls = []
+        for name in ("linear_values", "losses", "evaluate"):
+            def spy(*args, _name=name, **kwargs):
+                calls.append(_name)
+            monkeypatch.setattr(skd.SketchFamily, name, spy)
+        cfg = skd.SolverConfig(gamma=gamma, tol=0.0, max_iters=300, seed=7,
+                               track_cesaro=False)
+        for rule in ("uniform", "greedy:5", "maxdist", "capped:0.5,1,m,exact"):
+            trace = skd.run_ssdm(system, fam, skd.parse_rule(rule), cfg)
+            assert trace.iterations == 300
+        assert calls == []
+
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("rule", ["maxdist", "capped:0.5,1,m,exact"])
     def test_first_n_steps_match_one_step_api(self, rule, seed):
