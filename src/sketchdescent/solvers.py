@@ -45,7 +45,8 @@ iteration whose step and momentum coefficients are chosen adaptively
 instead of held fixed.
 
 Residuals, errors and wall times are recorded at checkpoints, where every
-solver also checks that the iterate is finite and runs the stopping test
+solver also checks that the iterate is finite and within DIVERGENCE_NORM
+of the problem's scale, max(1, ||x0||, ||x*||), and runs the stopping test
 ||A x - b|| <= tol, all in _Recorder.checkpoint. Vector families
 default to a checkpoint every 100 iterations, which spreads its O(m n)
 products over 100 O(n) iterations; everything else checks every
@@ -224,6 +225,12 @@ class _Recorder:
             self.x_star, self.is_proj = None, False
         self.err0_b = (system.error_sq_b(x0, self.x_star)
                        if self.x_star is not None else np.nan)
+        # Divergence is judged on the problem's own scale: the start and the
+        # solution, or without one ||b|| / ||A||_F, which bounds ||x*|| below.
+        scale = (np.linalg.norm(self.x_star) if self.x_star is not None
+                 else np.linalg.norm(system.b) / np.linalg.norm(system.A))
+        self.diverge_norm = DIVERGENCE_NORM * max(
+            1.0, float(np.linalg.norm(x0)), float(scale))
         self.t0 = time.perf_counter()
         self.ks: list[int] = []
         self.residuals: list[float] = []
@@ -259,9 +266,13 @@ class _Recorder:
         """Check x is finite, record it, and say whether the run stops.
 
         residual defaults to ||A x - b||. Raises DivergenceError for an
-        iterate that is not finite or whose norm exceeds DIVERGENCE_NORM.
+        iterate that is not finite or whose norm exceeds DIVERGENCE_NORM
+        times the largest of 1, ||x0|| and ||x*||.
         """
-        _check_finite(x, self, k)
+        norm = float(np.linalg.norm(x))
+        if not np.isfinite(norm) or norm > self.diverge_norm:
+            _diverge(self, k, x, f"iterate norm {norm:.3e} exceeds "
+                     f"{self.diverge_norm:.3e} at iteration {k}")
         if residual is None:
             residual = self.system.residual_norm(x)
         self.record(k, x, residual, f_value, sel_index, cesaro_f)
@@ -297,12 +308,6 @@ def _diverge(rec: _Recorder, k: int, x: np.ndarray, why: str) -> None:
     trace = rec.finish(k, False, np.nan_to_num(x, posinf=0.0, neginf=0.0),
                        diverged=True)
     raise DivergenceError(why, trace=trace)
-
-
-def _check_finite(x: np.ndarray, rec: _Recorder, k: int) -> None:
-    norm = float(np.linalg.norm(x))
-    if not np.isfinite(norm) or norm > DIVERGENCE_NORM:
-        _diverge(rec, k, x, f"iterate norm {norm:.3e} at iteration {k}")
 
 
 def _run_sketched(method: str, system: LinearSystem, family: SketchFamily,

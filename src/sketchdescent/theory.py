@@ -13,12 +13,26 @@ selected loss,
 
     lam_lo * ||r||^2  <=  2 E[f_selected(x)]  <=  lam_hi * ||r||^2.
 
-:func:`spectral_report` computes all of these with dense eigensolvers (desk
-scale only), :func:`predicted_rates` and :func:`momentum_rate` turn them
-into per-step contraction factors, averaged-iterate bounds and the heavy
-ball Lyapunov rate, and :func:`verify_inequalities` hammers the underlying
+:func:`spectral_report` computes all of these (desk scale only) by one of
+three routes, from what the family already holds where it can:
+
+- a diagonal family (spectral, B = G = A) has T_i = u_i u_i', which sum to
+  the identity, so every per-index and summed eigenvalue is exactly 1;
+- a vector family that caches its coupling K' = D'W (row with q <= n,
+  lsqcol, other spectral) has rank-one T_i whose one nonzero eigenvalue is
+  K'_ii / d_i (exactly 1 when G = B), and the sum of the T_i is M M' with
+  M = G^{-1/2} W diag(d)^{-1/2}, whose nonzero spectrum is that of the
+  q x q matrix M'M = diag(d)^{-1/2} K' diag(d)^{-1/2}: no G^{-1/2} and no
+  n x n product;
+- every other family (row with q > n, block, full) whitens its operators
+  with G^{-1/2} and takes dense n x n eigendecompositions.
+
+:func:`predicted_rates` and :func:`momentum_rate` turn the constants into
+per-step contraction factors, averaged-iterate bounds and the heavy ball
+Lyapunov rate, and :func:`verify_inequalities` hammers the underlying
 matrix inequalities with randomized trials, reporting the worst relative
-violation of each.
+violation of each. It always takes the dense route, which it needs for its
+range bases, so it also checks the constants of the other two.
 """
 
 from __future__ import annotations
@@ -143,8 +157,18 @@ def _whiten(Z: np.ndarray, Gih: np.ndarray | None) -> np.ndarray:
     return 0.5 * (Z + Z.T)
 
 
+def _check_size(family: SketchFamily) -> None:
+    """Refuse a system past desk scale, before any work on it."""
+    sys = family.system
+    if sys.n > MAX_THEORY_DIM or sys.m > 10 * MAX_THEORY_DIM:
+        raise SizeLimitError(
+            f"{sys.m}x{sys.n} exceeds the desk-scale limit of the spectral "
+            f"theory (n <= {MAX_THEORY_DIM}, m <= {10 * MAX_THEORY_DIM})"
+        )
+
+
 def _operators(family: SketchFamily) -> list:
-    """One pass over a family's operators, made once per public call.
+    """One dense pass over a family's operators, made once per public call.
 
     Returns [Gih, W, ops, zsum]: G^{-1/2} from one inv_sqrt (None when
     G = I); for the vector kinds W = A'S, no ops and zsum = W D^{-1} W';
@@ -152,11 +176,6 @@ def _operators(family: SketchFamily) -> list:
     adding Z_i into zsum, the sum of the Z_i once ops is exhausted.
     """
     sys = family.system
-    if sys.n > MAX_THEORY_DIM or sys.m > 10 * MAX_THEORY_DIM:
-        raise SizeLimitError(
-            f"spectral_report is dense-only; {sys.m}x{sys.n} exceeds "
-            f"the {MAX_THEORY_DIM} desk-scale limit"
-        )
     Gih = None if sys.G_factor.is_identity else sys.G_factor.inv_sqrt()
     if family.kind in VECTOR_KINDS:
         W = family.w_matrix
@@ -177,6 +196,45 @@ def _positive(w: np.ndarray) -> np.ndarray:
     return w > DEFAULT_EIG_CUTOFF * max(1.0, w[-1])
 
 
+def _rank_one(family: SketchFamily, eig_max: np.ndarray) -> tuple:
+    """(eig_max, eig_min_pos, eig_min, rank) of rank-one T_i whose one
+    nonzero eigenvalue is eig_max."""
+    q = family.q
+    eig_min = eig_max.copy() if family.system.n == 1 else np.zeros(q)
+    return eig_max, eig_max.copy(), eig_min, np.ones(q, dtype=np.intp)
+
+
+def _summary(family: SketchFamily, index: tuple,
+             wT: np.ndarray) -> SpectralReport:
+    """The family's report, without a rule, from the per-index arrays
+    (eig_max, eig_min_pos, eig_min, rank) and the ascending eigenvalues wT
+    of the summed operator (or of a matrix with its nonzero spectrum)."""
+    eig_max, eig_min_pos, eig_min, rank = index
+    posT = wT[_positive(wT)]
+    if posT.size == 0:
+        raise InvalidInputError("summed whitened operator is zero")
+    return SpectralReport(
+        kind=family.kind,
+        q=family.q,
+        n=family.system.n,
+        eig_max=eig_max,
+        eig_min_pos=eig_min_pos,
+        eig_min=eig_min,
+        rank=rank,
+        cond=eig_max / eig_min_pos,
+        mu_hi=float(eig_max.max()),
+        mu_lo=float(eig_min_pos.min()),
+        all_pd=bool(np.all(eig_min > 0.0)),
+        tsum_eig_max=float(wT[-1]),
+        tsum_eig_min_pos=float(posT[0]),
+        tsum_rank=int(posT.size),
+        rule_label="",
+        zero_losses=0,
+        lam_lo=np.nan,
+        lam_hi=np.nan,
+    )
+
+
 def _report(family: SketchFamily, parts: list) -> tuple:
     """(report, tsum_basis, index_bases): the family's report, without a
     rule, from the parts of one _operators pass (ops may be its stream or
@@ -189,15 +247,13 @@ def _report(family: SketchFamily, parts: list) -> tuple:
     n, q = family.system.n, family.q
     if ops is None:
         # Rank-one T_i: the one nonzero eigenvalue is w_i'G^{-1}w_i / d_i.
-        eig_max = (np.einsum("ij,ij->j", W, family.direction_matrix)
-                   / family.denominators)
-        eig_min_pos = eig_max.copy()
-        eig_min = eig_max.copy() if n == 1 else np.zeros(q)
-        rank = np.ones(q, dtype=np.intp)
+        e = np.einsum("ij,ij->j", W, family.direction_matrix)
+        index = _rank_one(family, e / family.denominators)
         bases = None
     else:
         eig_max, eig_min_pos, eig_min = np.empty((3, q))
         rank = np.empty(q, dtype=np.intp)
+        index = (eig_max, eig_min_pos, eig_min, rank)
         bases = []
         for i, T in enumerate(ops):
             w, V = sym_eig(T)
@@ -217,31 +273,7 @@ def _report(family: SketchFamily, parts: list) -> tuple:
         tsum = _whiten(zsum, Gih)
         del Gih, zsum
         wT, VT = sym_eig(tsum)
-    keep = _positive(wT)
-    posT = wT[keep]
-    if posT.size == 0:
-        raise InvalidInputError("summed whitened operator is zero")
-    report = SpectralReport(
-        kind=family.kind,
-        q=q,
-        n=n,
-        eig_max=eig_max,
-        eig_min_pos=eig_min_pos,
-        eig_min=eig_min,
-        rank=rank,
-        cond=eig_max / eig_min_pos,
-        mu_hi=float(eig_max.max()),
-        mu_lo=float(eig_min_pos.min()),
-        all_pd=bool(np.all(eig_min > 0.0)),
-        tsum_eig_max=float(wT[-1]),
-        tsum_eig_min_pos=float(posT[0]),
-        tsum_rank=int(posT.size),
-        rule_label="",
-        zero_losses=0,
-        lam_lo=np.nan,
-        lam_hi=np.nan,
-    )
-    return report, VT[:, keep], bases
+    return _summary(family, index, wT), VT[:, _positive(wT)], bases
 
 
 def spectral_report(family: SketchFamily, rule=None,
@@ -250,9 +282,25 @@ def spectral_report(family: SketchFamily, rule=None,
 
     rule defaults to uniform sampling. zero_losses feeds the effective
     divisor in the greedy lower constant; 0 is the safe generic value.
-    The T_i are streamed: one n x n operator is held at a time.
+    The route depends on the family (module notes): a closed form for a
+    diagonal family, the q x q coupling for a vector family that caches
+    it, else a dense pass that streams the T_i, holding one n x n operator
+    at a time.
     """
-    base = _report(family, _operators(family))[0]
+    _check_size(family)
+    if family.diagonal:
+        base = _summary(family, _rank_one(family, np.ones(family.q)),
+                        np.ones(family.system.n))
+    elif family.coupling is not None:
+        K, d = family.coupling, family.denominators
+        r = 1.0 / np.sqrt(d)
+        M = (0.5 * (K + K.T)) * np.outer(r, r)  # M'M, exactly symmetric
+        # T_i's one eigenvalue is w_i'G^{-1}w_i / d_i = K'_ii / d_i: exactly
+        # 1 when G = B, where the numerator is d_i itself.
+        eig = np.ones(family.q) if family.g_equals_b else np.diagonal(K) / d
+        base = _summary(family, _rank_one(family, eig), np.linalg.eigvalsh(M))
+    else:
+        base = _report(family, _operators(family))[0]
     return base.with_rule(GreedyRule(1) if rule is None else rule, zero_losses)
 
 
@@ -565,6 +613,7 @@ def verify_inequalities(family: SketchFamily, rules=None, trials: int = 1000,
     sys = family.system
     if trials < 1:
         raise InvalidInputError("trials must be >= 1")
+    _check_size(family)
     parts = _operators(family)
     if parts[2] is not None:
         parts[2] = list(parts[2])  # the trials reuse every T_i

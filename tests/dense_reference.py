@@ -5,7 +5,9 @@ matrices, from first principles, so tests can pin SketchFamily.evaluate
 against it. It reads only the family's kind, its system, its blocks and its
 eigenvectors, none of the cached arrays the fast path uses.
 
-whitened_operator forms T_i with its own G^{-1/2}, for the theory tests.
+whitened_operator forms T_i with its own G^{-1/2}, for the theory tests,
+and dense_report takes every rule-free SpectralReport field from those T_i
+and their sum by np.linalg.eigh, whatever route spectral_report takes.
 
 reference_choose writes out the selection rules' choice among evaluated
 losses apart from sampling.choose, so the solver loop can be pinned
@@ -15,7 +17,7 @@ against selection code it does not share.
 import numpy as np
 
 from sketchdescent.errors import InvalidInputError
-from sketchdescent.linalg import pinv_psd
+from sketchdescent.linalg import DEFAULT_EIG_CUTOFF, pinv_psd
 from sketchdescent.sampling import GreedyRule, capped_threshold
 from sketchdescent.sketching import SketchEval
 
@@ -81,6 +83,36 @@ def whitened_operator(fam, i: int) -> np.ndarray:
         Gih = (V / np.sqrt(w)) @ V.T
         Z = Gih @ Z @ Gih
     return 0.5 * (Z + Z.T)
+
+
+def dense_report(fam) -> dict:
+    """Every rule-free SpectralReport field of fam, by name, from n x n
+    whitened operators: one np.linalg.eigh per T_i and one of their sum.
+    An eigenvalue counts as positive above DEFAULT_EIG_CUTOFF times the
+    largest (at least 1); eig_min is the smallest eigenvalue of a full-rank
+    T_i and 0 otherwise."""
+    n, q = fam.system.n, fam.q
+    eig_max, eig_min_pos, eig_min = np.empty((3, q))
+    rank = np.empty(q, dtype=np.intp)
+    total = np.zeros((n, n))
+    for i in range(q):
+        T = whitened_operator(fam, i)
+        total += T
+        w = np.linalg.eigh(T)[0]
+        pos = w[w > DEFAULT_EIG_CUTOFF * max(1.0, w[-1])]
+        eig_max[i], eig_min_pos[i], rank[i] = w[-1], pos[0], pos.size
+        eig_min[i] = w[0] if pos.size == n else 0.0
+    w = np.linalg.eigh(total)[0]
+    pos = w[w > DEFAULT_EIG_CUTOFF * max(1.0, w[-1])]
+    return {
+        "kind": fam.kind, "q": q, "n": n,
+        "eig_max": eig_max, "eig_min_pos": eig_min_pos, "eig_min": eig_min,
+        "rank": rank, "cond": eig_max / eig_min_pos,
+        "mu_hi": eig_max.max(), "mu_lo": eig_min_pos.min(),
+        "all_pd": bool(np.all(eig_min > 0.0)),
+        "tsum_eig_max": w[-1], "tsum_eig_min_pos": pos[0],
+        "tsum_rank": pos.size,
+    }
 
 
 def reference_choose(rule, losses: np.ndarray, stream, sample=None):

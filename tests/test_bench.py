@@ -312,11 +312,12 @@ class TestKernelCounts:
                                  ("uniform", "greedy:3", "maxdist")])
         result = skd.run_experiment(plan)
         assert len(result.reports) == 3
-        # B = G = A share one Cholesky factor; A's eigendecomposition serves
-        # both the family and G^{-1/2}; the summed operator is decomposed
-        # once for all three rules. The family's D = U and d = lambda take
-        # no solve, and its runs step in eigen-coordinates.
-        assert kernel_counts == {"cho_factor": 1, "cho_solve": 0, "eigh": 2}
+        # B = G = A share one Cholesky factor; A's eigendecomposition is the
+        # family's, and the diagonal family's report is closed form, so no
+        # operator is decomposed for any of the three rules. The family's
+        # D = U and d = lambda take no solve, and its runs step in
+        # eigen-coordinates.
+        assert kernel_counts == {"cho_factor": 1, "cho_solve": 0, "eigh": 1}
 
     @pytest.mark.parametrize("method", ["cg", "sd"])
     def test_classical_methods_factor_once(self, kernel_counts, method):

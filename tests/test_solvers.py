@@ -6,7 +6,9 @@ from sketchdescent.errors import (
     DivergenceError,
     InvalidConfigError,
     InvalidInputError,
+    SizeLimitError,
 )
+from sketchdescent import solvers
 from sketchdescent.linalg import SpdFactor
 from sketchdescent.solvers import _Recorder, resolve_x0
 
@@ -198,6 +200,26 @@ class TestSketchedSolver:
         assert trace is not None
         assert trace.diverged and not trace.converged
         assert np.all(np.isfinite(trace.x_final))
+
+    @pytest.mark.parametrize("x_star_known", [True, False])
+    def test_divergence_guard_scales_with_the_solution(self, monkeypatch,
+                                                       x_star_known):
+        # ||x*|| is about 4e13, so a converging run passes an absolute 1e12
+        # on its way there. Without x*, ||b|| / ||A||_F sets the scale.
+        A = gaussian_system(60, 20, seed=36).A
+        x_star = np.random.default_rng(36).standard_normal(20) * 1e13
+        system = skd.LinearSystem(A=A, b=A @ x_star, x_star=x_star)
+        if not x_star_known:
+            def refuse(*args):
+                raise SizeLimitError("no solution")
+            monkeypatch.setattr(solvers, "resolve_x_star", refuse)
+        cfg = skd.SolverConfig(tol=1e-10 * np.linalg.norm(system.b),
+                               max_iters=5000)
+        trace = skd.run_ssd(system, skd.SketchFamily("row", system),
+                            skd.max_distance(), cfg)
+        assert trace.converged and not trace.diverged
+        assert np.linalg.norm(trace.x_final) > 1e13
+        assert np.isnan(trace.rel_errors[-1]) != x_star_known
 
     def test_non_converged_run_reports_honestly(self):
         system, fam = family_on("row", 40, 20, seed=11)

@@ -18,7 +18,19 @@ from sketchdescent import theory
 from sketchdescent.theory import sandwich_constants
 
 from conftest import family_on, gaussian_system
-from dense_reference import whitened_operator
+from dense_reference import dense_report, whitened_operator
+
+
+def spy(monkeypatch, calls, owner, name):
+    """Count the calls of owner.name, or a property's reads, in calls[name]."""
+    original = vars(owner)[name]
+    is_property = isinstance(original, property)
+    target = original.fget if is_property else original
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return target(*args, **kwargs)
+    monkeypatch.setattr(owner, name, property(counted) if is_property else counted)
 
 
 def diag_full_family():
@@ -472,18 +484,9 @@ class TestSharedSpectra:
         fam = skd.SketchFamily("block", system, block_size=4)
         assert fam.q == 7
         calls = collections.Counter()
-
-        def spy(owner, name):
-            original = getattr(owner, name)
-
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-            monkeypatch.setattr(owner, name, counted)
-
-        spy(skd.SketchFamily, "curvature_matrix")
-        spy(SpdFactor, "inv_sqrt")
-        spy(theory, "_whiten")
+        for owner, name in ((skd.SketchFamily, "curvature_matrix"),
+                            (SpdFactor, "inv_sqrt"), (theory, "_whiten")):
+            spy(monkeypatch, calls, owner, name)
         report = skd.verify_inequalities(fam, trials=5, seed=1)
         assert report.all_passed, report.to_text()
         assert calls == {"curvature_matrix": 7, "inv_sqrt": 1, "_whiten": 8}
@@ -522,3 +525,171 @@ class TestEnumeratedSandwich:
                     6, rule, zeros)
                 assert lo * r_sq <= 2 * expected * (1 + 1e-9) + 1e-12
                 assert 2 * expected <= hi * r_sq * (1 + 1e-9) + 1e-12
+
+
+def _spd_copy_geometry(seed):
+    """30-dim SPD system with B = G = A held as a separate array: the
+    spectral family is not diagonal (told by identity) and keeps K'."""
+    base = gaussian_system(60, 30, seed=seed, spd=True)
+    BG = base.A.copy()
+    return skd.LinearSystem(A=base.A, b=base.b, B=BG, G=BG,
+                            x_star=base.x_star)
+
+
+# (kind, system, route spectral_report takes) over identity, A and A'A
+# geometries; "A" on a spectral family is the diagonal one.
+ROUTE_CASES = [
+    ("row", lambda: gaussian_system(40, 60, seed=1), "coupling"),
+    ("row", lambda: gaussian_system(60, 40, seed=2), "dense"),
+    ("row", lambda: gaussian_system(60, 40, seed=3, metric="normal"), "dense"),
+    ("row", lambda: gaussian_system(60, 30, seed=4, spd=True,
+                                    metric="system"), "coupling"),
+    ("row", lambda: gaussian_system(60, 30, seed=5, spd=True,
+                                    metric="normal"), "coupling"),
+    ("lsqcol", lambda: gaussian_system(60, 40, seed=6), "coupling"),
+    ("lsqcol", lambda: gaussian_system(60, 40, seed=7, metric="normal"),
+     "coupling"),
+    ("lsqcol", lambda: gaussian_system(60, 30, seed=8, spd=True,
+                                       metric="system"), "coupling"),
+    ("spectral", lambda: gaussian_system(60, 30, seed=9, spd=True),
+     "coupling"),
+    ("spectral", lambda: gaussian_system(60, 30, seed=10, spd=True,
+                                         metric="normal"), "coupling"),
+    ("spectral", lambda: _spd_copy_geometry(11), "coupling"),
+    ("spectral", lambda: gaussian_system(60, 30, seed=12, spd=True,
+                                         metric="steepest"), "coupling"),
+    ("spectral", lambda: gaussian_system(60, 30, seed=13, spd=True,
+                                         metric="system"), "diagonal"),
+]
+
+
+def _route(fam):
+    if fam.diagonal:
+        return "diagonal"
+    return "dense" if fam.coupling is None else "coupling"
+
+
+class TestReportRoutes:
+    # Every eigenvalue may differ from the dense reference by at most
+    # 32 n eps ||T||, with ||T|| the largest eigenvalue of its kind (mu_hi
+    # for the per-index values, tsum_eig_max for the summed ones); the
+    # largest seen over these cases is about 5 n eps ||T||.
+    C = 32
+
+    @pytest.mark.parametrize("kind, make, route", ROUTE_CASES)
+    def test_every_field_matches_dense_reference(self, kind, make, route):
+        system = make()
+        fam = skd.SketchFamily(kind, system)
+        assert _route(fam) == route
+        report = skd.spectral_report(fam)
+        ref = dense_report(fam)
+        eps = np.finfo(np.float64).eps
+        tol_index = self.C * system.n * eps * ref["mu_hi"]
+        tol_sum = self.C * system.n * eps * ref["tsum_eig_max"]
+        for name in ("kind", "q", "n", "all_pd", "tsum_rank"):
+            assert getattr(report, name) == ref[name], name
+        assert np.array_equal(report.rank, ref["rank"])
+        for name in ("eig_max", "eig_min_pos", "eig_min", "mu_hi", "mu_lo"):
+            assert np.allclose(getattr(report, name), ref[name], rtol=0.0,
+                               atol=tol_index), name
+        # cond = eig_max / eig_min_pos, so its error scales with cond.
+        assert np.allclose(report.cond, ref["cond"], rtol=0.0,
+                           atol=tol_index * ref["cond"].max()
+                           / ref["eig_min_pos"].min())
+        for name in ("tsum_eig_max", "tsum_eig_min_pos"):
+            assert abs(getattr(report, name) - ref[name]) <= tol_sum, name
+        for text in ("uniform", "greedy:3", "capped:0.5,1,m,exact"):
+            rule = skd.parse_rule(text)
+            ruled = report.with_rule(rule, zero_losses=1)
+            lo, hi = sandwich_constants(ref["tsum_eig_min_pos"],
+                                        ref["tsum_eig_max"], ref["mu_hi"],
+                                        fam.q, rule, 1)
+            assert (ruled.rule_label, ruled.zero_losses) == (rule.label, 1)
+            assert ruled.lam_lo == pytest.approx(lo, rel=0.0, abs=tol_sum)
+            assert ruled.lam_hi == pytest.approx(hi, rel=0.0,
+                                                 abs=max(tol_sum, tol_index))
+
+    def test_diagonal_route_is_exact_and_decomposes_nothing(
+            self, monkeypatch, kernel_counts):
+        system, fam = family_on("spectral", 24, 12, seed=30)
+        assert fam.diagonal
+        calls = collections.Counter()
+        spy(monkeypatch, calls, theory, "sym_eig")
+        spy(monkeypatch, calls, SpdFactor, "inv_sqrt")
+        spy(monkeypatch, calls, np.linalg, "eigvalsh")
+        before = kernel_counts["eigh"]
+        report = skd.spectral_report(fam, skd.max_distance())
+        assert not calls and kernel_counts["eigh"] == before
+        assert np.array_equal(report.eig_max, np.ones(12))
+        assert np.array_equal(report.cond, np.ones(12))
+        assert np.array_equal(report.rank, np.ones(12, dtype=np.intp))
+        assert np.array_equal(report.eig_min, np.zeros(12))
+        assert (report.mu_hi, report.mu_lo) == (1.0, 1.0)
+        assert (report.tsum_eig_max, report.tsum_eig_min_pos) == (1.0, 1.0)
+        assert report.tsum_rank == 12 and not report.all_pd
+        assert (report.lam_lo, report.lam_hi) == (1.0 / 12, 1.0)
+
+    def test_one_dimensional_diagonal_family_is_positive_definite(self):
+        A = np.array([[3.0]])
+        system = skd.LinearSystem(A=A, b=np.array([6.0]), B=A, G=A,
+                                  x_star=np.array([2.0]))
+        report = skd.spectral_report(skd.SketchFamily("spectral", system))
+        assert report.all_pd and report.eig_min[0] == 1.0
+        assert report.tsum_rank == 1
+
+    @pytest.mark.parametrize("kind, make", [
+        ("row", lambda: gaussian_system(40, 60, seed=31)),
+        ("lsqcol", lambda: gaussian_system(50, 20, seed=32, metric="normal")),
+        ("spectral", lambda: _spd_copy_geometry(33)),
+        ("spectral", lambda: gaussian_system(40, 20, seed=37, spd=True,
+                                             metric="steepest")),
+    ])
+    def test_coupling_route_needs_no_whitening(self, monkeypatch, kind, make):
+        fam = skd.SketchFamily(kind, make())
+        assert fam.coupling is not None and not fam.diagonal
+        calls = collections.Counter()
+        for owner, name in ((SpdFactor, "inv_sqrt"),
+                            (skd.SketchFamily, "w_matrix"),
+                            (theory, "_operators")):
+            spy(monkeypatch, calls, owner, name)
+        report = skd.spectral_report(fam)
+        assert not calls
+        # With G = B each T_i's eigenvalue w_i'G^{-1}w_i / d_i is d_i / d_i.
+        assert fam.g_equals_b == np.array_equal(report.eig_max,
+                                                np.ones(fam.q))
+
+    @pytest.mark.parametrize("kind, block_size", [("row", None), ("block", 4)])
+    def test_other_families_take_the_dense_route(self, monkeypatch, kind,
+                                                 block_size):
+        system = gaussian_system(28, 10, seed=34, metric="normal")
+        fam = skd.SketchFamily(kind, system, block_size=block_size)
+        assert fam.coupling is None
+        calls = collections.Counter()
+        for owner, name in ((SpdFactor, "inv_sqrt"), (theory, "_operators")):
+            spy(monkeypatch, calls, owner, name)
+        skd.spectral_report(fam)
+        assert calls == {"inv_sqrt": 1, "_operators": 1}
+
+    @pytest.mark.parametrize("kind, shape", [
+        ("spectral", (501, 501)),  # diagonal route
+        ("row", (5, 501)),         # coupling route
+        ("row", (5001, 2)),        # dense route
+    ])
+    def test_size_refusal_precedes_every_route(self, monkeypatch, kind,
+                                               shape):
+        m, n = shape
+        if kind == "spectral":
+            A = np.diag(np.arange(1.0, n + 1.0))
+            system = skd.LinearSystem(A=A, b=np.ones(n), B=A, G=A)
+        else:
+            A = np.random.default_rng(35).standard_normal(shape)
+            system = skd.LinearSystem(A=A, b=A @ np.ones(n))
+        fam = skd.SketchFamily(kind, system)
+        calls = collections.Counter()
+        for owner, name in ((theory, "_operators"), (theory, "_summary")):
+            spy(monkeypatch, calls, owner, name)
+        for call in (skd.spectral_report, skd.verify_inequalities):
+            with pytest.raises(SizeLimitError, match="desk-scale limit") as exc:
+                call(fam)
+            assert "dense" not in str(exc.value)
+        assert not calls
