@@ -226,9 +226,11 @@ class _Recorder:
         self.err0_b = (system.error_sq_b(x0, self.x_star)
                        if self.x_star is not None else np.nan)
         # Divergence is judged on the problem's own scale: the start and the
-        # solution, or without one ||b|| / ||A||_F, which bounds ||x*|| below.
+        # solution, or without one ||A'b|| / ||A||_F^2, which bounds below
+        # the norm of every solution of A'A x = A'b, consistent or not.
+        A = system.A
         scale = (np.linalg.norm(self.x_star) if self.x_star is not None
-                 else np.linalg.norm(system.b) / np.linalg.norm(system.A))
+                 else np.linalg.norm(A.T @ system.b) / np.linalg.norm(A) ** 2)
         self.diverge_norm = DIVERGENCE_NORM * max(
             1.0, float(np.linalg.norm(x0)), float(scale))
         self.t0 = time.perf_counter()

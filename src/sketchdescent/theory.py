@@ -14,25 +14,20 @@ selected loss,
     lam_lo * ||r||^2  <=  2 E[f_selected(x)]  <=  lam_hi * ||r||^2.
 
 :func:`spectral_report` computes all of these (desk scale only) by one of
-three routes, from what the family already holds where it can:
+two routes:
 
 - a diagonal family (spectral, B = G = A) has T_i = u_i u_i', which sum to
-  the identity, so every per-index and summed eigenvalue is exactly 1;
-- a vector family that caches its coupling K' = D'W (row with q <= n,
-  lsqcol, other spectral) has rank-one T_i whose one nonzero eigenvalue is
-  K'_ii / d_i (exactly 1 when G = B), and the sum of the T_i is M M' with
-  M = G^{-1/2} W diag(d)^{-1/2}, whose nonzero spectrum is that of the
-  q x q matrix M'M = diag(d)^{-1/2} K' diag(d)^{-1/2}: no G^{-1/2} and no
-  n x n product;
-- every other family (row with q > n, block, full) whitens its operators
-  with G^{-1/2} and takes dense n x n eigendecompositions.
+  the identity, so every per-index and summed eigenvalue is exactly 1 and
+  nothing is decomposed;
+- every other family whitens its operators with G^{-1/2} and takes dense
+  n x n eigendecompositions.
 
 :func:`predicted_rates` and :func:`momentum_rate` turn the constants into
 per-step contraction factors, averaged-iterate bounds and the heavy ball
 Lyapunov rate, and :func:`verify_inequalities` hammers the underlying
 matrix inequalities with randomized trials, reporting the worst relative
 violation of each. It always takes the dense route, which it needs for its
-range bases, so it also checks the constants of the other two.
+range bases, so it also checks the closed form.
 """
 
 from __future__ import annotations
@@ -208,7 +203,7 @@ def _summary(family: SketchFamily, index: tuple,
              wT: np.ndarray) -> SpectralReport:
     """The family's report, without a rule, from the per-index arrays
     (eig_max, eig_min_pos, eig_min, rank) and the ascending eigenvalues wT
-    of the summed operator (or of a matrix with its nonzero spectrum)."""
+    of the summed operator."""
     eig_max, eig_min_pos, eig_min, rank = index
     posT = wT[_positive(wT)]
     if posT.size == 0:
@@ -282,23 +277,14 @@ def spectral_report(family: SketchFamily, rule=None,
 
     rule defaults to uniform sampling. zero_losses feeds the effective
     divisor in the greedy lower constant; 0 is the safe generic value.
-    The route depends on the family (module notes): a closed form for a
-    diagonal family, the q x q coupling for a vector family that caches
-    it, else a dense pass that streams the T_i, holding one n x n operator
+    A diagonal family takes the closed form (module notes); every other
+    family a dense pass that streams the T_i, holding one n x n operator
     at a time.
     """
     _check_size(family)
     if family.diagonal:
         base = _summary(family, _rank_one(family, np.ones(family.q)),
                         np.ones(family.system.n))
-    elif family.coupling is not None:
-        K, d = family.coupling, family.denominators
-        r = 1.0 / np.sqrt(d)
-        M = (0.5 * (K + K.T)) * np.outer(r, r)  # M'M, exactly symmetric
-        # T_i's one eigenvalue is w_i'G^{-1}w_i / d_i = K'_ii / d_i: exactly
-        # 1 when G = B, where the numerator is d_i itself.
-        eig = np.ones(family.q) if family.g_equals_b else np.diagonal(K) / d
-        base = _summary(family, _rank_one(family, eig), np.linalg.eigvalsh(M))
     else:
         base = _report(family, _operators(family))[0]
     return base.with_rule(GreedyRule(1) if rule is None else rule, zero_losses)

@@ -221,6 +221,25 @@ class TestSketchedSolver:
         assert np.linalg.norm(trace.x_final) > 1e13
         assert np.isnan(trace.rel_errors[-1]) != x_star_known
 
+    def test_divergence_scale_without_a_solution_is_a_lower_bound(
+            self, monkeypatch):
+        # An inconsistent system whose b is mostly outside range(A): there
+        # ||b|| / ||A||_F is far above ||x_ls||, while the guard's scale
+        # must not exceed the least-squares solution's norm.
+        rng = np.random.default_rng(38)
+        A = rng.standard_normal((60, 20))
+        Q = np.linalg.qr(A, mode="complete")[0]
+        b = A @ rng.standard_normal(20) + 1e6 * Q[:, 20:] @ rng.standard_normal(40)
+        system = skd.LinearSystem(A=A, b=b)
+        x_ls = np.linalg.lstsq(A, b, rcond=None)[0]
+
+        def refuse(*args):
+            raise SizeLimitError("no solution")
+        monkeypatch.setattr(solvers, "resolve_x_star", refuse)
+        rec = _Recorder("ssd", system, np.zeros(20), "selected", False)
+        assert np.linalg.norm(x_ls) > 1.0
+        assert rec.diverge_norm <= solvers.DIVERGENCE_NORM * np.linalg.norm(x_ls)
+
     def test_non_converged_run_reports_honestly(self):
         system, fam = family_on("row", 40, 20, seed=11)
         cfg = skd.SolverConfig(max_iters=3, check_every=1, tol=1e-12)

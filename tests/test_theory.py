@@ -529,7 +529,7 @@ class TestEnumeratedSandwich:
 
 def _spd_copy_geometry(seed):
     """30-dim SPD system with B = G = A held as a separate array: the
-    spectral family is not diagonal (told by identity) and keeps K'."""
+    spectral family is not diagonal (told by identity)."""
     base = gaussian_system(60, 30, seed=seed, spd=True)
     BG = base.A.copy()
     return skd.LinearSystem(A=base.A, b=base.b, B=BG, G=BG,
@@ -539,34 +539,32 @@ def _spd_copy_geometry(seed):
 # (kind, system, route spectral_report takes) over identity, A and A'A
 # geometries; "A" on a spectral family is the diagonal one.
 ROUTE_CASES = [
-    ("row", lambda: gaussian_system(40, 60, seed=1), "coupling"),
+    ("row", lambda: gaussian_system(40, 60, seed=1), "dense"),
     ("row", lambda: gaussian_system(60, 40, seed=2), "dense"),
     ("row", lambda: gaussian_system(60, 40, seed=3, metric="normal"), "dense"),
     ("row", lambda: gaussian_system(60, 30, seed=4, spd=True,
-                                    metric="system"), "coupling"),
+                                    metric="system"), "dense"),
     ("row", lambda: gaussian_system(60, 30, seed=5, spd=True,
-                                    metric="normal"), "coupling"),
-    ("lsqcol", lambda: gaussian_system(60, 40, seed=6), "coupling"),
+                                    metric="normal"), "dense"),
+    ("lsqcol", lambda: gaussian_system(60, 40, seed=6), "dense"),
     ("lsqcol", lambda: gaussian_system(60, 40, seed=7, metric="normal"),
-     "coupling"),
+     "dense"),
     ("lsqcol", lambda: gaussian_system(60, 30, seed=8, spd=True,
-                                       metric="system"), "coupling"),
+                                       metric="system"), "dense"),
     ("spectral", lambda: gaussian_system(60, 30, seed=9, spd=True),
-     "coupling"),
+     "dense"),
     ("spectral", lambda: gaussian_system(60, 30, seed=10, spd=True,
-                                         metric="normal"), "coupling"),
-    ("spectral", lambda: _spd_copy_geometry(11), "coupling"),
+                                         metric="normal"), "dense"),
+    ("spectral", lambda: _spd_copy_geometry(11), "dense"),
     ("spectral", lambda: gaussian_system(60, 30, seed=12, spd=True,
-                                         metric="steepest"), "coupling"),
+                                         metric="steepest"), "dense"),
     ("spectral", lambda: gaussian_system(60, 30, seed=13, spd=True,
                                          metric="system"), "diagonal"),
 ]
 
 
 def _route(fam):
-    if fam.diagonal:
-        return "diagonal"
-    return "dense" if fam.coupling is None else "coupling"
+    return "diagonal" if fam.diagonal else "dense"
 
 
 class TestReportRoutes:
@@ -637,33 +635,15 @@ class TestReportRoutes:
         assert report.all_pd and report.eig_min[0] == 1.0
         assert report.tsum_rank == 1
 
-    @pytest.mark.parametrize("kind, make", [
-        ("row", lambda: gaussian_system(40, 60, seed=31)),
-        ("lsqcol", lambda: gaussian_system(50, 20, seed=32, metric="normal")),
-        ("spectral", lambda: _spd_copy_geometry(33)),
-        ("spectral", lambda: gaussian_system(40, 20, seed=37, spd=True,
-                                             metric="steepest")),
+    @pytest.mark.parametrize("kind, block_size", [
+        ("row", None),     # q > n
+        ("lsqcol", None),  # caches its coupling K'
+        ("block", 4),
     ])
-    def test_coupling_route_needs_no_whitening(self, monkeypatch, kind, make):
-        fam = skd.SketchFamily(kind, make())
-        assert fam.coupling is not None and not fam.diagonal
-        calls = collections.Counter()
-        for owner, name in ((SpdFactor, "inv_sqrt"),
-                            (skd.SketchFamily, "w_matrix"),
-                            (theory, "_operators")):
-            spy(monkeypatch, calls, owner, name)
-        report = skd.spectral_report(fam)
-        assert not calls
-        # With G = B each T_i's eigenvalue w_i'G^{-1}w_i / d_i is d_i / d_i.
-        assert fam.g_equals_b == np.array_equal(report.eig_max,
-                                                np.ones(fam.q))
-
-    @pytest.mark.parametrize("kind, block_size", [("row", None), ("block", 4)])
     def test_other_families_take_the_dense_route(self, monkeypatch, kind,
                                                  block_size):
         system = gaussian_system(28, 10, seed=34, metric="normal")
         fam = skd.SketchFamily(kind, system, block_size=block_size)
-        assert fam.coupling is None
         calls = collections.Counter()
         for owner, name in ((SpdFactor, "inv_sqrt"), (theory, "_operators")):
             spy(monkeypatch, calls, owner, name)
@@ -672,8 +652,8 @@ class TestReportRoutes:
 
     @pytest.mark.parametrize("kind, shape", [
         ("spectral", (501, 501)),  # diagonal route
-        ("row", (5, 501)),         # coupling route
-        ("row", (5001, 2)),        # dense route
+        ("row", (5, 501)),         # dense route, n too large
+        ("row", (5001, 2)),        # dense route, m too large
     ])
     def test_size_refusal_precedes_every_route(self, monkeypatch, kind,
                                                shape):
