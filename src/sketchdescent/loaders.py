@@ -10,6 +10,7 @@ be round-tripped to disk.
 from __future__ import annotations
 
 import re
+import warnings
 
 import numpy as np
 
@@ -68,6 +69,29 @@ def _values_by_token(lines: list[str]) -> list[float]:
         for tok in ln.split():
             values.append(_float(tok, f"at value line {lineno}"))
     return values
+
+
+def _values_bulk(text: str) -> np.ndarray | None:
+    """Array-layout values of a comment-free body, None if one is bad.
+
+    np.fromstring makes no string object per token, but it reads a blank
+    text as [-1.0], "-nan" unsigned and "nan(123)" as NaN, and refuses
+    "1_000": a blank or refused text, or one with a NaN, goes by float()'s
+    rules through np.array over the split tokens.
+    """
+    if not text.isspace():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a partial read only warns
+            try:
+                values = np.fromstring(text, sep=" ")
+            except (ValueError, DeprecationWarning):
+                values = None
+        if values is not None and not np.isnan(values).any():
+            return values
+    try:
+        return np.array(text.split(), dtype=np.float64)
+    except ValueError:
+        return None
 
 
 def _entries_by_token(path, M: np.ndarray, entries: list[str],
@@ -136,11 +160,12 @@ def load_matrix_market(path) -> np.ndarray:
     upper triangle is mirrored in. Anything else in the header is refused
     rather than guessed at.
 
-    The body is read and split once and every value converted by one numpy
-    call, then placed with index arrays. When a bulk step fails, the tokens
-    are walked again one at a time, which raises the error naming the line
-    or entry at fault (or, for coordinate entries that write one position
-    twice, applies them in file order).
+    The body is read once and every value converted by one numpy call
+    (_values_bulk for the array layout), then placed with index arrays.
+    When a bulk step fails, the tokens are walked again one at a time,
+    which raises the error naming the line or entry at fault (or, for
+    coordinate entries that write one position twice, applies them in
+    file order).
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
@@ -192,9 +217,8 @@ def load_matrix_market(path) -> np.ndarray:
     # Comment lines may sit between values; only then is the body filtered
     # line by line before the split.
     text = "\n".join(_data_lines(rest)) if "%" in rest else rest
-    try:
-        values = np.array(text.split(), dtype=np.float64)
-    except ValueError:
+    values = _values_bulk(text)
+    if values is None:
         values = np.array(_values_by_token(_data_lines(rest)),
                           dtype=np.float64)
     expected = m * n if symmetry == "general" else n * (n + 1) // 2

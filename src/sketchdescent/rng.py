@@ -39,27 +39,27 @@ between blocks, so a solver run gives its generator one consumer.
 
 Cost per draw in microseconds, read from a DrawStream (sampling module),
 against Generator.choice(q, tau, replace=False) plus a sort; one BLAS
-thread on a shared 2-vCPU Xeon host, best of two rounds of 5 x 3000 draws.
-"other" forces the scheme not chosen:
+thread on a shared 2-vCPU Xeon host, best of two rounds of 5 x 3000 draws
+("here": of four, since np.compress). "other" forces the scheme not chosen:
 
 =====  ===  =============  ====  =====  =========
 q      tau  choice + sort  here  other  scheme
 =====  ===  =============  ====  =====  =========
-500    1    11.6           0.3          tau = 1
-500    5    7.8            0.9   4.6    rejection
-500    20   11.7           1.5   6.3    rejection
-500    100  16.1           6.1   6.6    rejection
-500    125  14.3           7.2   7.3    keys
-500    400  25.1           8.4   50.8   keys
-2000   1    7.2            0.4          tau = 1
-2000   5    7.9            0.6   18.4   rejection
-2000   20   12.5           1.5   19.5   rejection
-2000   100  15.6           5.7   19.6   rejection
-2000   500  30.2           21.7  29.1   keys
+500    1    11.6           0.5          tau = 1
+500    5    7.8            1.2   4.6    rejection
+500    20   11.7           1.1   6.3    rejection
+500    100  16.1           4.1   6.6    rejection
+500    125  14.3           5.8   7.3    keys
+500    400  25.1           6.7   50.8   keys
+2000   1    7.2            0.3          tau = 1
+2000   5    7.9            0.7   18.4   rejection
+2000   20   12.5           1.1   19.5   rejection
+2000   100  15.6           3.2   19.6   rejection
+2000   500  30.2           17.4  29.1   keys
 20000  1    7.5            0.3          tau = 1
-20000  5    7.8            0.6   134    rejection
+20000  5    7.8            0.7   134    rejection
 20000  20   9.9            1.1   144    rejection
-20000  100  15.0           5.0   131    rejection
+20000  100  15.0           3.1   131    rejection
 =====  ===  =============  ====  =====  =========
 
 Seeds for sub-streams (one per benchmark repetition) are derived with a
@@ -164,6 +164,6 @@ def uniform_subsets(rng: np.random.Generator, q: int, tau: int,
         # The draw position of the tau-th distinct value, k if none.
         cut = np.partition(np.where(first, pos, k), tau - 1, axis=1)[:, tau - 1:tau]
         keep = first & (pos <= cut) & (cut < k)
-        parts.append(values.ravel()[keep.ravel()].reshape(-1, tau))
+        parts.append(np.compress(keep.ravel(), values.ravel()).reshape(-1, tau))
         need -= parts[-1].shape[0]
     return np.concatenate(parts, dtype=np.intp)

@@ -179,62 +179,58 @@ def gs_expectation_weights(q: int, tau: int) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _shared_weights(q: int, tau: int) -> np.ndarray:
-    """gs_expectation_weights(q, tau), kept read-only for every later step.
-
-    A capped-exact step needs two of these per step with q and tau fixed
-    for the whole run; at q = 2000 recomputing them was over half the
-    threshold's cost.
-    """
+    """gs_expectation_weights(q, tau), kept read-only for every later call:
+    rule_expectation asks for the same (q, tau) at every Cesaro checkpoint,
+    and a capped-exact run once for all its steps."""
     w = gs_expectation_weights(q, tau)
     w.flags.writeable = False
     return w
 
 
-def _sorted_max_expectation(v: np.ndarray, tau: int) -> float:
-    """subset_max_expectation over values already sorted ascending."""
+def subset_max_expectation(values: np.ndarray, tau: int) -> float:
+    """Expected maximum of a uniform tau-subset of the given values."""
+    v = np.sort(np.asarray(values, dtype=np.float64))
     return float(_shared_weights(v.size, tau) @ v[tau - 1:])
 
 
-def subset_max_expectation(values: np.ndarray, tau: int) -> float:
-    """Expected maximum of a uniform tau-subset of the given values."""
-    return _sorted_max_expectation(
-        np.sort(np.asarray(values, dtype=np.float64)), tau)
-
-
 def capped_threshold(losses: np.ndarray, rule: CappedRule) -> float:
-    """Admission threshold for the capped rule at the current losses.
-
-    Exact mode takes tau = 1 as the mean loss and tau = q as the largest,
-    and sorts the losses once for any other tau, so capped:theta,1,m,exact
-    sorts nothing. The mean is losses.sum() / q, np.mean's bits without
-    its per-call overhead, as this runs once per capped step.
-    """
+    """Admission threshold for the capped rule at the current losses."""
     losses = np.asarray(losses, dtype=np.float64)
-    q = losses.size
-    mean = float(losses.sum() / q)
-    if not rule.exact:
-        return mean
-    taus = [GreedyRule(tau).resolve_tau(q) for tau in (rule.tau1, rule.tau2)]
-    if any(1 < tau < q for tau in taus):
-        v = np.sort(losses)
+    return _bind_threshold(rule, losses.size)(losses)
 
-    def expectation(tau):
-        if tau == 1:
+
+def _bind_threshold(rule: CappedRule, q: int):
+    """capped_threshold on q losses, tau1 and tau2 resolved once.
+
+    The bound threshold(losses, top=None) takes top = losses.max() from a
+    caller that has it. Exact mode takes tau = 1 as the mean loss and
+    tau = q as the largest, and sorts the losses once for any other tau,
+    so capped:theta,1,m,exact sorts nothing. The mean is losses.sum() / q,
+    np.mean's bits without its per-call overhead.
+    """
+    theta = rule.theta
+    taus = [GreedyRule(tau).resolve_tau(q)
+            for tau in (rule.tau1, rule.tau2)] if rule.exact else []
+    weights = {tau: _shared_weights(q, tau) for tau in taus if 1 < tau < q}
+
+    def threshold(losses: np.ndarray, top=None) -> float:
+        mean = float(losses.sum() / q)
+        if not taus:
             return mean
-        if tau == q:
-            return float(losses.max())
-        return _sorted_max_expectation(v, tau)
-
-    e1, e2 = map(expectation, taus)
-    return rule.theta * e1 + (1.0 - rule.theta) * e2
+        top = losses.max() if top is None else top
+        v = np.sort(losses) if weights else None
+        e1, e2 = [mean if tau == 1 else float(top) if tau == q
+                  else float(weights[tau] @ v[tau - 1:]) for tau in taus]
+        return theta * e1 + (1.0 - theta) * e2
+    return threshold
 
 
 def capped_candidates(losses: np.ndarray, rule: CappedRule,
                       threshold: float | None = None) -> np.ndarray:
     """Indices whose loss reaches the threshold. Never empty.
 
-    The threshold defaults to capped_threshold(losses, rule); choose passes
-    the one it has already computed, so a capped step sorts only once.
+    The threshold defaults to capped_threshold(losses, rule); the bound
+    choice passes the one it has computed, so a capped step sorts once.
     """
     thr = capped_threshold(losses, rule) if threshold is None else threshold
     cand = np.nonzero(losses >= thr)[0]
@@ -352,32 +348,44 @@ def sample_size(rule, q: int) -> int:
 
 
 def choose(rule, losses: np.ndarray, stream: DrawStream, sample=None):
-    """The rule's choice among the losses of the ascending sample, or of
-    all q indices when sample is None (a full scan).
+    """bind_choice(rule, q) applied once to the losses of the ascending
+    sample, or of all q indices when sample is None (a full scan)."""
+    return bind_choice(rule, losses.size)(losses, stream, sample)
 
-    Returns (index, loss, f, threshold, candidates): f is the value a
-    trace records, the chosen loss or for capped the candidates' mean
-    loss, lc.sum() / lc.size (np.mean's bits without its overhead);
-    threshold and candidates are None and 0 for greedy. Returns None when
-    a full scan's largest loss is exactly zero: losses are >= 0, so the
-    iterate solves the system. A NaN is its own argmax, never read as
+
+def bind_choice(rule, q: int):
+    """The rule's choice on a family of q indices, bound once per run.
+
+    choice(losses, stream, sample=None) returns (index, loss, f, threshold,
+    candidates): f is the value a trace records, the chosen loss or for
+    capped the candidates' mean loss, lc.sum() / lc.size (np.mean's bits);
+    threshold and candidates are None and 0 for greedy. It returns None
+    when a full scan's largest loss is exactly zero: losses are >= 0, so
+    the iterate solves the system. A NaN is its own argmax, never read as
     solved. Greedy ties break to the smallest index. capped_candidates is
     looked up by its module name, so a wrapper of it sees every step.
     """
     if isinstance(rule, GreedyRule):
-        j = losses.argmax()  # the method skips np.argmax's dispatch
-        loss = float(losses[j])
-        if sample is not None:
-            return int(sample[j]), loss, loss, None, 0
-        return None if loss == 0.0 else (int(j), loss, loss, None, 0)
+        def choice(losses, stream, sample=None):
+            j = losses.argmax()  # methods: no np.argmax or float() dispatch
+            loss = losses.item(j)
+            if sample is not None:
+                return int(sample[j]), loss, loss, None, 0
+            return None if loss == 0.0 else (int(j), loss, loss, None, 0)
+        return choice
     if isinstance(rule, CappedRule):
-        if losses.max() == 0.0:
-            return None
-        thr = capped_threshold(losses, rule)
-        cand = capped_candidates(losses, rule, thr)
-        i = int(cand[stream.pick(cand.size)])
-        lc = losses[cand]
-        return i, float(losses[i]), float(lc.sum() / lc.size), thr, cand.size
+        threshold = _bind_threshold(rule, q)
+
+        def choice(losses, stream, sample=None):
+            top = losses.max()
+            if top == 0.0:
+                return None
+            thr = threshold(losses, top)
+            cand = capped_candidates(losses, rule, thr)
+            i = int(cand[stream.pick(cand.size)])
+            lc = losses[cand]
+            return i, float(losses[i]), float(lc.sum() / lc.size), thr, cand.size
+        return choice
     raise InvalidConfigError(f"unknown rule type {type(rule).__name__}")
 
 

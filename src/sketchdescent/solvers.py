@@ -6,11 +6,12 @@ iterate move by omega times that step, optionally plus a heavy ball term
 gamma * (x_k - x_{k-1}). One loop runs it for every sketch kind, through
 two steps bound once per run:
 
-- pick(x, c) chooses the index. It binds the rule's tau and the run's
-  DrawStream, draws the sample, forms the sampled losses and hands them to
-  sampling.choose, the one code that takes the argmax, tests for all
-  zeros and makes the capped pick; sampling.select does the same through
-  it. A vector family's (row, lsqcol, spectral) losses are
+- pick(x, c) chooses the index. It binds the rule's tau, the run's
+  DrawStream and sampling.bind_choice(rule, q), the one code that takes
+  the argmax, tests for all zeros and makes the capped pick (tau1 and
+  tau2 resolved once); sampling.choose and select apply the same binding.
+  It draws the sample and hands over the sampled losses. A vector
+  family's (row, lsqcol, spectral) losses are
   0.5 c_s^2 / d_s, read from c when it is kept, or kept themselves on a
   diagonal run (below); a block family's come from SketchFamily.losses.
   A full family's one sketch is picked by every rule, so its pick reads
@@ -24,19 +25,22 @@ two steps bound once per run:
 
 A diagonal family (spectral with B = G = A, see the sketching module) runs
 the same loop after a change of variables: x holds y = U'x and move writes
-the one coordinate y_i -= omega c_i / lambda_i, c = lambda y - U'b, from
-the family's eigvals and Utb bound once per run.
-Without momentum a step changes loss i alone, so the run keeps its losses
-L = 0.5 c c / lambda, built by one scan: pick reads L, or L_s for a
-sample, as it is, and move rewrites L_i from the new y_i in the scan's
-expression order, so L equals a fresh scan bit for bit and is never
+the one coordinate y_i -= omega c_i / lambda_i, c = lambda y - U'b, in
+Python floats (eigvals and Utb bound once per run as lists, y_i read
+once): numpy's IEEE operations in the same order, without its scalar
+dispatch. Without momentum a step changes loss i alone, so the run keeps
+its losses L = 0.5 c c / lambda, built by one scan: pick reads L, or L_s
+for a sample, as it is, and move rewrites L_i from the new y_i in the
+scan's expression order, so L equals a fresh scan bit for bit and is never
 recomputed. Heavy ball, y + gamma (y - y_prev), moves every coordinate, so
 its pick reads c elementwise every step (O(tau) for a sample, no product)
 and nothing is kept. x = U y is formed only at checkpoints, at the
-all-zero stop, for the Cesaro loss and at the end.
+all-zero stop, for the Cesaro loss and at the end, unless the run ends
+at a checkpoint, whose x is returned.
 
 The loop is tested against a step-by-step run through the public
-evaluate and apply_update, with a selection written apart from choose.
+evaluate and apply_update, with a selection written apart from
+bind_choice.
 
 Steepest descent and conjugate gradients get dedicated loops so they can
 serve as independent references: steepest descent must coincide with the
@@ -47,7 +51,8 @@ instead of held fixed.
 Residuals, errors and wall times are recorded at checkpoints, where every
 solver also checks that the iterate is finite and within DIVERGENCE_NORM
 of the problem's scale, max(1, ||x0||, ||x*||), and runs the stopping test
-||A x - b|| <= tol, all in _Recorder.checkpoint. Vector families
+||A x - b|| <= tol, all in _Recorder.checkpoint; x0's own row gives the
+reference error of rel_errors. Vector families
 default to a checkpoint every 100 iterations, which spreads its O(m n)
 products over 100 O(n) iterations; everything else checks every
 iteration. A diagonal step costs far less than O(n), so there the
@@ -86,7 +91,7 @@ from .errors import DivergenceError, InvalidConfigError, SizeLimitError
 from .linalg import as_vector, pinv_psd
 from .problems import PINV_SIZE_LIMIT, LinearSystem, resolve_x_star
 from .rng import make_rng
-from .sampling import (CappedRule, DrawStream, choose, rule_expectation,
+from .sampling import (CappedRule, DrawStream, bind_choice, rule_expectation,
                        sample_size)
 from .sketching import VECTOR_KINDS, SketchFamily, apply_update, check_omega
 
@@ -223,8 +228,7 @@ class _Recorder:
             self.x_star, self.is_proj = resolve_x_star(system, x0)
         except SizeLimitError:
             self.x_star, self.is_proj = None, False
-        self.err0_b = (system.error_sq_b(x0, self.x_star)
-                       if self.x_star is not None else np.nan)
+        self.err0_b = np.nan  # x0's B-norm error, set by its record
         # Divergence is judged on the problem's own scale: the start and the
         # solution, or without one ||A'b|| / ||A||_F^2, which bounds below
         # the norm of every solution of A'A x = A'b, consistent or not.
@@ -253,6 +257,8 @@ class _Recorder:
             self.err_g_sq.append(np.nan)
         else:
             err_b = self.system.error_sq_b(x, self.x_star)
+            if len(self.ks) == 1:  # x0's own row: the reference error
+                self.err0_b = err_b
             self.rel_errors.append(
                 np.sqrt(err_b / self.err0_b) if self.err0_b > 0.0 else 0.0)
             self.err_g_sq.append(err_b if self.system.g_equals_b
@@ -375,6 +381,7 @@ def _run_sketched(method: str, system: LinearSystem, family: SketchFamily,
     x_sum = np.zeros_like(x)
     last_sel = -1
     last_f = np.nan
+    x_rec = None  # x as the latest checkpoint in the loop formed it
     k = 0
     converged = False
     while k < max_iters:
@@ -390,7 +397,7 @@ def _run_sketched(method: str, system: LinearSystem, family: SketchFamily,
             # k checkpointed already did not meet it and is not recorded twice.
             k -= 1
             converged = rec.ks[-1] != k and rec.checkpoint(
-                k, to_x(x), tol, f_value=0.0, sel_index=last_sel,
+                k, (x_rec := to_x(x)), tol, f_value=0.0, sel_index=last_sel,
                 cesaro_f=cesaro_loss(x_sum, k))
             break
         i, loss, last_f, _, candidates = chosen
@@ -412,8 +419,8 @@ def _run_sketched(method: str, system: LinearSystem, family: SketchFamily,
             x_sum += x
         if k % check_every and k < max_iters:
             continue
-        if rec.checkpoint(k, to_x(x), tol, f_value=last_f, sel_index=last_sel,
-                          cesaro_f=cesaro_loss(x_sum, k)):
+        if rec.checkpoint(k, (x_rec := to_x(x)), tol, f_value=last_f,
+                          sel_index=last_sel, cesaro_f=cesaro_loss(x_sum, k)):
             converged = True
             break
         if c is not None and k < max_iters:
@@ -422,7 +429,8 @@ def _run_sketched(method: str, system: LinearSystem, family: SketchFamily,
             if heavy:
                 counts["full_scans"] += 1
                 c_prev = linear_values(x_prev)
-    x = to_x(x)
+    # A run that ends at a checkpoint returns the x that checkpoint formed.
+    x = x_rec if rec.ks[-1] == k and x_rec is not None else to_x(x)
     x_cesaro = None
     if track_cesaro:
         x_cesaro = to_x(x_sum / k) if k > 0 else x.copy()
@@ -433,27 +441,28 @@ def _picker(rule, family: SketchFamily, tau: int, stream: DrawStream,
             counts: dict, losses: np.ndarray | None):
     """One run's selection step on a vector or block family, bound once.
 
-    pick(x, c) draws a sample of tau (none when tau is q) and returns what
-    choose makes of its losses: the run's kept losses when given, as they
+    pick(x, c) draws a sample of tau (none when tau is q) and returns the
+    bound choice among its losses: the run's kept losses when given, as they
     are. Otherwise a vector family's are 0.5 c_s^2 / d_s, read from the
     kept linear values c, or when c is None from exact ones (in y = U'x
     for a diagonal family); a block family's are family.losses.
     """
     q = family.q
     sample = stream.sample if tau < q else None
+    choose = bind_choice(rule, q)
     if losses is not None:
         def pick(y, c):
             counts["losses_read"] += tau
             if sample is None:
-                return choose(rule, losses, stream)
+                return choose(losses, stream)
             s = sample(q, tau)
-            return choose(rule, losses[s], stream, s)
+            return choose(losses[s], stream, s)
         return pick
     if family.kind == "block":
         def pick(x, c):
             counts["losses_read"] += tau
             s = None if sample is None else sample(q, tau)
-            return choose(rule, family.losses(x, s), stream, s)
+            return choose(family.losses(x, s), stream, s)
         return pick
     d = family.denominators  # a diagonal family's is eigvals itself
     if family.diagonal:  # heavy ball: c = lambda y - U'b, elementwise
@@ -469,11 +478,11 @@ def _picker(rule, family: SketchFamily, tau: int, stream: DrawStream,
         if sample is not None:
             s = sample(q, tau)
             cs = linear_values(x, s) if c is None else c[s]
-            return choose(rule, 0.5 * cs * cs / d[s], stream, s)
+            return choose(0.5 * cs * cs / d[s], stream, s)
         if c is None:
             counts["full_scans"] += 1
             c = linear_values(x)
-        return choose(rule, 0.5 * c * c / d, stream)
+        return choose(0.5 * c * c / d, stream)
     return pick
 
 
@@ -485,12 +494,11 @@ def _mover(family: SketchFamily, omega: float, counts: dict,
     arithmetic of evaluate and apply_update,
     x - (omega step) ((c_i / d_i) D[:, i]), with c_i exact, and t is the
     length of the step along D[:, i] that moves the linear values by
-    -t K'[i], or None when c_i = 0 and x stays. On a diagonal family x is
-    y = U'x, D[:, i] is e_i there and the step writes y_i alone: into y
-    itself, then losses[i] from the new y_i as a scan forms it, when the
-    run keeps its losses; into a copy (heavy ball) when not. A block
-    family, which has no scalar c_i, calls evaluate and apply_update. t is
-    None wherever no c is kept.
+    -t K'[i], or None when c_i = 0 and x stays. On a diagonal family (x is
+    y = U'x, module notes) it writes y_i, and losses[i] as a scan forms it,
+    into y itself when the run keeps its losses, into a copy when not. A
+    block family calls evaluate and apply_update. t is None wherever no c
+    is kept.
     """
     if family.kind == "block":
         def move(x, i):
@@ -501,19 +509,19 @@ def _mover(family: SketchFamily, omega: float, counts: dict,
         return move
     d = family.denominators
     if family.diagonal:
-        Utb = family.Utb
+        lam, Utb = d.tolist(), family.Utb.tolist()
 
         def move(y, i):
-            di, bi = d[i], Utb[i]
-            ci = float(di * y[i] - bi)
+            di, bi, yi = lam[i], Utb[i], y.item(i)
+            ci = di * yi - bi
             if ci == 0.0:
                 counts["zero_steps"] += 1
                 return y, None
             if losses is None:
                 y = y.copy()
-            y[i] -= omega * (ci / di)
+            y[i] = yi = yi - omega * (ci / di)
             if losses is not None:
-                c = di * y[i] - bi
+                c = di * yi - bi
                 losses[i] = 0.5 * c * c / di
             return y, None
         return move

@@ -10,15 +10,15 @@ and dense_report takes every rule-free SpectralReport field from those T_i
 and their sum by np.linalg.eigh, whatever route spectral_report takes.
 
 reference_choose writes out the selection rules' choice among evaluated
-losses apart from sampling.choose, so the solver loop can be pinned
-against selection code it does not share.
+losses apart from sampling.bind_choice, threshold included, so the solver
+loop can be pinned against selection code it does not share.
 """
 
 import numpy as np
 
 from sketchdescent.errors import InvalidInputError
 from sketchdescent.linalg import DEFAULT_EIG_CUTOFF, pinv_psd
-from sketchdescent.sampling import GreedyRule, capped_threshold
+from sketchdescent.sampling import GreedyRule, subset_max_expectation
 from sketchdescent.sketching import SketchEval
 
 
@@ -115,22 +115,39 @@ def dense_report(fam) -> dict:
     }
 
 
+def reference_threshold(losses: np.ndarray, rule) -> float:
+    """The capped admission threshold from np.mean and
+    subset_max_expectation: theta E1 + (1 - theta) E2, or the mean loss
+    when the rule is not exact."""
+    mean = float(np.mean(losses))
+    if not rule.exact:
+        return mean
+
+    def expectation(tau):
+        tau = losses.size if tau is None else tau
+        return mean if tau == 1 else subset_max_expectation(losses, tau)
+
+    return (rule.theta * expectation(rule.tau1)
+            + (1.0 - rule.theta) * expectation(rule.tau2))
+
+
 def reference_choose(rule, losses: np.ndarray, stream, sample=None):
     """(index, loss, f, candidates) for the losses of the ascending sample,
     or of all q indices when sample is None; None when that full scan's
-    largest loss is zero. Greedy takes the first position holding the
-    largest loss, mapped through the sample, and f is its loss. Capped
-    keeps the losses at or above capped_threshold (the largest alone if
-    none is), picks one with the stream and takes f as np.mean over them.
-    Losses must be finite."""
+    largest loss is zero. The top is the first NaN if there is one, else
+    the first position holding the largest loss. Greedy takes the top,
+    mapped through the sample, and f is its loss. Capped keeps the losses
+    at or above reference_threshold (the top alone if none is), picks one
+    with the stream and takes f as np.mean over them."""
+    nan = np.flatnonzero(np.isnan(losses))
     top = losses.max()
-    first_top = int(np.flatnonzero(losses == top)[0])
+    first_top = int(nan[0] if nan.size else np.flatnonzero(losses == top)[0])
     if sample is None and top == 0.0:
         return None
     if isinstance(rule, GreedyRule):
         index = first_top if sample is None else int(sample[first_top])
         return index, float(top), float(top), 0
-    cand = np.flatnonzero(losses >= capped_threshold(losses, rule))
+    cand = np.flatnonzero(losses >= reference_threshold(losses, rule))
     if cand.size == 0:
         cand = np.array([first_top])
     index = int(cand[stream.pick(cand.size)])

@@ -291,6 +291,27 @@ class TestBulkMatrixMarket:
         assert_same_array(M, reference_load(path))
         assert by_token_calls == ["_entries_by_token"]
 
+    @pytest.mark.parametrize("token, value", [
+        ("-nan", -np.nan), ("1_000", 1000.0), ("１２", 12.0)])
+    def test_tokens_the_fast_parse_misreads(self, tmp_path, by_token_calls,
+                                            token, value):
+        # np.fromstring drops the sign of "-nan" and refuses the other two;
+        # the values still follow float(), with no token walk.
+        path = write_lines(tmp_path, "f.mtx", [
+            "%%MatrixMarket matrix array real general", "2 2",
+            "1.5 -0.0", token, "2.5"])
+        M = load_matrix_market(path)
+        assert_same_array(M, reference_load(path))
+        assert np.array([value]).tobytes() == M[0, 1:].tobytes()
+        assert by_token_calls == []
+
+    def test_blank_body_holds_no_values(self, tmp_path):
+        # np.fromstring reads a whitespace-only text as [-1.0]
+        for body in (" ", "\n\n", "\t \x0b\x0c"):
+            raises_at(tmp_path, [
+                "%%MatrixMarket matrix array real general", "1 1", body],
+                MalformedFileError, "expected 1 values, found 0")
+
 
 def raises_at(tmp_path, lines, error, message):
     path = write_lines(tmp_path, "bad.mtx", lines)
@@ -307,6 +328,13 @@ class TestMatrixMarketErrors:
                 "%%MatrixMarket matrix array real general", "2 2", "1",
                 "% comments are not counted", f"2 {token}", "3"],
                 ParseError, f"bad numeric token {token!r} at value line 2")
+
+    def test_nan_payload_names_its_line(self, tmp_path):
+        # np.fromstring reads "nan(123)" as a NaN; float() refuses it
+        raises_at(tmp_path, [
+            "%%MatrixMarket matrix array real general", "2 1", "1",
+            "nan(123)"],
+            ParseError, "bad numeric token 'nan(123)' at value line 2")
 
     def test_bad_entry_value_names_its_entry(self, tmp_path):
         for token in ("abc", "0x10", "1d3"):

@@ -19,6 +19,7 @@ from sketchdescent.sampling import (
 )
 
 from conftest import family_on
+from dense_reference import reference_choose, reference_threshold
 
 
 class FixedLosses:
@@ -584,6 +585,62 @@ class TestChoose:
         with pytest.raises(InvalidConfigError):
             sampling.choose(object(), np.ones(3), DrawStream(make_rng(0)))
         with pytest.raises(InvalidConfigError):
+            sampling.bind_choice(object(), 3)
+        with pytest.raises(InvalidConfigError):
+            sampling.bind_choice(skd.capped(tau1=4, exact=True), 3)
+        with pytest.raises(InvalidConfigError):
             sampling.sample_size(object(), 3)
         with pytest.raises(InvalidConfigError):
             sampling.sample_size(skd.greedy(4), 3)
+
+
+def same_float(a, b) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+class TestBoundChoice:
+    """bind_choice(rule, q), bound once and applied step after step, equals
+    the choice written out in dense_reference, and choose is that binding."""
+
+    Q = 12
+    RULES = [skd.greedy(1), skd.greedy(3), skd.max_distance()] + [
+        skd.capped(0.3, tau1, tau2, exact) for exact in (False, True)
+        for tau1 in (1, 3, None) for tau2 in (1, 3, None)]
+
+    @staticmethod
+    def loss_vectors(q):
+        rng = np.random.default_rng(4)
+        out = []
+        for _ in range(20):
+            losses = rng.exponential(size=q)
+            losses[rng.integers(q, size=3)] = 0.0
+            out.append(losses)
+        tied = np.round(rng.exponential(size=q), 1)
+        tied[[2, 7]] = tied.max()
+        with_nan = rng.exponential(size=q)
+        with_nan[[5, 9]] = np.nan
+        return out + [tied, with_nan, np.zeros(q), np.full(q, 0.4)]
+
+    @pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.label)
+    def test_bound_choice_equals_reference(self, rule):
+        q = self.Q
+        choice = sampling.bind_choice(rule, q)
+        tau = sampling.sample_size(rule, q)
+        streams = [DrawStream(make_rng(6)) for _ in range(3)]
+        draws = np.random.default_rng(7)
+        for losses in self.loss_vectors(q):
+            sample = (None if tau == q
+                      else np.sort(draws.choice(q, tau, replace=False)))
+            seen = losses if sample is None else losses[sample]
+            got = choice(seen, streams[0], sample)
+            want = reference_choose(rule, seen, streams[1], sample)
+            via_choose = sampling.choose(rule, seen, streams[2], sample)
+            if want is None:
+                assert got is None and via_choose is None
+                continue
+            index, loss, f, thr, count = got
+            assert (index, count) == (want[0], want[3])
+            assert same_float(loss, want[1]) and same_float(f, want[2])
+            if isinstance(rule, skd.CappedRule):
+                assert same_float(thr, reference_threshold(seen, rule))
+            assert repr(via_choose) == repr(got)

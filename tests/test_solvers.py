@@ -626,3 +626,36 @@ class TestCheckpointErrors:
         assert len(calls) == quads
         monkeypatch.setattr(SpdFactor, "quad", quad)
         assert rec.err_g_sq[-1] == system.error_sq_g(x, rec.x_star)
+
+    @pytest.mark.parametrize("rule, cfg", [
+        ("greedy:5", skd.SolverConfig(check_every=10)),
+        ("maxdist", skd.SolverConfig(check_every=10, tol=0.0, max_iters=25)),
+    ])
+    def test_diagonal_run_forms_each_product_once(self, monkeypatch, rule, cfg):
+        # x0's row is the reference of rel_errors, so error_sq_b runs once
+        # per row; U y is formed once per later row, and the run's end
+        # returns the x its last checkpoint formed.
+        system, fam = family_on("spectral", 60, 30, seed=2)
+        assert fam.diagonal
+        want = skd.run_ssd(system, fam, skd.parse_rule(rule), cfg)
+        errors, products = [], []
+        error_sq_b = skd.LinearSystem.error_sq_b
+
+        def counting(self, x, x_star=None):
+            errors.append(x)
+            return error_sq_b(self, x, x_star)
+
+        class Counted(np.ndarray):
+            def __matmul__(self, other):
+                products.append("U" if self is U else "U'")
+                return np.asarray(self) @ other
+
+        U = fam.eigvecs.view(Counted)
+        monkeypatch.setattr(fam, "eigvecs", U)
+        monkeypatch.setattr(skd.LinearSystem, "error_sq_b", counting)
+        trace = skd.run_ssd(system, fam, skd.parse_rule(rule), cfg)
+        assert len(errors) == len(trace.ks)
+        assert products == ["U'"] + ["U"] * (len(trace.ks) - 1)
+        assert trace.ks[-1] == trace.iterations
+        assert trace.x_final.tobytes() == want.x_final.tobytes()
+        assert np.array_equal(trace.rel_errors, want.rel_errors)
