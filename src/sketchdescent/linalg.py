@@ -44,13 +44,18 @@ def as_vector(v, name: str = "v") -> np.ndarray:
 def check_symmetric(M, rtol: float = 1e-12, name: str = "M") -> np.ndarray:
     """Validate that M is square and symmetric to relative tolerance rtol.
 
-    Returns the symmetrized matrix (M + M.T)/2 so downstream eigensolvers
-    see an exactly symmetric array.
+    Returns an exactly symmetric array for the eigensolvers: M itself when
+    it is C-ordered and bitwise symmetric (its int64 view equals its
+    transpose's, so a +0/-0 pair is not), else the C-ordered half-sum
+    0.5 M + 0.5 M.T, which never overflows and has the bits of (M + M.T)/2
+    wherever a half-entry is not subnormal.
     """
     A = as_matrix(M, name)
     m, n = A.shape
     if m != n:
         raise InvalidInputError(f"{name} must be square, got {m}x{n}")
+    if A.flags.c_contiguous and (A.view(np.int64) == A.T.view(np.int64)).all():
+        return A
     scale = np.abs(A).max() if A.size else 0.0
     if scale > 0.0:
         skew = np.abs(A - A.T).max()
@@ -59,7 +64,9 @@ def check_symmetric(M, rtol: float = 1e-12, name: str = "M") -> np.ndarray:
                 f"{name} is not symmetric: max asymmetry {skew:.3e} "
                 f"exceeds {rtol:.1e} * max entry {scale:.3e}"
             )
-    return 0.5 * (A + A.T)
+    S = np.multiply(A, 0.5, order="C")
+    S += 0.5 * A.T
+    return S
 
 
 def sym_eig(M) -> tuple[np.ndarray, np.ndarray]:
@@ -105,7 +112,9 @@ class SpdFactor:
     is made on first use and kept. M = None with a dimension n stands for
     the identity, stored without a matrix so that solves and products are
     free; B = G = identity is the common case for row-action solvers and
-    must not cost O(n^2) per iteration.
+    must not cost O(n^2) per iteration. matrix is what check_symmetric
+    returns, so it may be the caller's own array (B = A shares one); no
+    code writes into it.
     """
 
     def __init__(self, M=None, n: int | None = None):
@@ -149,7 +158,12 @@ class SpdFactor:
         return scipy.linalg.cho_solve(self._cho, v, check_finite=False)
 
     def dense(self) -> np.ndarray:
-        return np.eye(self.n) if self.is_identity else self.matrix
+        """M as an n x n array; a read-only view, as matrix may be shared."""
+        if self.is_identity:
+            return np.eye(self.n)
+        view = self.matrix.view()
+        view.flags.writeable = False
+        return view
 
     def inv_sqrt(self) -> np.ndarray:
         w, V = self.eig()

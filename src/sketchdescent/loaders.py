@@ -42,20 +42,6 @@ def _int(token: str, where: str) -> int:
 _THREE_FIELDS = re.compile(r"\S+\s+\S+\s+\S+")
 
 
-def _size_line(body: str) -> tuple[str | None, str]:
-    """The first data line of a Matrix Market body, and the text after it."""
-    pos = 0
-    while pos <= len(body):
-        end = body.find("\n", pos)
-        if end < 0:
-            end = len(body)
-        line = body[pos:end].strip()
-        if line and line[0] != "%":
-            return line, body[end + 1:]
-        pos = end + 1
-    return None, ""
-
-
 def _data_lines(text: str) -> list[str]:
     """Stripped lines of text that are neither blank nor % comments."""
     return [ln for ln in map(str.strip, text.split("\n"))
@@ -160,12 +146,14 @@ def load_matrix_market(path) -> np.ndarray:
     upper triangle is mirrored in. Anything else in the header is refused
     rather than guessed at.
 
-    The body is read once and every value converted by one numpy call
-    (_values_bulk for the array layout), then placed with index arrays.
-    When a bulk step fails, the tokens are walked again one at a time,
-    which raises the error naming the line or entry at fault (or, for
-    coordinate entries that write one position twice, applies them in
-    file order).
+    The size line is read from the file line by line and the body after
+    it in one read, so the body is never copied. Every value is converted
+    by one numpy call (_values_bulk for the array layout), then placed
+    with index arrays, or for a symmetric array with one boolean
+    upper-triangle mask, once into M and once into M.T. When a bulk step
+    fails, the tokens are walked again one at a time, which raises the
+    error naming the line or entry at fault (or, for coordinate entries
+    that write one position twice, applies them in file order).
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
@@ -181,12 +169,14 @@ def load_matrix_market(path) -> np.ndarray:
             raise UnsupportedFormatError(f"{path}: unsupported field {field!r}")
         if symmetry not in ("general", "symmetric"):
             raise UnsupportedFormatError(f"{path}: unsupported symmetry {symmetry!r}")
-        body = fh.read()
-
-    size_line, rest = _size_line(body)
-    if size_line is None:
-        raise MalformedFileError(f"{path}: no size line")
-    size = size_line.split()
+        # The size line is the first line neither blank nor a comment.
+        for line in iter(fh.readline, ""):
+            size = line.split()
+            if size and size[0][0] != "%":
+                break
+        else:
+            raise MalformedFileError(f"{path}: no size line")
+        rest = fh.read()
 
     if layout == "coordinate":
         if len(size) != 3:
@@ -231,10 +221,10 @@ def load_matrix_market(path) -> np.ndarray:
         M.T[...] = values.reshape(n, m)
     else:
         # Column j of the lower triangle, rows j..n-1, is row j of the upper
-        # triangle in row-major order: the order triu_indices lists.
-        r, c = np.triu_indices(n)
-        M[c, r] = values
-        M[r, c] = values
+        # triangle in row-major order: the order a boolean mask fills.
+        upper = np.tri(n, dtype=bool).T
+        M[upper] = values
+        M.T[upper] = values
     return M
 
 

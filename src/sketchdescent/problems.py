@@ -62,9 +62,10 @@ class LinearSystem:
             raise InvalidInputError("A must have at least one row and one column")
         if self.b.shape != (m,):
             raise InvalidInputError(f"b has length {self.b.size}, expected {m}")
-        row_norms = np.linalg.norm(self.A, axis=1)
-        if np.any(row_norms == 0.0):
-            bad = int(np.argmin(row_norms))
+        # Squared row norms with no m x n temporary: zero where the norm is.
+        row_sq = np.einsum("ij,ij->i", self.A, self.A)
+        if np.any(row_sq == 0.0):
+            bad = int(np.argmin(row_sq))
             raise InvalidInputError(f"A has an exactly zero row (index {bad})")
         # Factoring B and G up front doubles as the SPD check. A G equal to
         # B (None, the identity, equals only None) shares B's factor, and A's
@@ -192,8 +193,7 @@ def loaded_arrays(A, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     dropped with a warning. x* is drawn from the seeded normal stream.
     """
     A = as_matrix(A, "A")
-    row_norms = np.linalg.norm(A, axis=1)
-    keep = row_norms > 0.0
+    keep = np.einsum("ij,ij->i", A, A) > 0.0
     dropped = int(A.shape[0] - keep.sum())
     if dropped:
         warnings.warn(f"dropping {dropped} zero row(s) from loaded matrix")

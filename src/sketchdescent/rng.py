@@ -88,16 +88,24 @@ def standard_normal(rng: np.random.Generator, size) -> np.ndarray:
     """Standard normal draws via Box-Muller on rng's uniform stream.
 
     Consumes 2*ceil(n/2) uniforms for n outputs. 1 - U keeps the log
-    argument in (0, 1].
+    argument in (0, 1]. Runs in the output buffer and one angle array with
+    the textbook form's ufuncs and operands, so the draws are unchanged.
     """
     shape = (size,) if np.isscalar(size) else tuple(size)
     n = int(np.prod(shape)) if shape else 1
     pairs = (n + 1) // 2
-    u1 = 1.0 - rng.random(pairs)
-    u2 = rng.random(pairs)
-    radius = np.sqrt(-2.0 * np.log(u1))
-    z = np.concatenate([radius * np.cos(2.0 * np.pi * u2),
-                        radius * np.sin(2.0 * np.pi * u2)])[:n]
+    z = np.empty(n)
+    r, tail = z[:pairs], z[pairs:]
+    rng.random(out=r)
+    np.subtract(1.0, r, out=r)
+    np.log(r, out=r)
+    np.multiply(r, -2.0, out=r)
+    np.sqrt(r, out=r)
+    angle = rng.random(pairs)
+    np.multiply(angle, 2.0 * np.pi, out=angle)
+    np.sin(angle[:n - pairs], out=tail)
+    np.multiply(tail, r[:n - pairs], out=tail)
+    np.multiply(r, np.cos(angle, out=angle), out=r)
     return z.reshape(shape) if shape else z[0]
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -177,3 +178,60 @@ def test_check_symmetric_symmetrizes():
     M = np.array([[1.0, 2.0], [2.0 + 1e-14, 3.0]])
     out = check_symmetric(M)
     assert np.array_equal(out, out.T)
+
+
+class TestSharedMatrix:
+    """check_symmetric keeps a bitwise-symmetric C array, copies the rest."""
+
+    @staticmethod
+    def exact_spd(n, seed):
+        M = random_spd(n, seed)
+        return 0.5 * (M + M.T)
+
+    def test_bitwise_symmetric_c_array_is_kept(self):
+        M = self.exact_spd(6, 3)
+        assert np.array_equal(M.view(np.int64), M.T.view(np.int64))
+        assert SpdFactor(M).matrix is M
+        assert check_symmetric(M) is M
+
+    def test_f_ordered_array_gets_a_c_copy(self):
+        F = np.asfortranarray(self.exact_spd(6, 3))
+        out = SpdFactor(F).matrix
+        assert out is not F and out.flags.c_contiguous
+        assert out.tobytes() == np.ascontiguousarray(F).tobytes()
+
+    def test_near_symmetric_array_gets_the_half_sum(self):
+        M = self.exact_spd(6, 3)
+        M[0, 1] = np.nextafter(M[0, 1], np.inf)
+        out = SpdFactor(M).matrix
+        assert out is not M and out.flags.c_contiguous
+        assert out.tobytes() == (0.5 * (M + M.T)).tobytes()
+        assert np.array_equal(out, out.T)
+
+    def test_signed_zero_pair_is_not_bitwise_symmetric(self):
+        Z = np.array([[1.0, -0.0], [0.0, 1.0]])
+        out = check_symmetric(Z)
+        assert out is not Z
+        assert not np.signbit(out[0, 1]) and not np.signbit(out[1, 0])
+
+    def test_dense_is_a_read_only_view_of_the_shared_array(self):
+        M = self.exact_spd(5, 2)
+        D = SpdFactor(M).dense()
+        assert np.shares_memory(D, M) and not D.flags.writeable
+        with pytest.raises(ValueError):
+            D[0, 0] = 0.0
+        assert M.flags.writeable
+
+    def test_large_entries_stay_finite(self):
+        # (M + M.T) / 2 would overflow to inf here; the half-sum is
+        # 0.5 M + 0.5 M.T, and no warning is raised.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert SpdFactor(np.diag([1e308, 2.0])).matrix[0, 0] == 1e308
+            F = np.asfortranarray(np.diag([1e308, 2.0]))
+            out = SpdFactor(F).matrix
+            assert out.flags.c_contiguous and out[0, 0] == 1e308
+            M = np.array([[1.5e308, 1.0], [np.nextafter(1.0, 2.0), 2.0]])
+            out = check_symmetric(M)
+        assert np.isfinite(out).all() and np.array_equal(out, out.T)
+        assert out.tobytes() == (0.5 * M + 0.5 * M.T).tobytes()

@@ -1,4 +1,6 @@
+import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -374,6 +376,64 @@ class TestMatrixMarketErrors:
             "%%MatrixMarket matrix coordinate real general", "2 2 2",
             "1 1 abc", "3 1 1.0"],
             ParseError, "bad numeric token 'abc' at entry 1")
+
+
+class TestSizeLineAndPlacement:
+    """The size line read from the file, the body once, the mask placement."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 64])
+    def test_symmetric_placement_equals_triu_indices(self, tmp_path, n):
+        values = np.random.default_rng(n).standard_normal(n * (n + 1) // 2)
+        want = np.zeros((n, n))
+        r, c = np.triu_indices(n)
+        want[c, r] = values
+        want[r, c] = values
+        path = write_lines(tmp_path, "s.mtx", [
+            "%%MatrixMarket matrix array real symmetric", f"{n} {n}",
+            *(f"{v:.17g}" for v in values)])
+        assert_same_array(load_matrix_market(path), want)
+
+    def test_blank_and_comment_lines_around_the_size_line(self, tmp_path):
+        for symmetry, values in (("general", ["1", "2", "3", "4"]),
+                                 ("symmetric", ["1", "2", "4"])):
+            path = write_lines(tmp_path, "b.mtx", [
+                f"%%MatrixMarket matrix array real {symmetry}", "", "  ",
+                "% a comment", "\t% indented", "", " 2 2 ", "", "% between",
+                values[0], "", *values[1:], "%", ""])
+            M = load_matrix_market(path)
+            assert_same_array(M, reference_load(path))
+            assert M[1, 1] == 4.0
+        path = write_lines(tmp_path, "bc.mtx", [
+            "%%MatrixMarket matrix coordinate real general", "", "% c",
+            "2 2 1", "", "2 1 -3.5"])
+        assert_same_array(load_matrix_market(path), reference_load(path))
+
+    @pytest.mark.parametrize("body", [[], [""], ["% only", "", "  % comments"]])
+    def test_no_size_line(self, tmp_path, body):
+        path = write_lines(tmp_path, "n.mtx", [
+            "%%MatrixMarket matrix array real general", *body])
+        with pytest.raises(MalformedFileError,
+                           match=f"^{re.escape(str(path))}: no size line$"):
+            load_matrix_market(path)
+
+    def test_symmetric_parse_peak_memory(self, tmp_path):
+        # The body string, its values (half of M) and M itself; no copy of
+        # the body, no int64 index arrays.
+        n = 300
+        W = np.random.default_rng(3).standard_normal((2 * n, n))
+        A = W.T @ W
+        A = 0.5 * (A + A.T)
+        path = write_lines(tmp_path, "p.mtx", [
+            "%%MatrixMarket matrix array real symmetric", f"{n} {n}",
+            *(f"{v:.17g}" for j in range(n) for v in A[j:, j])])
+        tracemalloc.start()
+        try:
+            M = load_matrix_market(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(M, A)
+        assert peak <= os.path.getsize(path) + 2.5 * 8 * n * n
 
 
 class TestLibsvmRowLimit:

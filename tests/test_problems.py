@@ -4,7 +4,7 @@ import pytest
 import sketchdescent as skd
 from sketchdescent.errors import InvalidInputError, NotSpdError
 from sketchdescent.linalg import pinv_psd
-from sketchdescent.problems import CONSISTENCY_TOL
+from sketchdescent.problems import CONSISTENCY_TOL, loaded_arrays
 from sketchdescent.rng import make_rng, standard_normal
 
 from conftest import consistent
@@ -105,6 +105,37 @@ class TestLinearSystem:
         assert system.residual_norm(x) == pytest.approx(
             float(np.linalg.norm(system.b)))
         assert system.error_sq_b(system.x_star) == pytest.approx(0.0, abs=1e-20)
+
+
+class TestSharedGeometry:
+    """B = A keeps one n x n array, and no set-up or run writes into it."""
+
+    def test_b_equal_a_shares_the_array(self):
+        spd = skd.generate(skd.GenSpec("gaussian-normal-equations", 40, 12, seed=3))
+        system = skd.LinearSystem(A=spd.A, b=spd.b, B=spd.A, G=spd.A,
+                                  x_star=spd.x_star)
+        assert system.B_factor.matrix is system.A
+        assert system.A_factor is system.B_factor
+        before = system.A.tobytes()
+        rule = skd.parse_rule("capped:0.5,1,m,exact")
+        cfg = skd.SolverConfig(max_iters=60, check_every=5, seed=1)
+        for kind, block_size in (("row", None), ("spectral", None),
+                                 ("full", None), ("block", 4)):
+            family = skd.SketchFamily(kind, system, block_size=block_size)
+            skd.spectral_report(family, rule)
+            skd.verify_inequalities(family, trials=5, seed=2)
+            skd.run_ssd(system, family, rule, cfg)
+            assert system.A.tobytes() == before, kind
+
+    def test_zero_rows_are_those_of_zero_norm(self):
+        # A square that underflows counts as zero, as in np.linalg.norm.
+        A = np.array([[1e-200, 0.0], [1e-160, 0.0], [0.0, 1.0]])
+        with pytest.warns(UserWarning, match="dropping 1 zero row"):
+            kept, _ = loaded_arrays(A)
+        assert np.array_equal(kept, A[np.linalg.norm(A, axis=1) > 0.0])
+        assert np.array_equal(kept, A[1:])
+        with pytest.raises(InvalidInputError, match="zero row \\(index 0\\)"):
+            skd.LinearSystem(A=A, b=np.ones(3))
 
 
 class TestMakeConsistent:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,6 +73,38 @@ def test_odd_and_even_lengths():
     a = standard_normal(make_rng(3), 5)
     b = standard_normal(make_rng(3), 6)
     assert np.array_equal(a, b[:5])
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 64, 101, (4, 5), (3, 7), (2, 3, 5)])
+def test_normals_equal_the_textbook_transform(size):
+    # The in-place transform against the expression it replaces, on odd
+    # and even counts and several shapes.
+    n = int(np.prod(size))
+    pairs = (n + 1) // 2
+    u = make_rng(21).random(2 * pairs)
+    radius = np.sqrt(-2.0 * np.log(1.0 - u[:pairs]))
+    want = np.concatenate([radius * np.cos(2.0 * np.pi * u[pairs:]),
+                           radius * np.sin(2.0 * np.pi * u[pairs:])])[:n]
+    rng = make_rng(21)
+    got = standard_normal(rng, size)
+    assert got.shape == np.empty(size).shape
+    assert got.tobytes() == want.tobytes()
+    u_next = make_rng(21)
+    u_next.random(2 * pairs)
+    assert rng.random() == u_next.random()
+
+
+def test_normals_peak_memory():
+    # Box-Muller runs in the output buffer: the uniforms u2 are the one
+    # other array (half the output), not five output-sized temporaries.
+    rng = make_rng(4)
+    tracemalloc.start()
+    try:
+        z = standard_normal(rng, (2000, 200))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * z.nbytes
 
 
 def test_derive_seed_frozen_values():

@@ -175,6 +175,18 @@ class TestSketchedSolver:
             cfg = skd.SolverConfig(seed=seed, x0=x0, max_iters=1, check_every=1)
             assert skd.run_ssd(system, fam, skd.greedy(5), cfg).selected[-1] == want
 
+    def test_uniform_on_kept_losses_picks_floor_u_q(self):
+        # A diagonal run at gamma 0 keeps its losses; its uniform picks are
+        # floor(u q) over the seed's uniforms, one per step.
+        system, fam = family_on("spectral", 30, 12, seed=4)
+        assert fam.diagonal
+        steps = 40
+        cfg = skd.SolverConfig(seed=9, max_iters=steps, check_every=1, tol=0.0)
+        trace = skd.run_ssd(system, fam, skd.uniform(), cfg)
+        u = skd.make_rng(9).random(steps)
+        assert trace.selected[1:].tolist() == (u * fam.q).astype(int).tolist()
+        assert trace.counts["losses_read"] == steps
+
     def test_projection_error_is_monotone(self):
         # Unit relaxation makes each row update a projection, so the B-norm
         # error never increases.
