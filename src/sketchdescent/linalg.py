@@ -41,6 +41,11 @@ def as_vector(v, name: str = "v") -> np.ndarray:
     return A
 
 
+def is_integer(v) -> bool:
+    """True for a Python or numpy integer; a bool is not one."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def check_symmetric(M, rtol: float = 1e-12, name: str = "M") -> np.ndarray:
     """Validate that M is square and symmetric to relative tolerance rtol.
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, SizeLimitError
-from .linalg import SpdFactor, as_matrix, as_vector
+from .linalg import SpdFactor, as_matrix, as_vector, check_symmetric
 from .rng import make_rng, standard_normal
 
 # Consistency of b with a stored exact solution is checked to this slack.
@@ -175,8 +175,7 @@ def gen_arrays(spec: GenSpec) -> tuple[np.ndarray, np.ndarray]:
     rng = make_rng(spec.seed)
     A = standard_normal(rng, (spec.m, spec.n))
     if spec.kind == "gaussian-normal-equations":
-        A = A.T @ A
-        A = 0.5 * (A + A.T)
+        A = check_symmetric(A.T @ A)
     return A, standard_normal(rng, spec.n)
 
 

@@ -39,6 +39,35 @@ itself), d = lambda and K' = Lambda, with no solve and no product, caches
 no coupling, and keeps U' b as ``Utb`` beside ``eigvals`` and ``eigvecs``,
 so a solver can read c = lambda y - U' b elementwise and step one
 coordinate of y at a time.
+
+A run binds its step once, for every kind: bind_step returns pick(x, c),
+which chooses the index, and move(x, i), which returns the next iterate
+and the length t of the step taken along D[:, i].
+
+- pick draws the rule's sample of tau indices from the run's DrawStream
+  (none when tau is q) and hands their losses to sampling.bind_choice, the
+  one code that makes a rule's choice. A vector family's losses are
+  0.5 c_s^2 / d_s, read from the run's maintained linear values c when it
+  has them, else from exact ones; a block family's come from losses. The
+  full family's one loss comes from evaluate, whose result its move then
+  applies, so a full step solves with A once.
+- move on a vector family is the arithmetic of evaluate and apply_update,
+  x - (omega step) ((c_i / d_i) D[:, i]) with c_i exact, and t is
+  omega step c_i / d_i; block and full moves are apply_update of
+  evaluate. A zero c_i (or loss) leaves x as it is and counts a zero step.
+  t is None there, and on block, full and diagonal families, which have
+  no coupling to move c by.
+- On a diagonal family x holds y = U'x, and move writes the one
+  coordinate y_i -= omega c_i / lambda_i in Python floats (lambda and U'b
+  bound as lists, y_i read once): numpy's IEEE operations in the same
+  order, without its scalar dispatch. Without momentum a step changes loss
+  i alone, so the run keeps its losses L = 0.5 c c / lambda, built by one
+  scan of the start: pick reads L, or L_s for a sample, as it is, and move
+  rewrites L_i from the new y_i in the scan's expression order, so L
+  equals a fresh scan bit for bit and is never recomputed (a correction
+  of U'b within a run would change every c_i and have to rebuild L).
+  Heavy ball moves every coordinate, so its pick reads c elementwise
+  every step (O(tau) for a sample, no product) and nothing is kept.
 """
 
 from __future__ import annotations
@@ -48,8 +77,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidInputError
-from .linalg import pinv_psd
+from .linalg import is_integer, pinv_psd
 from .problems import LinearSystem
+from .sampling import bind_choice
 
 VECTOR_KINDS = ("row", "lsqcol", "spectral")
 KINDS = ("row", "lsqcol", "block", "spectral", "full")
@@ -209,7 +239,11 @@ class SketchFamily:
     def losses(self, x: np.ndarray, indices=None) -> np.ndarray:
         """Index losses f_i(x) for the given indices (all q by default)."""
         if indices is not None:
-            indices = np.asarray(indices, dtype=np.intp)
+            indices = np.asarray(indices)
+            if indices.size and indices.dtype.kind not in "iu":
+                raise InvalidInputError(
+                    f"indices must be integers, got dtype {indices.dtype}")
+            indices = indices.astype(np.intp, copy=False)
             # One argmax pass over the indices read as unsigned (-1 is huge).
             unsigned = indices.view(np.uintp)
             if unsigned.size and unsigned[unsigned.argmax()] >= self.q:
@@ -241,6 +275,8 @@ class SketchFamily:
         when G = B it is identically 1 and is returned as 1.0 without
         touching the matrices.
         """
+        if not is_integer(i):
+            raise InvalidInputError(f"index must be an integer, got {i!r}")
         if not 0 <= i < self.q:
             raise InvalidInputError(f"index {i} out of range for q={self.q}")
         sys = self.system
@@ -286,6 +322,95 @@ class SketchFamily:
             den = float(direction @ sys.B_factor.apply(direction))
             step = num / den
         return SketchEval(i, loss, direction, step)
+
+    def bind_step(self, rule, tau: int, stream, counts: dict, omega: float,
+                  x: np.ndarray, heavy: bool):
+        """One run's (pick, move), bound once (module notes).
+
+        tau is the rule's sample size and stream the run's DrawStream; the
+        steps tally into counts (solvers.COUNT_KEYS). x is the start, as
+        y = U'x on a diagonal family, and heavy says the run adds a heavy
+        ball term, so a diagonal family keeps no losses.
+        """
+        q = self.q
+        sample = stream.sample if tau < q else None
+        choose = bind_choice(rule, q)
+        kept = held = None
+        if self.kind == "block":
+            def read(x, c, s):
+                return self.losses(x, s)
+        elif self.kind == "full":
+            held = []
+
+            def read(x, c, s):
+                held.append(self.evaluate(0, x))
+                return np.array([held[-1].loss])
+        else:
+            d = self._d  # a diagonal family's is eigvals itself
+            if self.diagonal:
+                Utb = self.Utb
+
+                def linear_values(y, s=None):
+                    return d * y - Utb if s is None else d[s] * y[s] - Utb[s]
+            else:
+                linear_values = self.linear_values
+
+            def read(x, c, s):
+                if s is not None:
+                    cs = linear_values(x, s) if c is None else c[s]
+                    return 0.5 * cs * cs / d[s]
+                if c is None:
+                    counts["full_scans"] += 1
+                    c = linear_values(x)
+                return 0.5 * c * c / d
+            if self.diagonal and not heavy:
+                kept = read(x, None, None)
+
+        def pick(x, c):
+            counts["losses_read"] += tau
+            if sample is None:
+                return choose(read(x, c, None) if kept is None else kept, stream)
+            s = sample(q, tau)
+            return choose(read(x, c, s) if kept is None else kept[s], stream, s)
+
+        if self.kind not in VECTOR_KINDS:
+            def move(x, i):
+                ev = self.evaluate(i, x) if held is None else held.pop()
+                if ev.step is None:
+                    counts["zero_steps"] += 1
+                return apply_update(x, ev, omega), None
+        elif self.diagonal:
+            lam, Utb_list = d.tolist(), Utb.tolist()
+
+            def move(y, i):
+                di, bi, yi = lam[i], Utb_list[i], y.item(i)
+                ci = di * yi - bi
+                if ci == 0.0:
+                    counts["zero_steps"] += 1
+                    return y, None
+                if kept is None:
+                    y = y.copy()
+                y[i] = yi = yi - omega * (ci / di)
+                if kept is not None:
+                    c = di * yi - bi
+                    kept[i] = 0.5 * c * c / di
+                return y, None
+        else:
+            dirs, steps = self._dirs, self._steps
+
+            def move(x, i):
+                ci = float(linear_values(x, i))
+                if ci == 0.0:
+                    # Zero loss: the exact line search is 0/0, so x stays.
+                    counts["zero_steps"] += 1
+                    return x, None
+                scale = omega if steps is None else omega * steps[i]
+                coef = ci / d[i]
+                direction = coef * dirs[:, i]
+                # Scaling by exactly 1 (omega = 1 with G = B) changes no bit.
+                return (x - (direction if scale == 1.0 else scale * direction),
+                        scale * coef)
+        return pick, move
 
     # -- theory hooks ------------------------------------------------------
 

@@ -4,39 +4,13 @@ Each iteration of a sketched method has a sampling rule pick an index, the
 family evaluate its loss, G-gradient direction and exact step, and the
 iterate move by omega times that step, optionally plus a heavy ball term
 gamma * (x_k - x_{k-1}). One loop runs it for every sketch kind, through
-two steps bound once per run:
-
-- pick(x, c) chooses the index. It binds the rule's tau, the run's
-  DrawStream and sampling.bind_choice(rule, q), the one code that takes
-  the argmax, tests for all zeros and makes the capped pick (tau1 and
-  tau2 resolved once); sampling.choose and select apply the same binding.
-  It draws the sample and hands over the sampled losses. A vector
-  family's (row, lsqcol, spectral) losses are
-  0.5 c_s^2 / d_s, read from c when it is kept, or kept themselves on a
-  diagonal run (below); a block family's come from SketchFamily.losses.
-  A full family's one sketch is picked by every rule, so its pick reads
-  the loss from evaluate.
-- move(x, i) returns the next iterate and the step t taken along D[:, i].
-  For the vector kinds it is SketchFamily.evaluate and apply_update spelled
-  out: the chosen index's exact c_i from one dot, then
-  x <- x - (omega step) ((c_i / d_i) D[:, i]). Block and full families,
-  which have no scalar c_i and no coupling, call evaluate and
-  apply_update.
-
-A diagonal family (spectral with B = G = A, see the sketching module) runs
-the same loop after a change of variables: x holds y = U'x and move writes
-the one coordinate y_i -= omega c_i / lambda_i, c = lambda y - U'b, in
-Python floats (eigvals and Utb bound once per run as lists, y_i read
-once): numpy's IEEE operations in the same order, without its scalar
-dispatch. Without momentum a step changes loss i alone, so the run keeps
-its losses L = 0.5 c c / lambda, built by one scan: pick reads L, or L_s
-for a sample, as it is, and move rewrites L_i from the new y_i in the
-scan's expression order, so L equals a fresh scan bit for bit and is never
-recomputed. Heavy ball, y + gamma (y - y_prev), moves every coordinate, so
-its pick reads c elementwise every step (O(tau) for a sample, no product)
-and nothing is kept. x = U y is formed only at checkpoints, at the
-all-zero stop, for the Cesaro loss and at the end, unless the run ends
-at a checkpoint, whose x is returned.
+the pick(x, c) and move(x, i) the family binds once per run
+(SketchFamily.bind_step; see the sketching module notes). The loop adds
+the heavy ball term and keeps the linear values c through the coupling
+(below). On a diagonal family (spectral with B = G = A) x holds y = U'x,
+and x = U y is formed only at checkpoints, at the all-zero stop, for the
+Cesaro loss and at the end, unless the run ends at a checkpoint, whose x
+is returned.
 
 The loop is tested against a step-by-step run through the public
 evaluate and apply_update, with a selection written apart from
@@ -88,12 +62,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceError, InvalidConfigError, SizeLimitError
-from .linalg import as_vector, pinv_psd
+from .linalg import as_vector, is_integer, pinv_psd
 from .problems import PINV_SIZE_LIMIT, LinearSystem, resolve_x_star
 from .rng import make_rng
-from .sampling import (CappedRule, DrawStream, bind_choice, rule_expectation,
-                       sample_size)
-from .sketching import VECTOR_KINDS, SketchFamily, apply_update, check_omega
+from .sampling import CappedRule, DrawStream, rule_expectation, sample_size
+from .sketching import VECTOR_KINDS, SketchFamily, check_omega
 
 DIVERGENCE_NORM = 1e12
 
@@ -129,10 +102,13 @@ class SolverConfig:
             raise InvalidConfigError(f"gamma must be finite and >= 0, got {self.gamma}")
         if not 0.0 <= self.tol < math.inf:
             raise InvalidConfigError(f"tol must be finite and >= 0, got {self.tol}")
-        if self.max_iters < 0:
-            raise InvalidConfigError(f"max_iters must be >= 0, got {self.max_iters}")
-        if self.check_every is not None and self.check_every < 1:
-            raise InvalidConfigError("check_every must be >= 1")
+        if not is_integer(self.max_iters) or self.max_iters < 0:
+            raise InvalidConfigError(
+                f"max_iters must be an integer >= 0, got {self.max_iters!r}")
+        if self.check_every is not None and not (
+                is_integer(self.check_every) and self.check_every >= 1):
+            raise InvalidConfigError(
+                f"check_every must be an integer >= 1, got {self.check_every!r}")
         if isinstance(self.x0, str) and self.x0 not in X0_PRESETS:
             raise InvalidConfigError(
                 f"unknown x0 preset {self.x0!r}; choose from {X0_PRESETS}"
@@ -353,18 +329,7 @@ def _run_sketched(method: str, system: LinearSystem, family: SketchFamily,
     stream = DrawStream(make_rng(cfg.seed))
     tol, max_iters = cfg.tol, cfg.max_iters
     heavy = gamma != 0.0
-    if family.kind == "full":
-        pick, move = _full_step(family, cfg.omega, counts, exact_f)
-    else:
-        # Kept losses (module notes). A checkpoint-time correction of U'b
-        # would change every c_i, so it would have to rebuild them.
-        losses = None
-        if family.diagonal and not heavy:
-            counts["full_scans"] += 1
-            c0 = family.eigvals * x - family.Utb
-            losses = 0.5 * c0 * c0 / family.denominators
-        pick = _picker(rule, family, tau, stream, counts, losses)
-        move = _mover(family, cfg.omega, counts, losses)
+    pick, move = family.bind_step(rule, tau, stream, counts, cfg.omega, x, heavy)
     linear_values = family.linear_values
     # Maintain c only where it saves work: a rule reading one loss pays no
     # scan, and a checkpoint every step recomputes c anyway. Block, full and
@@ -435,133 +400,6 @@ def _run_sketched(method: str, system: LinearSystem, family: SketchFamily,
     if track_cesaro:
         x_cesaro = to_x(x_sum / k) if k > 0 else x.copy()
     return rec.finish(k, converged, x, x_cesaro)
-
-
-def _picker(rule, family: SketchFamily, tau: int, stream: DrawStream,
-            counts: dict, losses: np.ndarray | None):
-    """One run's selection step on a vector or block family, bound once.
-
-    pick(x, c) draws a sample of tau (none when tau is q) and returns the
-    bound choice among its losses: the run's kept losses when given, as they
-    are. Otherwise a vector family's are 0.5 c_s^2 / d_s, read from the
-    kept linear values c, or when c is None from exact ones (in y = U'x
-    for a diagonal family); a block family's are family.losses.
-    """
-    q = family.q
-    sample = stream.sample if tau < q else None
-    choose = bind_choice(rule, q)
-    if losses is not None:
-        def pick(y, c):
-            counts["losses_read"] += tau
-            if sample is None:
-                return choose(losses, stream)
-            s = sample(q, tau)
-            return choose(losses[s], stream, s)
-        return pick
-    if family.kind == "block":
-        def pick(x, c):
-            counts["losses_read"] += tau
-            s = None if sample is None else sample(q, tau)
-            return choose(family.losses(x, s), stream, s)
-        return pick
-    d = family.denominators  # a diagonal family's is eigvals itself
-    if family.diagonal:  # heavy ball: c = lambda y - U'b, elementwise
-        Utb = family.Utb
-
-        def linear_values(y, s=None):
-            return d * y - Utb if s is None else d[s] * y[s] - Utb[s]
-    else:
-        linear_values = family.linear_values
-
-    def pick(x, c):
-        counts["losses_read"] += tau
-        if sample is not None:
-            s = sample(q, tau)
-            cs = linear_values(x, s) if c is None else c[s]
-            return choose(0.5 * cs * cs / d[s], stream, s)
-        if c is None:
-            counts["full_scans"] += 1
-            c = linear_values(x)
-        return choose(0.5 * c * c / d, stream)
-    return pick
-
-
-def _mover(family: SketchFamily, omega: float, counts: dict,
-           losses: np.ndarray | None):
-    """One run's update step on a vector or block family, bound once.
-
-    Returns move(x, i) -> (x_next, t). On a vector family it is the
-    arithmetic of evaluate and apply_update,
-    x - (omega step) ((c_i / d_i) D[:, i]), with c_i exact, and t is the
-    length of the step along D[:, i] that moves the linear values by
-    -t K'[i], or None when c_i = 0 and x stays. On a diagonal family (x is
-    y = U'x, module notes) it writes y_i, and losses[i] as a scan forms it,
-    into y itself when the run keeps its losses, into a copy when not. A
-    block family calls evaluate and apply_update. t is None wherever no c
-    is kept.
-    """
-    if family.kind == "block":
-        def move(x, i):
-            ev = family.evaluate(i, x)
-            if ev.step is None:
-                counts["zero_steps"] += 1
-            return apply_update(x, ev, omega), None
-        return move
-    d = family.denominators
-    if family.diagonal:
-        lam, Utb = d.tolist(), family.Utb.tolist()
-
-        def move(y, i):
-            di, bi, yi = lam[i], Utb[i], y.item(i)
-            ci = di * yi - bi
-            if ci == 0.0:
-                counts["zero_steps"] += 1
-                return y, None
-            if losses is None:
-                y = y.copy()
-            y[i] = yi = yi - omega * (ci / di)
-            if losses is not None:
-                c = di * yi - bi
-                losses[i] = 0.5 * c * c / di
-            return y, None
-        return move
-    linear_values = family.linear_values
-    dirs = family.direction_matrix
-    steps = family.steps
-
-    def move(x, i):
-        ci = float(linear_values(x, i))
-        if ci == 0.0:
-            # Zero loss: the exact line search is 0/0, so x stays.
-            counts["zero_steps"] += 1
-            return x, None
-        scale = omega if steps is None else omega * steps[i]
-        coef = ci / d[i]
-        direction = coef * dirs[:, i]
-        # Scaling by exactly 1 (omega = 1 with G = B) changes no bit.
-        return (x - (direction if scale == 1.0 else scale * direction),
-                scale * coef)
-    return move
-
-
-def _full_step(family: SketchFamily, omega: float, counts: dict,
-               capped: bool):
-    """pick and move for a full family. Its one sketch is picked by every
-    rule, so pick reads the loss from evaluate and move applies that same
-    evaluation with apply_update: one solve with A per step, not two."""
-    held = []
-
-    def pick(x, c):
-        ev = family.evaluate(0, x)
-        counts["losses_read"] += 1
-        if ev.loss == 0.0:
-            return None
-        held.append(ev)
-        return 0, ev.loss, ev.loss, None, int(capped)
-
-    def move(x, i):
-        return apply_update(x, held.pop(), omega), None
-    return pick, move
 
 
 def run_ssd(system: LinearSystem, family: SketchFamily, rule,

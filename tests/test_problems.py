@@ -4,7 +4,7 @@ import pytest
 import sketchdescent as skd
 from sketchdescent.errors import InvalidInputError, NotSpdError
 from sketchdescent.linalg import pinv_psd
-from sketchdescent.problems import CONSISTENCY_TOL, loaded_arrays
+from sketchdescent.problems import CONSISTENCY_TOL, gen_arrays, loaded_arrays
 from sketchdescent.rng import make_rng, standard_normal
 
 from conftest import consistent
@@ -67,6 +67,18 @@ class TestGenGaussianSpd:
         WtW = W.T @ W
         assert np.array_equal(skd.generate(spec).A,
                               0.5 * (WtW + WtW.T))
+
+    @pytest.mark.parametrize("m, n", [(8, 4), (60, 60), (300, 120), (1000, 500)])
+    def test_product_has_the_half_sums_bytes(self, m, n):
+        # W.T @ W is bitwise symmetric, so the one symmetry check returns it
+        # as it is: the same bytes as the half-sum 0.5 * (W'W + (W'W)').
+        for seed in range(3):
+            W = standard_normal(make_rng(seed), (m, n))
+            WtW = W.T @ W
+            A, _ = gen_arrays(
+                skd.GenSpec("gaussian-normal-equations", m, n, seed=seed))
+            assert A.flags.c_contiguous
+            assert A.tobytes() == (0.5 * (WtW + WtW.T)).tobytes()
 
 
 class TestLinearSystem:

@@ -3,7 +3,10 @@ import pytest
 
 import sketchdescent as skd
 from sketchdescent.errors import InvalidConfigError, InvalidInputError, NotSpdError
+from sketchdescent.rng import make_rng
+from sketchdescent.sampling import DrawStream
 from sketchdescent.sketching import KINDS, VECTOR_KINDS
+from sketchdescent.solvers import COUNT_KEYS
 
 from conftest import family_on, gaussian_system
 from dense_reference import generic_evaluate
@@ -251,6 +254,74 @@ class TestApplyUpdate:
                 assert fam.evaluate(i, x1).loss < ev.loss
 
 
+def bound_step(fam, omega, x):
+    """The family's (pick, move) for a uniform run, and its counts."""
+    counts = dict.fromkeys(COUNT_KEYS, 0)
+    stream = DrawStream(make_rng(0))
+    return fam.bind_step(skd.uniform(), 1, stream, counts, omega, x,
+                         False), counts
+
+
+class TestBoundStep:
+    """move(x, i) is apply_update(x, evaluate(i, x), omega) bit for bit."""
+
+    @pytest.mark.parametrize("omega", [1.0, 0.9])
+    @pytest.mark.parametrize("kind, metric", [
+        ("row", "identity"), ("row", "steepest"), ("lsqcol", "normal"),
+        ("lsqcol", "steepest"), ("spectral", "identity"),
+        ("spectral", "steepest"),
+    ])
+    def test_vector_move_is_evaluate_and_apply_update(self, kind, metric,
+                                                      omega):
+        spd = kind == "spectral" or metric == "steepest"
+        system = gaussian_system(14, 8 if spd else 6, seed=41, spd=spd,
+                                 metric=metric)
+        fam = skd.SketchFamily(kind, system)
+        assert not fam.diagonal
+        assert fam.g_equals_b == (metric != "steepest")
+        x = np.random.default_rng(9).standard_normal(system.n)
+        (_, move), counts = bound_step(fam, omega, x)
+        for i in range(fam.q):
+            ev = fam.evaluate(i, x)
+            x_next, t = move(x, i)
+            assert x_next.tobytes() == skd.apply_update(x, ev, omega).tobytes()
+            assert t == (omega * ev.step) * (ev.linear / fam.denominators[i])
+        assert counts["zero_steps"] == 0
+
+    @pytest.mark.parametrize("omega", [1.0, 0.9])
+    @pytest.mark.parametrize("kind, metric", [
+        ("block", "identity"), ("block", "steepest"), ("full", "system"),
+        ("full", "steepest"),
+    ])
+    def test_block_and_full_moves_apply_evaluate(self, kind, metric, omega):
+        system = gaussian_system(12, 12, seed=42, spd=True, metric=metric)
+        fam = skd.SketchFamily(kind, system,
+                               block_size=5 if kind == "block" else None)
+        x = np.random.default_rng(10).standard_normal(system.n)
+        (pick, move), counts = bound_step(fam, omega, x)
+        for i in range(fam.q):
+            ev = fam.evaluate(i, x)
+            if kind == "full":  # the move applies the pick's evaluation
+                assert pick(x, None)[:2] == (0, ev.loss)
+            x_next, t = move(x, i)
+            assert x_next.tobytes() == skd.apply_update(x, ev, omega).tobytes()
+            assert t is None
+        assert counts["zero_steps"] == 0
+
+    @pytest.mark.parametrize("kind", ["row", "lsqcol", "spectral", "block"])
+    def test_zero_index_keeps_x_and_counts_a_zero_step(self, kind):
+        base = gaussian_system(12, 12, seed=43, spd=True)
+        system = skd.LinearSystem(A=base.A, b=np.zeros(12))
+        fam = skd.SketchFamily(kind, system,
+                               block_size=4 if kind == "block" else None)
+        x = np.zeros(12)
+        (_, move), counts = bound_step(fam, 0.9, x)
+        assert fam.evaluate(1, x).step is None
+        x_next, t = move(x, 1)
+        assert np.array_equal(x_next, x) and t is None
+        assert counts["zero_steps"] == 1
+
+
 class TestFamilyStructure:
     def test_family_sizes(self):
         system = gaussian_system(12, 5, seed=1)
@@ -288,6 +359,22 @@ class TestFamilyStructure:
             fam.evaluate(6, np.zeros(3))
         with pytest.raises(InvalidInputError):
             fam.evaluate(-1, np.zeros(3)).loss
+
+    @pytest.mark.parametrize("kind", ["row", "spectral", "block"])
+    def test_non_integer_index_refused(self, kind):
+        system, fam = family_on(kind, 8, 4, seed=1,
+                                block_size=3 if kind == "block" else None)
+        x = np.ones(system.n)
+        for bad in ([1.7], [True], np.array([0.0, 1.0]), [0, 2.5]):
+            with pytest.raises(InvalidInputError):
+                fam.losses(x, bad)
+        for bad in (2.5, 1.0, True, np.float64(1.0)):
+            with pytest.raises(InvalidInputError):
+                fam.evaluate(bad, x)
+        assert fam.losses(x, []).shape == (0,)
+        assert fam.losses(x, np.array([1], dtype=np.uint64)) == \
+            fam.losses(x, [1])
+        assert fam.evaluate(np.int64(1), x).loss == fam.evaluate(1, x).loss
 
     @pytest.mark.parametrize("kind", ["row", "spectral", "block"])
     def test_losses_index_out_of_range(self, kind):

@@ -60,6 +60,22 @@ class TestConfig:
     def test_defaults_valid(self):
         skd.SolverConfig().validate()
 
+    def test_counts_must_be_integers(self):
+        for kwargs in (dict(max_iters=2.5), dict(max_iters=3.0),
+                       dict(max_iters=True), dict(check_every=2.5),
+                       dict(check_every=True)):
+            with pytest.raises(InvalidConfigError):
+                skd.SolverConfig(**kwargs).validate()
+        skd.SolverConfig(max_iters=np.int64(7),
+                         check_every=np.int32(2)).validate()
+        system = gaussian_system(8, 5, seed=1)
+        fam = skd.SketchFamily("row", system)
+        cfg = skd.SolverConfig(tol=0.0, max_iters=np.int64(7),
+                               check_every=np.int64(3))
+        trace = skd.run_ssd(system, fam, skd.uniform(), cfg)
+        assert trace.iterations == 7
+        assert trace.ks.tolist() == [0, 3, 6, 7]
+
 
 class TestResolveX0:
     def test_presets(self):
@@ -345,20 +361,20 @@ class TestMaintainedLinearValues:
 
     @pytest.mark.parametrize("gamma", [0.0, 0.3])
     def test_maintained_values_track_exact_ones(self, monkeypatch, gamma):
-        picker = skd.solvers._picker
+        bind = skd.SketchFamily.bind_step
         for label, system, fam in maintained_instances():
             seen = []
 
             def recording(*args):
-                pick = picker(*args)
+                pick, move = bind(*args)
 
                 def step(x, linear):
                     seen.append((x.copy(),
                                  None if linear is None else linear.copy()))
                     return pick(x, linear)
-                return step
+                return step, move
 
-            monkeypatch.setattr(skd.solvers, "_picker", recording)
+            monkeypatch.setattr(skd.SketchFamily, "bind_step", recording)
             cfg = skd.SolverConfig(gamma=gamma, tol=0.0, max_iters=300,
                                    check_every=10_000)
             trace = skd.run_ssdm(system, fam, skd.max_distance(), cfg)

@@ -400,6 +400,18 @@ class TestStepCounts:
 
         assert solves(20) - solves(10) == 10 * per_step
 
+    def test_full_family_choice_is_the_bound_choice(self):
+        # The full family's one index goes through bind_choice like every
+        # other kind's, so an exact capped tau above q = 1 is refused.
+        system = gaussian_system(24, 12, seed=63, spd=True, metric="steepest")
+        fam = skd.SketchFamily("full", system)
+        cfg = skd.SolverConfig(tol=0.0, max_iters=5)
+        with pytest.raises(skd.InvalidConfigError):
+            skd.run_ssd(system, fam, skd.parse_rule("capped:0.5,4,m,exact"), cfg)
+        trace = skd.run_ssd(system, fam, skd.parse_rule("capped:0.5,1,m,exact"),
+                            cfg)
+        assert trace.counts["candidates"] == 5
+
     def test_block_runs_count_through_the_generic_loop(self):
         system, fam = family_on("block", 30, 10, seed=54, block_size=5)
         cfg = skd.SolverConfig(tol=0.0, max_iters=40, check_every=10)
