@@ -35,6 +35,7 @@ from .errors import (
     NotSpdError,
     SizeLimitError,
 )
+from .linalg import is_integer
 from .loaders import load_libsvm, load_matrix_market
 from .problems import GenSpec, LinearSystem, gen_arrays, loaded_arrays
 from .rng import derive_seed
@@ -139,8 +140,9 @@ def build_system(dataset: DatasetSpec, family_kind: str,
                 f"{needs} needs an SPD matrix; {dataset.label} is not"
             ) from None
     if metric == "normal":
-        AtA = A.T @ A
-        return system(0.5 * (AtA + AtA.T))
+        # numpy's A'A is bitwise symmetric, so B's one symmetry check keeps
+        # it as it is: the half-sum would have the same bytes.
+        return system(A.T @ A)
     return system()
 
 
@@ -173,10 +175,13 @@ class ExperimentPlan:
             raise InvalidConfigError("plan has no sampling rules")
         if not self.gammas:
             raise InvalidConfigError("plan has no gamma values")
-        if self.reps < 1:
-            raise InvalidConfigError("reps must be >= 1")
-        if self.workers < 1:
-            raise InvalidConfigError("workers must be >= 1")
+        for name in ("reps", "workers"):
+            value = getattr(self, name)
+            if not (is_integer(value) and value >= 1):
+                raise InvalidConfigError(
+                    f"{name} must be an integer >= 1, got {value!r}")
+        if not is_integer(self.seed):
+            raise InvalidConfigError(f"seed must be an integer, got {self.seed!r}")
         if self.method == "ssd" and any(g != 0.0 for g in self.gammas):
             raise InvalidConfigError(
                 "method 'ssd' has no momentum; use 'ssdm' for gamma != 0"

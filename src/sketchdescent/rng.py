@@ -74,14 +74,15 @@ import hashlib
 import numpy as np
 
 from .errors import InvalidConfigError
+from .linalg import is_integer
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """Fresh PCG64 generator for a nonnegative integer seed."""
-    seed = int(seed)
-    if seed < 0:
-        raise InvalidConfigError(f"seed must be >= 0, got {seed}")
-    return np.random.Generator(np.random.PCG64(seed))
+    """Fresh PCG64 generator for a nonnegative integer seed; a float or a
+    bool is refused, not truncated."""
+    if not (is_integer(seed) and seed >= 0):
+        raise InvalidConfigError(f"seed must be an integer >= 0, got {seed!r}")
+    return np.random.Generator(np.random.PCG64(int(seed)))
 
 
 def standard_normal(rng: np.random.Generator, size) -> np.ndarray:
@@ -113,8 +114,11 @@ def derive_seed(base_seed: int, *parts) -> int:
     """Stable 63-bit sub-stream seed from a base seed and a coordinate tuple.
 
     XORs the base seed with a blake2b digest of the repr of ``parts``.
-    Deterministic across processes and platforms.
+    Deterministic across processes and platforms. A base seed that is not
+    an integer is refused, not truncated.
     """
+    if not is_integer(base_seed):
+        raise InvalidConfigError(f"seed must be an integer, got {base_seed!r}")
     tag = repr(parts).encode("utf-8")
     digest = hashlib.blake2b(tag, digest_size=8).digest()
     mixed = int(base_seed) ^ int.from_bytes(digest, "big")

@@ -26,6 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidConfigError
+from .linalg import is_integer
 from .rng import subset_uniforms, uniform_subsets
 
 __all__ = [
@@ -50,8 +51,7 @@ class GreedyRule:
     tau: int | None = 1
 
     def __post_init__(self):
-        if self.tau is not None and self.tau < 1:
-            raise InvalidConfigError(f"tau must be >= 1, got {self.tau}")
+        _check_tau(self.tau)
 
     def resolve_tau(self, q: int) -> int:
         tau = q if self.tau is None else self.tau
@@ -88,9 +88,8 @@ class CappedRule:
     def __post_init__(self):
         if not 0.0 <= self.theta <= 1.0:
             raise InvalidConfigError(f"theta must be in [0, 1], got {self.theta}")
-        for tau in (self.tau1, self.tau2):
-            if tau is not None and tau < 1:
-                raise InvalidConfigError(f"tau must be >= 1, got {tau}")
+        _check_tau(self.tau1)
+        _check_tau(self.tau2)
 
     @property
     def label(self) -> str:
@@ -99,6 +98,13 @@ class CappedRule:
 
         tag = f"capped:{self.theta:g},{show(self.tau1)},{show(self.tau2)}"
         return tag + (",exact" if self.exact else "")
+
+
+def _check_tau(tau) -> None:
+    """Refuse a subset size that is neither None (the whole family) nor an
+    integer >= 1; a float or a bool is not an integer."""
+    if tau is not None and not (is_integer(tau) and tau >= 1):
+        raise InvalidConfigError(f"tau must be an integer >= 1, got {tau!r}")
 
 
 def uniform() -> GreedyRule:

@@ -115,6 +115,23 @@ class SketchFamily:
         Row-block size for kind "block". Blocks are contiguous, cover every
         row, and only the last one may be short.
 
+    Attributes
+    ----------
+    denominators : ndarray (q,)
+        d_i = w_i' B^{-1} w_i; a diagonal family's is ``eigvals`` itself.
+    direction_matrix : ndarray (n, q)
+        D = G^{-1} W; a diagonal family's is ``eigvecs`` itself.
+    steps : ndarray (q,) or None
+        The exact step d_i / (w_i' D[:, i]) along D[:, i]; None when G = B,
+        where every step is 1.
+    coupling : ndarray (q, q) or None
+        K' = D' W, row i of which is how all q linear values move per unit
+        step along D[:, i]; kept only when q <= n, so it is never larger
+        than D, and None on a diagonal family, whose K' is Lambda.
+
+    All four are set at construction for the vector kinds and are None on
+    block and full families.
+
     Notes
     -----
     The exactness requirement sum_i H_i > 0 on range(A) holds structurally
@@ -131,32 +148,33 @@ class SketchFamily:
         self.system = system
         self.g_equals_b = system.g_equals_b
         self.diagonal = False
+        self.denominators = self.direction_matrix = None
+        self.steps = self.coupling = None
         A = system.A
         m, n = A.shape
         Bf = system.B_factor
         self._Gf = system.G_factor
 
         # The vector kinds set W, whose column i is w_i = A' S_i, the
-        # denominators d_i = w_i' B^{-1} w_i, and B^{-1} W. W itself is not
-        # kept: see w_matrix.
+        # denominators d and B^{-1} W. W itself is not kept: see w_matrix.
         if kind == "row":
             self.q = m
             W = A.T  # w_i = A' e_i is row i of A
             if Bf.is_identity:
                 Binv_W = W
-                self._d = np.einsum("ij,ij->i", A, A)
+                d = np.einsum("ij,ij->i", A, A)
             else:
                 Binv_W = Bf.solve(W)
-                self._d = np.einsum("ij,ij->i", A, Binv_W.T)
+                d = np.einsum("ij,ij->i", A, Binv_W.T)
         elif kind == "lsqcol":
             self.q = n
             W = A.T @ A  # column i is A' A e_i
             if Bf.is_identity:
                 Binv_W = W
-                self._d = np.einsum("ij,ij->i", W, W)
+                d = np.einsum("ij,ij->i", W, W)
             else:
                 Binv_W = Bf.solve(W)
-                self._d = np.einsum("ji,ji->i", W, Binv_W)
+                d = np.einsum("ji,ji->i", W, Binv_W)
         elif kind == "spectral":
             self.q = n
             Af = system.A_factor
@@ -169,17 +187,19 @@ class SketchFamily:
             W = None if self.diagonal else U * lam  # w_i = lambda_i u_i
             if self.diagonal:
                 Binv_W = U  # B^{-1} W = A^{-1} U Lambda = U
-                self._d = lam
+                d = lam
             elif Bf.is_identity:
                 Binv_W = W
-                self._d = lam * lam
+                d = lam * lam
             else:
                 Binv_W = Bf.solve(U)  # B^{-1} U until scaled by lam below
-                self._d = lam * lam * np.einsum("ij,ij->j", U, Binv_W)
+                d = lam * lam * np.einsum("ij,ij->j", U, Binv_W)
                 Binv_W *= lam
         elif kind == "block":
-            if block_size is None or block_size < 1:
-                raise InvalidConfigError("block sketches need block_size >= 1")
+            if not (is_integer(block_size) and block_size >= 1):
+                raise InvalidConfigError(
+                    f"block sketches need an integer block_size >= 1, "
+                    f"got {block_size!r}")
             if block_size > m:
                 raise InvalidConfigError(
                     f"block_size {block_size} exceeds row count {m}"
@@ -197,24 +217,21 @@ class SketchFamily:
             self.q = 1
             self._Af = system.A_factor
 
-        self._coupling = None
         if kind in VECTOR_KINDS:
-            if np.any(self._d <= 0.0):
+            if np.any(d <= 0.0):
                 raise InvalidInputError(
                     f"{kind} sketch has a zero denominator; "
                     "the system has a degenerate row or column"
                 )
+            self.denominators = d
             # D = G^{-1} W: one batched solve, or none when G = B (it is
             # B^{-1} W, solved above) or G = I (it is W itself, uncopied).
-            self._dirs = Binv_W if self.g_equals_b else self._Gf.solve(W)
-            # Exact step d_i / e_i along D[:, i], e_i = w_i' D[:, i]; None
-            # when G = B, where every step is 1.
-            self._steps = (None if self.g_equals_b
-                           else self._d / np.einsum("ij,ij->j", W, self._dirs))
-            # K' = D' W, kept only when it is no larger than D; a diagonal
-            # family's K' is Lambda, which no solver reads.
+            D = self.direction_matrix = (Binv_W if self.g_equals_b
+                                         else self._Gf.solve(W))
+            if not self.g_equals_b:
+                self.steps = d / np.einsum("ij,ij->j", W, D)
             if self.q <= n and not self.diagonal:
-                self._coupling = self._dirs.T @ W
+                self.coupling = D.T @ W
 
     # -- fast paths --------------------------------------------------------
 
@@ -250,7 +267,8 @@ class SketchFamily:
                 raise InvalidInputError(f"index out of range for q={self.q}")
         if self.kind in VECTOR_KINDS:
             c = self.linear_values(x, indices)
-            return 0.5 * c * c / (self._d if indices is None else self._d[indices])
+            d = self.denominators
+            return 0.5 * c * c / (d if indices is None else d[indices])
         if indices is None:
             indices = np.arange(self.q)
         A, b = self.system.A, self.system.b
@@ -282,12 +300,12 @@ class SketchFamily:
         sys = self.system
         if self.kind in VECTOR_KINDS:
             c = float(self.linear_values(x, i))
-            d = self._d[i]
+            d = self.denominators[i]
             loss = 0.5 * c * c / d
             if c == 0.0:
                 return SketchEval(i, 0.0, np.zeros(sys.n), None, 0.0)
-            direction = (c / d) * self._dirs[:, i]
-            step = 1.0 if self.g_equals_b else self._steps[i]
+            direction = (c / d) * self.direction_matrix[:, i]
+            step = 1.0 if self.g_equals_b else self.steps[i]
             return SketchEval(i, loss, direction, step, c)
         if self.kind == "block":
             C = self.blocks[i]
@@ -346,7 +364,7 @@ class SketchFamily:
                 held.append(self.evaluate(0, x))
                 return np.array([held[-1].loss])
         else:
-            d = self._d  # a diagonal family's is eigvals itself
+            d = self.denominators  # a diagonal family's is eigvals itself
             if self.diagonal:
                 Utb = self.Utb
 
@@ -396,7 +414,7 @@ class SketchFamily:
                     kept[i] = 0.5 * c * c / di
                 return y, None
         else:
-            dirs, steps = self._dirs, self._steps
+            dirs, steps = self.direction_matrix, self.steps
 
             def move(x, i):
                 ci = float(linear_values(x, i))
@@ -431,38 +449,6 @@ class SketchFamily:
             return A.T @ A
         return self.eigvecs * self.eigvals
 
-    @property
-    def direction_matrix(self) -> np.ndarray:
-        """n x q matrix G^{-1} W cached at construction, for the vector kinds."""
-        if self.kind not in VECTOR_KINDS:
-            raise InvalidInputError(
-                f"direction_matrix undefined for kind {self.kind!r}")
-        return self._dirs
-
-    @property
-    def coupling(self) -> np.ndarray | None:
-        """q x q matrix K' = D' W, or None.
-
-        Row i is how all q linear values move per unit step along D[:, i].
-        Cached at construction for the vector kinds when q <= n, so it is
-        never larger than the direction matrix; None otherwise, and for a
-        diagonal family, whose K' is Lambda.
-        """
-        return self._coupling
-
-    @property
-    def steps(self) -> np.ndarray | None:
-        """Exact step length along each D[:, i], or None when G = B (all 1)."""
-        if self.kind not in VECTOR_KINDS:
-            raise InvalidInputError(f"steps undefined for kind {self.kind!r}")
-        return self._steps
-
-    @property
-    def denominators(self) -> np.ndarray:
-        if self.kind not in VECTOR_KINDS:
-            raise InvalidInputError(f"denominators undefined for kind {self.kind!r}")
-        return self._d
-
     def curvature_matrix(self, i: int) -> np.ndarray:
         """Z_i = A' H_i A, the Hessian of f_i, as a dense n x n matrix."""
         sys = self.system
@@ -473,7 +459,7 @@ class SketchFamily:
                 w = sys.A.T @ sys.A[:, i]
             else:
                 w = self.eigvecs[:, i] * self.eigvals[i]
-            return np.outer(w, w) / self._d[i]
+            return np.outer(w, w) / self.denominators[i]
         if self.kind == "block":
             Ac = sys.A[self.blocks[i]]
             return Ac.T @ self._pinvs[i] @ Ac

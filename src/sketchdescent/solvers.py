@@ -102,6 +102,9 @@ class SolverConfig:
             raise InvalidConfigError(f"gamma must be finite and >= 0, got {self.gamma}")
         if not 0.0 <= self.tol < math.inf:
             raise InvalidConfigError(f"tol must be finite and >= 0, got {self.tol}")
+        if not (is_integer(self.seed) and self.seed >= 0):
+            raise InvalidConfigError(
+                f"seed must be an integer >= 0, got {self.seed!r}")
         if not is_integer(self.max_iters) or self.max_iters < 0:
             raise InvalidConfigError(
                 f"max_iters must be an integer >= 0, got {self.max_iters!r}")

@@ -16,11 +16,14 @@ selected loss,
 :func:`spectral_report` computes all of these (desk scale only) by one of
 two routes:
 
-- a diagonal family (spectral, B = G = A) has T_i = u_i u_i', which sum to
-  the identity, so every per-index and summed eigenvalue is exactly 1 and
-  nothing is decomposed;
-- every other family whitens its operators with G^{-1/2} and takes dense
-  n x n eigendecompositions.
+- the closed form: a diagonal family (spectral, B = G = A) has
+  T_i = u_i u_i', which sum to the identity, so every per-index and summed
+  eigenvalue is exactly 1 and nothing is decomposed;
+- one dense pass over the family's own arrays, for every other family: it
+  takes G^{-1/2} once, reads the rank-one T_i's eigenvalues off W = A'S,
+  the denominators and the direction matrix (row, lsqcol, spectral), or
+  decomposes each whitened block or full T_i, and decomposes the summed
+  operator, all n x n.
 
 :func:`predicted_rates` and :func:`momentum_rate` turn the constants into
 per-step contraction factors, averaged-iterate bounds and the heavy ball
@@ -162,30 +165,6 @@ def _check_size(family: SketchFamily) -> None:
         )
 
 
-def _operators(family: SketchFamily) -> list:
-    """One dense pass over a family's operators, made once per public call.
-
-    Returns [Gih, W, ops, zsum]: G^{-1/2} from one inv_sqrt (None when
-    G = I); for the vector kinds W = A'S, no ops and zsum = W D^{-1} W';
-    for block and full no W, and ops yields each T_i in index order while
-    adding Z_i into zsum, the sum of the Z_i once ops is exhausted.
-    """
-    sys = family.system
-    Gih = None if sys.G_factor.is_identity else sys.G_factor.inv_sqrt()
-    if family.kind in VECTOR_KINDS:
-        W = family.w_matrix
-        return [Gih, W, None, (W / family.denominators) @ W.T]
-    zsum = np.zeros((sys.n, sys.n))
-
-    def ops():
-        for i in range(family.q):
-            Z = family.curvature_matrix(i)
-            np.add(zsum, Z, out=zsum)
-            Z = _whiten(Z, Gih)  # T_i; the raw Z_i is freed before its eigh
-            yield Z
-    return [Gih, None, ops(), zsum]
-
-
 def _positive(w: np.ndarray) -> np.ndarray:
     """Mask of the eigenvalues above the relative rank cutoff."""
     return w > DEFAULT_EIG_CUTOFF * max(1.0, w[-1])
@@ -230,45 +209,65 @@ def _summary(family: SketchFamily, index: tuple,
     )
 
 
-def _report(family: SketchFamily, parts: list) -> tuple:
-    """(report, tsum_basis, index_bases): the family's report, without a
-    rule, from the parts of one _operators pass (ops may be its stream or
-    a list of the same T_i), and orthonormal range bases of the summed
-    operator and of each T_i (None for the rank-one kinds). It empties
-    parts and drops each array after its last use, so one that no caller
-    kept is freed before the summed operator's eigh."""
-    Gih, W, ops, zsum = parts
-    parts.clear()
-    n, q = family.system.n, family.q
-    if ops is None:
+def _dense_pass(family: SketchFamily, keep: bool = False) -> tuple:
+    """(report, held): the family's report, without a rule, from one dense
+    pass over its whitened operators, made once per public call.
+
+    G^{-1/2} comes from one inv_sqrt (None when G = I). The vector kinds
+    read W = A'S once: their rank-one T_i need no eigh, and their sum is
+    W D^{-1} W'. Block and full families build each Z_i once, add it into
+    the sum and decompose its T_i. held is None, or with keep
+    (Gih, W, T_i list, range bases of the T_i, range basis of the summed
+    operator), where the vector kinds have W and no T_i or bases, and block
+    and full no W. Without keep each array is dropped after its last use,
+    so none is held through the summed operator's eigh.
+    """
+    sys = family.system
+    n, q = sys.n, family.q
+    Gih = None if sys.G_factor.is_identity else sys.G_factor.inv_sqrt()
+    W = ops = bases = None
+    if family.kind in VECTOR_KINDS:
+        W = family.w_matrix
+        d = family.denominators
+        zsum = (W / d) @ W.T
         # Rank-one T_i: the one nonzero eigenvalue is w_i'G^{-1}w_i / d_i.
         e = np.einsum("ij,ij->j", W, family.direction_matrix)
-        index = _rank_one(family, e / family.denominators)
-        bases = None
+        index = _rank_one(family, e / d)
+        if not keep:
+            W = None
     else:
+        zsum = np.zeros((n, n))
         eig_max, eig_min_pos, eig_min = np.empty((3, q))
         rank = np.empty(q, dtype=np.intp)
         index = (eig_max, eig_min_pos, eig_min, rank)
-        bases = []
-        for i, T in enumerate(ops):
-            w, V = sym_eig(T)
-            keep = _positive(w)
-            pos = w[keep]
+        ops, bases = [], []
+        for i in range(q):
+            Z = family.curvature_matrix(i)
+            np.add(zsum, Z, out=zsum)
+            Z = _whiten(Z, Gih)  # T_i; the raw Z_i is freed before its eigh
+            w, V = sym_eig(Z)
+            mask = _positive(w)
+            pos = w[mask]
             if pos.size == 0:
                 raise InvalidInputError(f"sketch index {i} has a zero operator")
             eig_max[i] = w[-1]
             eig_min_pos[i] = pos[0]
             rank[i] = pos.size
             eig_min[i] = w[0] if pos.size == n else 0.0
-            bases.append(V[:, keep])
-    del W
-    if bases and q == 1:  # one matrix sketch: T_0 is the summed operator
+            if keep:
+                ops.append(Z)
+                bases.append(V[:, mask])
+    if ops is not None and q == 1:  # one matrix sketch: T_0 is the sum
         wT, VT = w, V
     else:
         tsum = _whiten(zsum, Gih)
-        del Gih, zsum
+        zsum = None
+        if not keep:
+            Gih = None
         wT, VT = sym_eig(tsum)
-    return _summary(family, index, wT), VT[:, _positive(wT)], bases
+    report = _summary(family, index, wT)
+    return report, ((Gih, W, ops, bases, VT[:, _positive(wT)]) if keep
+                    else None)
 
 
 def spectral_report(family: SketchFamily, rule=None,
@@ -278,15 +277,15 @@ def spectral_report(family: SketchFamily, rule=None,
     rule defaults to uniform sampling. zero_losses feeds the effective
     divisor in the greedy lower constant; 0 is the safe generic value.
     A diagonal family takes the closed form (module notes); every other
-    family a dense pass that streams the T_i, holding one n x n operator
-    at a time.
+    family one dense pass that holds one whitened n x n operator at a
+    time.
     """
     _check_size(family)
     if family.diagonal:
         base = _summary(family, _rank_one(family, np.ones(family.q)),
                         np.ones(family.system.n))
     else:
-        base = _report(family, _operators(family))[0]
+        base = _dense_pass(family)[0]
     return base.with_rule(GreedyRule(1) if rule is None else rule, zero_losses)
 
 
@@ -600,11 +599,6 @@ def verify_inequalities(family: SketchFamily, rules=None, trials: int = 1000,
     if trials < 1:
         raise InvalidInputError("trials must be >= 1")
     _check_size(family)
-    parts = _operators(family)
-    if parts[2] is not None:
-        parts[2] = list(parts[2])  # the trials reuse every T_i
-    Gih, W, T_list = parts[:3]
-    report, Q, index_bases = _report(family, parts)
     if rules is None:
         rules = [GreedyRule(1)] + ([
             GreedyRule(2), GreedyRule(None), CappedRule(0.5, 1, None, exact=True)
@@ -615,6 +609,7 @@ def verify_inequalities(family: SketchFamily, rules=None, trials: int = 1000,
                 "the sandwich certificate assumes the exact capped "
                 "threshold; pass exact-mode capped rules"
             )
+    report, (Gih, W, T_list, index_bases, Q) = _dense_pass(family, keep=True)
 
     rng = make_rng(seed)
     x_star, _ = resolve_x_star(sys, np.zeros(sys.n))

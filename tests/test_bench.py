@@ -100,6 +100,16 @@ class TestBuildSystem:
         system = skd.build_system(gen_dataset(12, 5), "lsqcol")
         assert np.allclose(system.B, system.A.T @ system.A, atol=1e-12)
 
+    @pytest.mark.parametrize("m, n", [(8, 4), (60, 60), (300, 120), (37, 21)])
+    def test_normal_metric_has_the_half_sums_bytes(self, m, n):
+        # A.T @ A is bitwise symmetric, so B = G = A'A is passed as it is
+        # and keeps the bytes of the half-sum 0.5 * (A'A + (A'A)').
+        for seed in range(3):
+            system = skd.build_system(gen_dataset(m, n, seed=seed), "lsqcol")
+            AtA = system.A.T @ system.A
+            assert system.B.tobytes() == (0.5 * (AtA + AtA.T)).tobytes()
+            assert system.G is system.B
+
     def test_spectral_on_general_matrix_rejected(self):
         with pytest.raises(InvalidConfigError):
             skd.build_system(gen_dataset(12, 5), "spectral")
@@ -151,6 +161,25 @@ class TestPlanValidation:
             small_plan(workers=0).validate()
         with pytest.raises(InvalidConfigError):
             small_plan(family="diag").validate()
+
+    @pytest.mark.parametrize("field, value", [
+        ("reps", 2.5), ("reps", 2.0), ("reps", True),
+        ("workers", 2.5), ("workers", True), ("seed", 2.5), ("seed", True),
+    ])
+    def test_non_integer_counts_and_seed_refused(self, monkeypatch, field,
+                                                 value):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", no_pool)
+        plan = small_plan(**{field: value})
+        with pytest.raises(InvalidConfigError, match=f"{field} must be"):
+            plan.validate()
+        with pytest.raises(InvalidConfigError, match=f"{field} must be"):
+            skd.run_experiment(plan)
+
+    def test_numpy_integer_counts_and_seed_accepted(self):
+        small_plan(reps=np.int64(2), workers=np.int32(1),
+                   seed=np.int64(5)).validate()
 
     def test_ssd_refuses_momentum(self):
         with pytest.raises(InvalidConfigError, match="ssdm"):

@@ -28,6 +28,20 @@ def test_negative_seed_rejected():
         make_rng(-1)
 
 
+@pytest.mark.parametrize("seed", [2.5, 2.9, 2.0, True, False, "2", None])
+def test_non_integer_seed_refused_not_truncated(seed):
+    with pytest.raises(InvalidConfigError, match="seed must be an integer"):
+        make_rng(seed)
+    with pytest.raises(InvalidConfigError, match="seed must be an integer"):
+        derive_seed(seed, "x", 0)
+
+
+def test_numpy_integer_seed_is_the_same_seed():
+    for seed in (np.int64(7), np.uint32(7), np.int8(7)):
+        assert np.array_equal(make_rng(seed).random(4), make_rng(7).random(4))
+        assert derive_seed(seed, "x", 0) == derive_seed(7, "x", 0)
+
+
 def test_different_seeds_differ():
     assert not np.array_equal(make_rng(1).random(10), make_rng(2).random(10))
 

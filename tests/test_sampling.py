@@ -395,6 +395,21 @@ class TestRules:
     def test_greedy_m_means_max_distance(self):
         assert skd.parse_rule("greedy:m") == skd.max_distance()
 
+    @pytest.mark.parametrize("tau", [2.5, 3.0, True, "2"])
+    def test_non_integer_tau_refused(self, tau):
+        with pytest.raises(InvalidConfigError, match="tau must be an integer"):
+            skd.GreedyRule(tau)
+        for taus in ((tau, None), (1, tau)):
+            with pytest.raises(InvalidConfigError,
+                               match="tau must be an integer"):
+                skd.CappedRule(0.5, *taus, exact=True)
+
+    def test_numpy_integer_and_none_tau_accepted(self):
+        assert skd.GreedyRule(np.int64(3)).resolve_tau(5) == 3
+        assert skd.GreedyRule(None).resolve_tau(5) == 5
+        rule = skd.CappedRule(0.5, np.int32(2), None, exact=True)
+        assert rule.label == "capped:0.5,2,m,exact"
+
     def test_resolve_tau_guard(self):
         with pytest.raises(InvalidConfigError):
             skd.greedy(10).resolve_tau(4)

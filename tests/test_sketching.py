@@ -338,6 +338,25 @@ class TestFamilyStructure:
         seen = np.concatenate(fam.blocks)
         assert np.array_equal(np.sort(seen), np.arange(11))
 
+    @pytest.mark.parametrize("size", [2.5, 3.0, True, None, 0])
+    def test_block_size_must_be_a_positive_integer(self, size):
+        system = gaussian_system(12, 5, seed=1)
+        with pytest.raises(InvalidConfigError, match="block_size"):
+            skd.SketchFamily("block", system, block_size=size)
+
+    def test_numpy_integer_block_size_accepted(self):
+        system = gaussian_system(12, 5, seed=1)
+        fam = skd.SketchFamily("block", system, block_size=np.int64(5))
+        assert fam.q == 3 and fam.block_size == 5
+
+    @pytest.mark.parametrize("kind", ["block", "full"])
+    def test_vector_arrays_are_none_on_matrix_sketches(self, kind):
+        _, fam = family_on(kind, 12, 6, seed=2, block_size=4)
+        assert fam.denominators is None
+        assert fam.direction_matrix is None
+        assert fam.steps is None
+        assert fam.coupling is None
+
     def test_spectral_requires_spd(self):
         system = gaussian_system(8, 4, seed=4)  # rectangular
         with pytest.raises((InvalidInputError, NotSpdError)):

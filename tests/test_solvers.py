@@ -60,6 +60,23 @@ class TestConfig:
     def test_defaults_valid(self):
         skd.SolverConfig().validate()
 
+    @pytest.mark.parametrize("seed", [2.5, 2.0, True, -1, None])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(InvalidConfigError, match="seed"):
+            skd.SolverConfig(seed=seed).validate()
+        system, fam = family_on("row", 12, 4, seed=1)
+        with pytest.raises(InvalidConfigError, match="seed"):
+            skd.run_ssd(system, fam, skd.uniform(), skd.SolverConfig(seed=seed))
+
+    def test_numpy_integer_seed_runs_as_its_value(self):
+        system, fam = family_on("row", 12, 4, seed=1)
+        cfg = dict(tol=0.0, max_iters=20)
+        a = skd.run_ssd(system, fam, skd.uniform(),
+                        skd.SolverConfig(seed=np.int64(2), **cfg))
+        b = skd.run_ssd(system, fam, skd.uniform(),
+                        skd.SolverConfig(seed=2, **cfg))
+        assert np.array_equal(a.selected, b.selected)
+
     def test_counts_must_be_integers(self):
         for kwargs in (dict(max_iters=2.5), dict(max_iters=3.0),
                        dict(max_iters=True), dict(check_every=2.5),
@@ -395,11 +412,11 @@ class TestMaintainedLinearValues:
             cfg = skd.SolverConfig(gamma=gamma, tol=0.0, max_iters=200,
                                    seed=3, check_every=every)
             a = skd.run_ssdm(system, fam, skd.parse_rule(rule), cfg)
-            coupling, fam._coupling = fam._coupling, None
+            coupling, fam.coupling = fam.coupling, None
             try:
                 b = skd.run_ssdm(system, fam, skd.parse_rule(rule), cfg)
             finally:
-                fam._coupling = coupling
+                fam.coupling = coupling
             for field in ("residuals", "rel_errors", "f_values", "selected",
                           "x_final"):
                 assert np.array_equal(getattr(a, field), getattr(b, field),
@@ -433,8 +450,8 @@ class TestMaintainedLinearValues:
                                   x_star=np.full(n, 2.0))
         fam = skd.SketchFamily("row", system)
         assert np.array_equal(fam.coupling, np.eye(n))
-        fam._coupling = np.eye(n)
-        fam._coupling[0] = 1.0
+        fam.coupling = np.eye(n)
+        fam.coupling[0] = 1.0
         cfg = skd.SolverConfig(x0="zero", tol=1e-12, check_every=1000)
         trace = skd.run_ssd(system, fam, skd.max_distance(), cfg)
         assert trace.converged
@@ -453,8 +470,8 @@ class TestMaintainedLinearValues:
         system = skd.LinearSystem(A=np.eye(n), b=np.full(n, 2.0),
                                   x_star=np.full(n, 2.0))
         fam = skd.SketchFamily("row", system)
-        fam._coupling = np.ones((n, n))
-        fam._coupling[:, 5] = np.nan
+        fam.coupling = np.ones((n, n))
+        fam.coupling[:, 5] = np.nan
         cfg = skd.SolverConfig(x0="zero", tol=1e-12, check_every=1000)
         with pytest.raises(DivergenceError) as exc:
             skd.run_ssd(system, fam, skd.parse_rule(rule), cfg)
@@ -464,8 +481,8 @@ class TestMaintainedLinearValues:
     def test_nan_linear_value_caught_within_one_iteration(self, rule):
         system = gaussian_system(24, 12, seed=34, spd=True)
         fam = skd.SketchFamily("spectral", system)
-        fam._coupling = fam.coupling.copy()
-        fam._coupling[:, 5] = np.nan  # c[5] is NaN after the first step
+        fam.coupling = fam.coupling.copy()
+        fam.coupling[:, 5] = np.nan  # c[5] is NaN after the first step
         cfg = skd.SolverConfig(tol=0.0, max_iters=500, check_every=100)
         with pytest.raises(DivergenceError) as exc:
             skd.run_ssd(system, fam, skd.parse_rule(rule), cfg)

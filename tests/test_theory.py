@@ -406,11 +406,15 @@ class TestVerifyInequalities:
         assert "trials=20" in text
         assert ": ok" in text
 
-    def test_rejects_inexact_capped_rule(self):
+    def test_rejects_inexact_capped_rule(self, monkeypatch):
+        # Refused before the dense pass does any work.
         _, fam = family_on("row", 8, 4, seed=18)
+        calls = collections.Counter()
+        spy(monkeypatch, calls, theory, "_dense_pass")
         with pytest.raises(InvalidConfigError):
             skd.verify_inequalities(fam, rules=[skd.capped(exact=False)],
                                     trials=5)
+        assert not calls
 
     def test_size_limit(self):
         A = np.random.default_rng(19).standard_normal((5, 501))
@@ -473,9 +477,26 @@ class TestSharedSpectra:
         assert report.tsum_eig_max == w[-1]
         assert report.tsum_eig_min_pos == w[keep][0]
         assert report.tsum_rank == int(keep.sum())
-        _, tsum_basis, _ = theory._report(fam, theory._operators(fam))
+        _, (*_, tsum_basis) = theory._dense_pass(fam, keep=True)
         assert np.array_equal(tsum_basis, V[:, keep])
 
+
+    @pytest.mark.parametrize("kind", ["row", "lsqcol"])
+    def test_vector_family_reads_its_arrays_once_per_call(self, monkeypatch,
+                                                          kind):
+        # One dense pass per public call: W = A'S is formed once and
+        # G^{-1/2} taken once, under B = G = A'A.
+        system = gaussian_system(28, 10, seed=115, metric="normal")
+        fam = skd.SketchFamily(kind, system)
+        calls = collections.Counter()
+        spy(monkeypatch, calls, skd.SketchFamily, "w_matrix")
+        spy(monkeypatch, calls, SpdFactor, "inv_sqrt")
+        report = skd.verify_inequalities(fam, trials=3, seed=0)
+        assert report.all_passed, report.to_text()
+        assert calls == {"w_matrix": 1, "inv_sqrt": 1}
+        calls.clear()
+        skd.spectral_report(fam)
+        assert calls == {"w_matrix": 1, "inv_sqrt": 1}
 
     def test_each_operator_built_once_per_call(self, monkeypatch):
         # Seven blocks under B = G = A'A: each public call builds each Z_i
@@ -645,10 +666,10 @@ class TestReportRoutes:
         system = gaussian_system(28, 10, seed=34, metric="normal")
         fam = skd.SketchFamily(kind, system, block_size=block_size)
         calls = collections.Counter()
-        for owner, name in ((SpdFactor, "inv_sqrt"), (theory, "_operators")):
+        for owner, name in ((SpdFactor, "inv_sqrt"), (theory, "_dense_pass")):
             spy(monkeypatch, calls, owner, name)
         skd.spectral_report(fam)
-        assert calls == {"inv_sqrt": 1, "_operators": 1}
+        assert calls == {"inv_sqrt": 1, "_dense_pass": 1}
 
     @pytest.mark.parametrize("kind, shape", [
         ("spectral", (501, 501)),  # diagonal route
@@ -666,7 +687,7 @@ class TestReportRoutes:
             system = skd.LinearSystem(A=A, b=A @ np.ones(n))
         fam = skd.SketchFamily(kind, system)
         calls = collections.Counter()
-        for owner, name in ((theory, "_operators"), (theory, "_summary")):
+        for owner, name in ((theory, "_dense_pass"), (theory, "_summary")):
             spy(monkeypatch, calls, owner, name)
         for call in (skd.spectral_report, skd.verify_inequalities):
             with pytest.raises(SizeLimitError, match="desk-scale limit") as exc:
