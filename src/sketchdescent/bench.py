@@ -35,7 +35,7 @@ from .errors import (
     NotSpdError,
     SizeLimitError,
 )
-from .linalg import is_integer
+from .linalg import SpdFactor, is_integer
 from .loaders import load_libsvm, load_matrix_market
 from .problems import GenSpec, LinearSystem, gen_arrays, loaded_arrays
 from .rng import derive_seed
@@ -69,8 +69,10 @@ class DatasetSpec:
                 raise InvalidConfigError(f"{self.kind} dataset needs a path")
         else:
             raise InvalidConfigError(f"unknown dataset kind {self.kind!r}")
-        if self.m_limit is not None and self.m_limit < 1:
-            raise InvalidConfigError(f"m_limit must be >= 1, got {self.m_limit}")
+        if self.m_limit is not None and not (is_integer(self.m_limit)
+                                             and self.m_limit >= 1):
+            raise InvalidConfigError(
+                f"m_limit must be an integer >= 1, got {self.m_limit!r}")
 
     @property
     def label(self) -> str:
@@ -86,6 +88,8 @@ def parse_family(text: str) -> tuple[str, int | None]:
             size = int(text.split(":", 1)[1])
         except ValueError:
             raise InvalidConfigError(f"bad block size in {text!r}") from None
+        if size < 1:
+            raise InvalidConfigError(f"block size must be >= 1 in {text!r}")
         return "block", size
     if text in ("row", "lsqcol", "spectral", "full"):
         return text, None
@@ -134,7 +138,16 @@ def build_system(dataset: DatasetSpec, family_kind: str,
                   "lsqcol": "normal"}.get(family_kind, "identity")
     if metric == "system":
         try:
-            return system(A)
+            W = A
+            if family_kind == "spectral":
+                # The family reads A's eigendecomposition, so that is B's
+                # SPD check, and no Cholesky is made until a solve. A factor
+                # of A's half-sum (A not bitwise symmetric) would not serve
+                # as A's own, so such an A is checked by Cholesky.
+                checked = SpdFactor(A, eig_check=True)
+                if checked.matrix is A:
+                    W = checked
+            return system(W)
         except (InvalidInputError, NotSpdError):
             raise InvalidConfigError(
                 f"{needs} needs an SPD matrix; {dataset.label} is not"
@@ -180,8 +193,9 @@ class ExperimentPlan:
             if not (is_integer(value) and value >= 1):
                 raise InvalidConfigError(
                     f"{name} must be an integer >= 1, got {value!r}")
-        if not is_integer(self.seed):
-            raise InvalidConfigError(f"seed must be an integer, got {self.seed!r}")
+        if not (is_integer(self.seed) and self.seed >= 0):
+            raise InvalidConfigError(
+                f"seed must be an integer >= 0, got {self.seed!r}")
         if self.method == "ssd" and any(g != 0.0 for g in self.gammas):
             raise InvalidConfigError(
                 "method 'ssd' has no momentum; use 'ssdm' for gamma != 0"

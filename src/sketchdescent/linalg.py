@@ -1,9 +1,10 @@
 """Dense symmetric linear algebra kernels.
 
 Thin, validated wrappers around numpy/scipy factorizations plus an SpdFactor
-class that caches a Cholesky factorization (and, lazily, an eigendecomposition
-for matrix square roots) per matrix. Everything here is desk scale: dense
-float64, dimensions in the hundreds.
+class that caches the Cholesky factorization and the eigendecomposition of
+one matrix, each made once: one of them at construction as the SPD check,
+the other on first use. Everything here is desk scale: dense float64,
+dimensions in the hundreds.
 """
 
 from __future__ import annotations
@@ -112,34 +113,48 @@ def pinv_psd(M, tol: float = DEFAULT_EIG_CUTOFF) -> np.ndarray:
 class SpdFactor:
     """The factorizations of one SPD matrix (or the identity), each made once.
 
-    The Cholesky factor is made at construction, which doubles as the SPD
-    check; the eigendecomposition behind :meth:`eig` and :meth:`inv_sqrt`
-    is made on first use and kept. M = None with a dimension n stands for
-    the identity, stored without a matrix so that solves and products are
-    free; B = G = identity is the common case for row-action solvers and
-    must not cost O(n^2) per iteration. matrix is what check_symmetric
-    returns, so it may be the caller's own array (B = A shares one); no
-    code writes into it.
+    One factorization is made at construction as the SPD check: the
+    Cholesky factor behind :meth:`solve`, or with eig_check the
+    eigendecomposition behind :meth:`eig` and :meth:`inv_sqrt`, which
+    refuses a smallest eigenvalue <= 0. The other is made on first use and
+    kept, so a run that only reads the eigendecomposition (a diagonal
+    spectral run) never holds a Cholesky factor. M = None with a dimension
+    n stands for the identity, stored without a matrix so that solves and
+    products are free; B = G = identity is the common case for row-action
+    solvers and must not cost O(n^2) per iteration. matrix is what
+    check_symmetric returns, so it may be the caller's own array (B = A
+    shares one); no code writes into it.
     """
 
-    def __init__(self, M=None, n: int | None = None):
-        self._eig = None
+    def __init__(self, M=None, n: int | None = None, *,
+                 eig_check: bool = False):
+        self._eig = self._cho = None
         if M is None:
             if n is None:
                 raise InvalidInputError("identity factor needs a dimension")
             self.n = int(n)
             self.is_identity = True
-            self._cho = None
             self.matrix = None
             return
         A = check_symmetric(M, name="SPD matrix")
         self.n = A.shape[0]
         self.is_identity = False
         self.matrix = A
-        try:
-            self._cho = scipy.linalg.cho_factor(A, lower=True, check_finite=False)
-        except scipy.linalg.LinAlgError as exc:
-            raise NotSpdError(f"Cholesky failed, matrix not SPD: {exc}") from exc
+        if eig_check:
+            self.eig()
+        else:
+            self._cholesky()
+
+    def _cholesky(self):
+        """The Cholesky factor of matrix, made once."""
+        if self._cho is None:
+            try:
+                self._cho = scipy.linalg.cho_factor(self.matrix, lower=True,
+                                                    check_finite=False)
+            except scipy.linalg.LinAlgError as exc:
+                raise NotSpdError(
+                    f"Cholesky failed, matrix not SPD: {exc}") from exc
+        return self._cho
 
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
         """(w, V) with w ascending and M = V diag(w) V', computed once."""
@@ -157,10 +172,10 @@ class SpdFactor:
         return v if self.is_identity else self.matrix @ v
 
     def solve(self, v: np.ndarray) -> np.ndarray:
-        """M^{-1} v via the cached Cholesky factor."""
+        """M^{-1} v via the Cholesky factor, made on the first solve."""
         if self.is_identity:
             return v
-        return scipy.linalg.cho_solve(self._cho, v, check_finite=False)
+        return scipy.linalg.cho_solve(self._cholesky(), v, check_finite=False)
 
     def dense(self) -> np.ndarray:
         """M as an n x n array; a read-only view, as matrix may be shared."""

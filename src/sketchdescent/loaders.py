@@ -21,6 +21,7 @@ from .errors import (
     ParseError,
     UnsupportedFormatError,
 )
+from .linalg import is_integer
 
 
 def _float(token: str, where: str) -> float:
@@ -254,10 +255,12 @@ def load_libsvm(path, m_limit: int | None = None,
     increasing indices. Labels are validated and discarded; these solvers
     synthesize a consistent right-hand side instead. The column count is the
     largest index seen unless n_features pins it. m_limit caps how many rows
-    are read and must be at least 1.
+    are read. Both must be integers of at least 1 when given.
     """
-    if m_limit is not None and m_limit < 1:
-        raise InvalidConfigError(f"m_limit must be >= 1, got {m_limit}")
+    for name, value in (("m_limit", m_limit), ("n_features", n_features)):
+        if value is not None and not (is_integer(value) and value >= 1):
+            raise InvalidConfigError(
+                f"{name} must be an integer >= 1, got {value!r}")
     rows: list[dict[int, float]] = []
     max_index = 0
     with open(path, "r", encoding="utf-8") as fh:

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, SizeLimitError
-from .linalg import SpdFactor, as_matrix, as_vector, check_symmetric
+from .linalg import (SpdFactor, as_matrix, as_vector, check_symmetric,
+                     is_integer)
 from .rng import make_rng, standard_normal
 
 # Consistency of b with a stored exact solution is checked to this slack.
@@ -24,6 +25,15 @@ CONSISTENCY_TOL = 1e-10
 # Largest dimension for which we will compute a dense pseudoinverse when a
 # solution has to be reconstructed after the fact.
 PINV_SIZE_LIMIT = 2000
+
+
+def _factor(W, n: int) -> SpdFactor:
+    """W itself when it is a made SpdFactor, else W factored by Cholesky;
+    either way n x n."""
+    F = W if isinstance(W, SpdFactor) else SpdFactor(W, n)
+    if F.n != n:
+        raise InvalidInputError(f"weight is {F.n}x{F.n}, expected {n}x{n}")
+    return F
 
 
 @dataclass
@@ -37,10 +47,11 @@ class LinearSystem:
         drops them from a loaded matrix and draws its solution.
     b : (m,) ndarray
         Right-hand side. Must be consistent with x_star when one is stored.
-    B : (n, n) ndarray or None
-        SPD projection weight. None means identity.
-    G : (n, n) ndarray or None
-        SPD descent weight. None means identity.
+    B : (n, n) ndarray, SpdFactor or None
+        SPD projection weight. None means identity. A made SpdFactor is
+        used as is, and B then holds its matrix.
+    G : (n, n) ndarray, SpdFactor or None
+        SPD descent weight, read as B is.
     x_star : (n,) ndarray or None
         A known exact solution, if the instance was built from one.
     label : str
@@ -67,13 +78,18 @@ class LinearSystem:
         if np.any(row_sq == 0.0):
             bad = int(np.argmin(row_sq))
             raise InvalidInputError(f"A has an exactly zero row (index {bad})")
-        # Factoring B and G up front doubles as the SPD check. A G equal to
-        # B (None, the identity, equals only None) shares B's factor, and A's
-        # factor is B's when B is A.
-        self._B_factor = SpdFactor(self.B, n)
+        # The factors of B and G are their SPD checks: a made factor is
+        # taken as it is checked, an array is factored by Cholesky here. A G
+        # equal to B (None, the identity, equals only None) shares B's
+        # factor, and A's factor is B's when B (a made factor's matrix) is A.
+        self._B_factor = _factor(self.B, n)
         self._G_factor = (self._B_factor if self.G is self.B
                           or np.array_equal(self.G, self.B)
-                          else SpdFactor(self.G, n))
+                          else _factor(self.G, n))
+        if isinstance(self.B, SpdFactor):
+            self.B = self._B_factor.matrix
+        if isinstance(self.G, SpdFactor):
+            self.G = self._G_factor.matrix
         self._A_factor = self._B_factor if self.B is self.A else None
         if self.x_star is not None:
             self.x_star = as_vector(self.x_star, "x_star")
@@ -151,6 +167,9 @@ class GenSpec:
     def __post_init__(self):
         if self.kind not in ("gaussian", "gaussian-normal-equations"):
             raise InvalidInputError(f"unknown generator kind {self.kind!r}")
+        if not (is_integer(self.m) and is_integer(self.n)):
+            raise InvalidInputError(
+                f"m and n must be integers, got {self.m!r}, {self.n!r}")
         if self.m < 1 or self.n < 1:
             raise InvalidInputError("m and n must be at least 1")
         if self.kind == "gaussian-normal-equations" and self.m < self.n:

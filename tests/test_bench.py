@@ -1,4 +1,6 @@
 import csv
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,7 +51,7 @@ class TestGrids:
     def test_parse_family(self):
         assert parse_family("row") == ("row", None)
         assert parse_family("block:4") == ("block", 4)
-        for bad in ("block:x", "rows", "col"):
+        for bad in ("block:x", "rows", "col", "block:0", "block:-3"):
             with pytest.raises(InvalidConfigError):
                 parse_family(bad)
 
@@ -74,6 +76,17 @@ class TestDatasetSpec:
         for kind in ("mtx", "libsvm"):
             with pytest.raises(InvalidConfigError):
                 skd.DatasetSpec(kind=kind, path="data.txt", m_limit=m_limit)
+
+    @pytest.mark.parametrize("m_limit", [2.5, 2.0, True])
+    def test_non_integer_row_limit_refused(self, m_limit):
+        for kind in ("mtx", "libsvm"):
+            with pytest.raises(InvalidConfigError, match="m_limit must be"):
+                skd.DatasetSpec(kind=kind, path="data.txt", m_limit=m_limit)
+
+    def test_numpy_integer_row_limit_accepted(self):
+        spec = skd.DatasetSpec(kind="mtx", path="data.txt",
+                               m_limit=np.int64(3))
+        assert spec.m_limit == 3
 
     def test_row_limit_refused_for_generated(self):
         # build_system never reads m_limit for a recipe, so it must not
@@ -323,6 +336,16 @@ class TestBuildOnce:
             ["gen:20x8"] * 4 + ["gen:10x4"] * 4
         assert builds == {"system": 2, "family": 2}
 
+    @pytest.mark.parametrize("overrides", [
+        {"family": "block:0"}, {"family": "block:-3"}, {"seed": -1}])
+    def test_refused_plan_builds_nothing(self, builds, overrides):
+        plan = small_plan(**overrides)
+        with pytest.raises(InvalidConfigError):
+            plan.validate()
+        with pytest.raises(InvalidConfigError):
+            skd.run_experiment(plan)
+        assert builds == {"system": 0, "family": 0}
+
     def test_classical_method_builds_no_family(self, builds):
         plan = small_plan(method="cg", datasets=[gen_dataset(8, 8, spd=True)],
                           tol=1e-6, theory=True)
@@ -341,12 +364,12 @@ class TestKernelCounts:
                                  ("uniform", "greedy:3", "maxdist")])
         result = skd.run_experiment(plan)
         assert len(result.reports) == 3
-        # B = G = A share one Cholesky factor; A's eigendecomposition is the
-        # family's, and the diagonal family's report is closed form, so no
+        # B = G = A share one factor, checked by the eigendecomposition the
+        # family reads; the diagonal family's report is closed form, so no
         # operator is decomposed for any of the three rules. The family's
         # D = U and d = lambda take no solve, and its runs step in
-        # eigen-coordinates.
-        assert kernel_counts == {"cho_factor": 1, "cho_solve": 0, "eigh": 1}
+        # eigen-coordinates, so no Cholesky factor is ever made.
+        assert kernel_counts == {"cho_factor": 0, "cho_solve": 0, "eigh": 1}
 
     @pytest.mark.parametrize("method", ["cg", "sd"])
     def test_classical_methods_factor_once(self, kernel_counts, method):
@@ -361,6 +384,118 @@ class TestKernelCounts:
         assert system.G_factor is system.B_factor
         assert system.A_factor is system.B_factor
         assert kernel_counts["cho_factor"] == 1
+
+
+def trace_bytes(trace) -> list:
+    return [np.asarray(a).tobytes() for a in (
+        trace.ks, trace.residuals, trace.f_values, trace.selected,
+        trace.err_g_sq, trace.x_final)] + [trace.iterations]
+
+
+class TestEigCheckedSpectral:
+    """build_system checks a spectral system's B = G = A by the
+    eigendecomposition its family reads; a Cholesky factor is made only
+    by a solve, once."""
+
+    dataset = gen_dataset(90, 30, spd=True, seed=4)
+
+    @pytest.fixture
+    def pair(self, kernel_counts):
+        """(eig-checked system, a LinearSystem built directly with B = G = A)
+        with the kernel counts cleared in between."""
+        built = skd.build_system(self.dataset, "spectral")
+        reference = skd.LinearSystem(A=built.A, b=built.b, B=built.A,
+                                     G=built.A, x_star=built.x_star)
+        for key in kernel_counts:
+            kernel_counts[key] = 0
+        return built, reference
+
+    def test_system_shares_one_eig_checked_factor(self, kernel_counts):
+        system = skd.build_system(self.dataset, "spectral")
+        assert system.B is system.A and system.G is system.A
+        assert system.G_factor is system.B_factor
+        assert system.A_factor is system.B_factor
+        family = skd.SketchFamily("spectral", system)
+        assert family.diagonal
+        assert kernel_counts == {"cho_factor": 0, "cho_solve": 0, "eigh": 1}
+
+    @pytest.mark.parametrize("rule", ["greedy:20", "maxdist", "uniform"])
+    def test_diagonal_runs_match_the_direct_system(self, pair, kernel_counts,
+                                                   rule):
+        built, reference = pair
+        cfg = skd.SolverConfig(max_iters=400, check_every=7, seed=3)
+        traces = [skd.run_ssd(system, skd.SketchFamily("spectral", system),
+                              skd.parse_rule(rule), cfg)
+                  for system in (built, reference)]
+        assert trace_bytes(traces[0]) == trace_bytes(traces[1])
+        assert kernel_counts["cho_factor"] == 0  # the reference was made
+
+    def test_solves_make_one_cholesky_each_and_match(self, pair,
+                                                     kernel_counts):
+        built, reference = pair
+        cfg = skd.SolverConfig(max_iters=300, tol=1e-8, seed=2)
+        runs = [
+            lambda s: skd.run_sd(s, cfg),
+            lambda s: skd.run_ssd(s, skd.SketchFamily("full", s),
+                                  skd.parse_rule("maxdist"), cfg),
+            lambda s: skd.run_ssd(s, skd.SketchFamily("spectral", s),
+                                  skd.parse_rule("greedy:5"),
+                                  skd.SolverConfig(max_iters=300, seed=2,
+                                                   x0="range")),
+        ]
+        for run in runs:
+            system = skd.build_system(self.dataset, "spectral")
+            for key in kernel_counts:
+                kernel_counts[key] = 0
+            trace = run(system)
+            assert kernel_counts["cho_factor"] == 1
+            assert trace_bytes(trace) == trace_bytes(run(reference))
+
+    @pytest.mark.parametrize("dataset", [
+        gen_dataset(12, 12, seed=1),  # square, indefinite
+        gen_dataset(12, 5),  # rectangular
+    ])
+    def test_non_spd_refused_before_a_family(self, monkeypatch, dataset):
+        def no_family(*args, **kwargs):
+            raise AssertionError("a family was built")
+        monkeypatch.setattr(skd.SketchFamily, "__init__", no_family)
+        with pytest.raises(InvalidConfigError, match="needs an SPD matrix"):
+            skd.build_system(dataset, "spectral")
+        plan = small_plan(datasets=[dataset], family="spectral")
+        with pytest.raises(InvalidConfigError, match="needs an SPD matrix"):
+            skd.run_experiment(plan)
+
+    def test_not_bitwise_symmetric_file_is_checked_by_cholesky(
+            self, tmp_path, kernel_counts):
+        # A factor of the half-sum is not A's own factor, so such a file
+        # keeps the Cholesky check and the diagonal family.
+        A = skd.generate(self.dataset.gen).A.copy()
+        A[0, 1] = np.nextafter(A[0, 1], np.inf)
+        path = tmp_path / "near.mtx"
+        skd.save_matrix_market(A, path)
+        system = skd.build_system(skd.DatasetSpec(kind="mtx", path=str(path)),
+                                  "spectral")
+        assert system.B is system.A and system.A_factor is system.B_factor
+        assert skd.SketchFamily("spectral", system).diagonal
+        assert kernel_counts["cho_factor"] == 1
+
+    def test_retains_two_square_arrays(self):
+        # A and U; the parent also kept a Cholesky factor of B = A.
+        n = 300
+        dataset = gen_dataset(2 * n, n, spd=True, seed=5)
+        tracemalloc.start()
+        try:
+            gc.collect()
+            base = tracemalloc.get_traced_memory()[0]
+            system = skd.build_system(dataset, "spectral")
+            family = skd.SketchFamily("spectral", system)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert family.diagonal
+        square = 8 * n * n
+        assert 2 * square <= retained < 2 * square + 8 * 40 * n
 
 
 class TestOneSystemPerDataset:

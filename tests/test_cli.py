@@ -3,6 +3,7 @@ import io
 
 import pytest
 
+from sketchdescent import bench
 from sketchdescent.cli import main, parse_gen
 
 
@@ -26,6 +27,13 @@ class TestParsers:
 
 
 class TestExitCodes:
+    def test_negative_seed_refused_before_a_build(self, monkeypatch, capsys):
+        def no_build(*args, **kwargs):
+            raise AssertionError("a system was built")
+        monkeypatch.setattr(bench, "build_system", no_build)
+        assert run_cli(*BASE, "--seed", "-1") == 1
+        assert "seed must be an integer >= 0" in capsys.readouterr().err
+
     def test_success_writes_csv_and_meta(self, tmp_path, capsys):
         out = tmp_path / "run.csv"
         code = run_cli(*BASE, "--out", str(out))

@@ -158,6 +158,42 @@ class TestSpdFactor:
             SpdFactor(np.array([[1.0, 5.0], [0.0, 1.0]]))
 
 
+class TestEigCheckedFactor:
+    """eig_check: the eigendecomposition is the SPD check, the Cholesky
+    factor is made on the first solve and kept."""
+
+    def test_no_cholesky_until_the_first_solve(self, kernel_counts):
+        M = random_spd(8, 5)
+        f = SpdFactor(M, eig_check=True)
+        assert kernel_counts == {"cho_factor": 0, "cho_solve": 0, "eigh": 1}
+        f.eig()
+        f.inv_sqrt()
+        f.quad(np.ones(8))
+        assert kernel_counts["cho_factor"] == 0
+        f.solve(np.ones(8))
+        f.solve(np.eye(8))
+        assert kernel_counts == {"cho_factor": 1, "cho_solve": 2, "eigh": 1}
+
+    def test_same_bits_as_the_cholesky_checked_factor(self):
+        M = random_spd(9, 4)
+        M = 0.5 * (M + M.T)
+        by_eig, by_cho = SpdFactor(M, eig_check=True), SpdFactor(M)
+        assert by_eig.matrix is M and by_cho.matrix is M
+        for a, b in zip(by_eig.eig(), by_cho.eig()):
+            assert a.tobytes() == b.tobytes()
+        V = np.random.default_rng(2).standard_normal((9, 3))
+        assert by_eig.solve(V).tobytes() == by_cho.solve(V).tobytes()
+
+    @pytest.mark.parametrize("w", [[1.0, -2.0], [0.0, 3.0], [-1e-300, 1.0]])
+    def test_refuses_a_smallest_eigenvalue_not_above_zero(self, w):
+        with pytest.raises(NotSpdError, match="min eigenvalue"):
+            SpdFactor(np.diag(w), eig_check=True)
+
+    def test_refuses_asymmetric(self):
+        with pytest.raises(InvalidInputError):
+            SpdFactor(np.array([[1.0, 5.0], [0.0, 1.0]]), eig_check=True)
+
+
 class TestWeightedNorm:
     """SpdFactor.quad, the weighted squared norm v' M v."""
 

@@ -442,3 +442,17 @@ class TestLibsvmRowLimit:
         path = write(tmp_path, "d.txt", "1 1:1\n1 2:1\n")
         with pytest.raises(InvalidConfigError):
             load_libsvm(path, m_limit=m_limit)
+
+    @pytest.mark.parametrize("name, value", [
+        ("m_limit", 2.5), ("m_limit", 2.0), ("m_limit", True),
+        ("n_features", 3.5), ("n_features", 3.0), ("n_features", True),
+        ("n_features", 0)])
+    def test_non_integer_sizes_refused(self, tmp_path, name, value):
+        path = write(tmp_path, "d.txt", "1 1:1\n1 2:1\n1 3:1\n")
+        with pytest.raises(InvalidConfigError, match=f"{name} must be"):
+            load_libsvm(path, **{name: value})
+
+    def test_numpy_integer_sizes_accepted(self, tmp_path):
+        path = write(tmp_path, "d.txt", "1 1:1\n1 2:1\n1 3:1\n")
+        M = load_libsvm(path, m_limit=np.int64(2), n_features=np.int32(4))
+        assert M.shape == (2, 4)

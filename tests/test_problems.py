@@ -3,7 +3,7 @@ import pytest
 
 import sketchdescent as skd
 from sketchdescent.errors import InvalidInputError, NotSpdError
-from sketchdescent.linalg import pinv_psd
+from sketchdescent.linalg import SpdFactor, pinv_psd
 from sketchdescent.problems import CONSISTENCY_TOL, gen_arrays, loaded_arrays
 from sketchdescent.rng import make_rng, standard_normal
 
@@ -21,6 +21,16 @@ class TestGenSpec:
         with pytest.raises(InvalidInputError):
             # m < n would give a singular Gram matrix
             skd.GenSpec("gaussian-normal-equations", 2, 5)
+
+    @pytest.mark.parametrize("m, n", [(2.5, 3), (3, 3.0), (True, 3),
+                                      (4, False)])
+    def test_non_integer_sizes_refused(self, m, n):
+        with pytest.raises(InvalidInputError, match="must be integers"):
+            skd.GenSpec("gaussian", m, n)
+
+    def test_numpy_integer_sizes_accepted(self):
+        spec = skd.GenSpec("gaussian", np.int64(4), np.int32(3))
+        assert skd.generate(spec).A.shape == (4, 3)
 
     def test_labels(self):
         assert skd.GenSpec("gaussian", 4, 3).label == "gen:4x3"
@@ -110,6 +120,35 @@ class TestLinearSystem:
         wrapped = skd.LinearSystem(A=system.A, b=system.b, B=system.A,
                                    G=system.A, x_star=system.x_star)
         assert wrapped.g_equals_b
+
+    def test_made_factor_is_used_as_is(self, kernel_counts):
+        spd = skd.generate(
+            skd.GenSpec("gaussian-normal-equations", 9, 4, seed=5))
+        F = SpdFactor(spd.A, eig_check=True)
+        system = skd.LinearSystem(A=spd.A, b=spd.b, B=F, G=F,
+                                  x_star=spd.x_star)
+        assert system.B_factor is F and system.G_factor is F
+        assert system.A_factor is F
+        assert system.B is system.A and system.G is system.A
+        assert kernel_counts["cho_factor"] == 0
+
+    def test_made_factor_of_another_matrix_is_not_a_factor_of_a(self):
+        spd = skd.generate(
+            skd.GenSpec("gaussian-normal-equations", 9, 4, seed=5))
+        F = SpdFactor(np.diag([1.0, 2.0, 3.0, 4.0]), eig_check=True)
+        system = skd.LinearSystem(A=spd.A, b=spd.b, B=F, G=F)
+        assert system.B_factor is F and system.g_equals_b
+        assert system.A_factor is not F
+
+    @pytest.mark.parametrize("made", [False, True])
+    def test_weight_of_the_wrong_size_refused(self, made):
+        A = np.random.default_rng(0).standard_normal((5, 3))
+        W = np.eye(4)
+        if made:
+            W = SpdFactor(W, eig_check=True)
+        for geometry in ({"B": W}, {"G": W}):
+            with pytest.raises(InvalidInputError, match="expected 3x3"):
+                skd.LinearSystem(A=A, b=A @ np.ones(3), **geometry)
 
     def test_metric_helpers(self):
         system = skd.generate(skd.GenSpec("gaussian", 6, 3, seed=0))

@@ -11,7 +11,8 @@ The counts stay out of the digest, so a change that moves only a count
 shows as such. Equal lines on two checkouts mean the two ran the same
 arithmetic and tallied the same steps, so a change that claims to keep
 traces is checked by diffing this output against its parent's. The list
-covers the sketchbench_grid benchmark instance (500-dim spectral), the
+covers the sketchbench_grid benchmark instance (500-dim spectral, loaded
+from a .mtx file through build_system as the benchmark loads it), the
 kaczmarz_fullscan instance (2000x200 rows), small row, column,
 coordinate-descent and spectral instances under five rules at two
 momentum values, and steepest descent and conjugate gradients. Each
@@ -50,6 +51,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -57,7 +59,6 @@ import numpy as np  # noqa: E402
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import sketchdescent as skd  # noqa: E402
-from sketchdescent.problems import loaded_arrays  # noqa: E402
 from sketchdescent.sketching import VECTOR_KINDS  # noqa: E402
 from sketchdescent.solvers import COUNT_KEYS  # noqa: E402
 
@@ -72,11 +73,23 @@ SD_TOL = 1e-8  # plain CG's true residual stalls near 2e-9 on the SPD instance
 
 
 def grid_system() -> skd.LinearSystem:
-    """The sketchbench_grid matrix (benchmark seed 1) with B = G = A."""
+    """The sketchbench_grid system (benchmark seed 1), built as the
+    benchmark builds it: the matrix written as a symmetric array .mtx with
+    17 significant digits, then loaded by build_system for the spectral
+    family, which gives B = G = A."""
     W = np.random.default_rng([1, 2]).standard_normal((1000, 500))
     A = W.T @ W
-    A, x_star = loaded_arrays(0.5 * (A + A.T), seed=0)
-    return skd.LinearSystem(A=A, b=A @ x_star, B=A, G=A, x_star=x_star)
+    A = 0.5 * (A + A.T)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "grid.mtx")
+        with open(path, "w", encoding="utf-8") as fh:
+            # Symmetric array layout: the lower triangle, column by column.
+            fh.write("%%MatrixMarket matrix array real symmetric\n")
+            fh.write(f"{A.shape[0]} {A.shape[1]}\n")
+            fh.write("\n".join(f"{v:.17g}" for j in range(A.shape[1])
+                               for v in A[j:, j]) + "\n")
+        dataset = skd.DatasetSpec(kind="mtx", path=path, data_seed=0)
+        return skd.build_system(dataset, "spectral")
 
 
 def with_metric(base: skd.LinearSystem, W) -> skd.LinearSystem:
