@@ -35,7 +35,7 @@ from .errors import (
     NotSpdError,
     SizeLimitError,
 )
-from .linalg import SpdFactor, is_integer
+from .linalg import SpdFactor, is_bitwise_symmetric, is_integer
 from .loaders import load_libsvm, load_matrix_market
 from .problems import GenSpec, LinearSystem, gen_arrays, loaded_arrays
 from .rng import derive_seed
@@ -138,16 +138,13 @@ def build_system(dataset: DatasetSpec, family_kind: str,
                   "lsqcol": "normal"}.get(family_kind, "identity")
     if metric == "system":
         try:
-            W = A
-            if family_kind == "spectral":
-                # The family reads A's eigendecomposition, so that is B's
-                # SPD check, and no Cholesky is made until a solve. A factor
-                # of A's half-sum (A not bitwise symmetric) would not serve
-                # as A's own, so such an A is checked by Cholesky.
-                checked = SpdFactor(A, eig_check=True)
-                if checked.matrix is A:
-                    W = checked
-            return system(W)
+            # The spectral family reads A's eigendecomposition, so that is
+            # B's SPD check, and no Cholesky is made until a solve. A factor
+            # of A's half-sum (A not bitwise symmetric) would not serve as
+            # A's own, so such an A is checked by Cholesky.
+            if family_kind == "spectral" and is_bitwise_symmetric(A):
+                return system(SpdFactor(A, eig_check=True))
+            return system(A)
         except (InvalidInputError, NotSpdError):
             raise InvalidConfigError(
                 f"{needs} needs an SPD matrix; {dataset.label} is not"

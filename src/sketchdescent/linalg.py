@@ -1,16 +1,24 @@
 """Dense symmetric linear algebra kernels.
 
-Thin, validated wrappers around numpy/scipy factorizations plus an SpdFactor
-class that caches the Cholesky factorization and the eigendecomposition of
-one matrix, each made once: one of them at construction as the SPD check,
-the other on first use. Everything here is desk scale: dense float64,
-dimensions in the hundreds.
+Input checks and numpy eigendecompositions, plus an SpdFactor class that
+caches the Cholesky factorization and the eigendecomposition of one matrix,
+each made once: one of them at construction as the SPD check, the other on
+first use.
+Everything here is desk scale: dense float64, dimensions in the hundreds.
+
+The Cholesky factor is scipy's. scipy.linalg, which brings its own LAPACK
+and a second BLAS (tens of MB resident), is imported by the first Cholesky
+in the process, not by the package: runs that never factor (identity
+geometries, B = G = A spectral runs) never load it, and that first
+Cholesky pays for the import (a few tenths of a second) inside whatever
+region is being timed. cho_factor, cho_solve and LinAlgError are looked up
+on the scipy.linalg module at each call, so a wrapper patched onto that
+module sees every call.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     InvalidInputError,
@@ -47,20 +55,27 @@ def is_integer(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
+def is_bitwise_symmetric(A: np.ndarray) -> bool:
+    """True when the float64 array A is square, C-ordered and bitwise
+    symmetric: its int64 view equals its transpose's, so a +0/-0 pair is
+    not."""
+    return (A.ndim == 2 and A.shape[0] == A.shape[1] and A.flags.c_contiguous
+            and bool((A.view(np.int64) == A.T.view(np.int64)).all()))
+
+
 def check_symmetric(M, rtol: float = 1e-12, name: str = "M") -> np.ndarray:
     """Validate that M is square and symmetric to relative tolerance rtol.
 
     Returns an exactly symmetric array for the eigensolvers: M itself when
-    it is C-ordered and bitwise symmetric (its int64 view equals its
-    transpose's, so a +0/-0 pair is not), else the C-ordered half-sum
-    0.5 M + 0.5 M.T, which never overflows and has the bits of (M + M.T)/2
-    wherever a half-entry is not subnormal.
+    it is bitwise symmetric (:func:`is_bitwise_symmetric`), else the
+    C-ordered half-sum 0.5 M + 0.5 M.T, which never overflows and has the
+    bits of (M + M.T)/2 wherever a half-entry is not subnormal.
     """
     A = as_matrix(M, name)
     m, n = A.shape
     if m != n:
         raise InvalidInputError(f"{name} must be square, got {m}x{n}")
-    if A.flags.c_contiguous and (A.view(np.int64) == A.T.view(np.int64)).all():
+    if is_bitwise_symmetric(A):
         return A
     scale = np.abs(A).max() if A.size else 0.0
     if scale > 0.0:
@@ -118,10 +133,12 @@ class SpdFactor:
     eigendecomposition behind :meth:`eig` and :meth:`inv_sqrt`, which
     refuses a smallest eigenvalue <= 0. The other is made on first use and
     kept, so a run that only reads the eigendecomposition (a diagonal
-    spectral run) never holds a Cholesky factor. M = None with a dimension
-    n stands for the identity, stored without a matrix so that solves and
-    products are free; B = G = identity is the common case for row-action
-    solvers and must not cost O(n^2) per iteration. matrix is what
+    spectral run) never holds a Cholesky factor, nor loads scipy: the first
+    Cholesky in the process imports scipy.linalg and pays for it (module
+    note). M = None with a dimension n stands for the identity, stored
+    without a matrix so that solves and products are free and no factor is
+    ever made; B = G = identity is the common case for row-action solvers
+    and must not cost O(n^2) per iteration. matrix is what
     check_symmetric returns, so it may be the caller's own array (B = A
     shares one); no code writes into it.
     """
@@ -146,8 +163,9 @@ class SpdFactor:
             self._cholesky()
 
     def _cholesky(self):
-        """The Cholesky factor of matrix, made once."""
+        """The Cholesky factor of matrix, made once (module note)."""
         if self._cho is None:
+            import scipy.linalg
             try:
                 self._cho = scipy.linalg.cho_factor(self.matrix, lower=True,
                                                     check_finite=False)
@@ -175,6 +193,7 @@ class SpdFactor:
         """M^{-1} v via the Cholesky factor, made on the first solve."""
         if self.is_identity:
             return v
+        import scipy.linalg
         return scipy.linalg.cho_solve(self._cholesky(), v, check_finite=False)
 
     def dense(self) -> np.ndarray:

@@ -122,8 +122,14 @@ class LinearSystem:
     @property
     def A_factor(self) -> SpdFactor:
         """Factor of A itself (square SPD A only), made on first use."""
+        return self._a_factor()
+
+    def _a_factor(self, eig_check: bool = False) -> SpdFactor:
+        """A's factor, whose SPD check is what its first reader needs: the
+        eigendecomposition with eig_check (a spectral family), else the
+        Cholesky factor (solvers and the full family solve with A)."""
         if self._A_factor is None:
-            self._A_factor = SpdFactor(self.A)
+            self._A_factor = SpdFactor(self.A, eig_check=eig_check)
         return self._A_factor
 
     @property

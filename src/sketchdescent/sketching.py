@@ -177,7 +177,7 @@ class SketchFamily:
                 d = np.einsum("ji,ji->i", W, Binv_W)
         elif kind == "spectral":
             self.q = n
-            Af = system.A_factor
+            Af = system._a_factor(eig_check=True)
             lam, U = Af.eig()
             self.eigvals = lam
             self.eigvecs = U

@@ -8,7 +8,7 @@ import pytest
 import sketchdescent as skd
 from sketchdescent import bench
 from sketchdescent.bench import parse_family
-from sketchdescent.errors import InvalidConfigError
+from sketchdescent.errors import InvalidConfigError, NotSpdError
 from sketchdescent.rng import derive_seed
 
 from conftest import consistent
@@ -476,8 +476,18 @@ class TestEigCheckedSpectral:
         system = skd.build_system(skd.DatasetSpec(kind="mtx", path=str(path)),
                                   "spectral")
         assert system.B is system.A and system.A_factor is system.B_factor
-        assert skd.SketchFamily("spectral", system).diagonal
-        assert kernel_counts["cho_factor"] == 1
+        family = skd.SketchFamily("spectral", system)
+        assert family.diagonal
+        # The bitwise test comes first: the half-sum is decomposed once.
+        assert kernel_counts == {"cho_factor": 1, "cho_solve": 0, "eigh": 1}
+        reference = skd.LinearSystem(A=system.A, b=system.b, B=system.A,
+                                     G=system.A, x_star=system.x_star)
+        ref_family = skd.SketchFamily("spectral", reference)
+        cfg = skd.SolverConfig(max_iters=400, check_every=7, seed=3)
+        for rule in ("greedy:20", "maxdist", "uniform"):
+            rule = skd.parse_rule(rule)
+            assert trace_bytes(skd.run_ssd(system, family, rule, cfg)) == \
+                trace_bytes(skd.run_ssd(reference, ref_family, rule, cfg))
 
     def test_retains_two_square_arrays(self):
         # A and U; the parent also kept a Cholesky factor of B = A.
@@ -496,6 +506,58 @@ class TestEigCheckedSpectral:
         assert family.diagonal
         square = 8 * n * n
         assert 2 * square <= retained < 2 * square + 8 * 40 * n
+
+
+class TestSpectralAFactor:
+    """A spectral family that is the first reader of A's factor checks A
+    by the eigendecomposition it reads; solvers and the full family keep
+    the Cholesky check."""
+
+    rules = ("greedy:5", "maxdist", "uniform")
+
+    @staticmethod
+    def system():
+        # The trace gate's 600x120 SPD instance, identity geometry.
+        return skd.generate(
+            skd.GenSpec("gaussian-normal-equations", 600, 120, seed=3))
+
+    def test_identity_geometry_makes_no_cholesky(self, kernel_counts):
+        # The reference's A is checked by Cholesky first, so its family
+        # reads a Cholesky-checked factor.
+        reference = self.system()
+        assert not reference.A_factor.is_identity
+        ref_family = skd.SketchFamily("spectral", reference)
+        for key in kernel_counts:
+            kernel_counts[key] = 0
+        system = self.system()
+        family = skd.SketchFamily("spectral", system)
+        assert system.B_factor.is_identity and not family.diagonal
+        cfg = skd.SolverConfig(max_iters=2000, seed=0)
+        traces = [skd.run_ssd(system, family, skd.parse_rule(rule), cfg)
+                  for rule in self.rules]
+        assert kernel_counts == {"cho_factor": 0, "cho_solve": 0, "eigh": 1}
+        for rule, trace in zip(self.rules, traces):
+            assert trace_bytes(trace) == trace_bytes(skd.run_ssd(
+                reference, ref_family, skd.parse_rule(rule), cfg))
+
+    def test_later_steepest_descent_makes_one_cholesky(self, kernel_counts):
+        system = self.system()
+        skd.SketchFamily("spectral", system)
+        cfg = skd.SolverConfig(max_iters=300, tol=1e-8, seed=2)
+        for key in kernel_counts:
+            kernel_counts[key] = 0
+        trace = skd.run_sd(system, cfg)
+        assert kernel_counts["cho_factor"] == 1
+        assert trace_bytes(trace) == trace_bytes(skd.run_sd(self.system(), cfg))
+        assert kernel_counts["cho_factor"] == 2  # the fresh system's own
+
+    def test_indefinite_square_matrix_refused(self):
+        G = np.random.default_rng(1).standard_normal((12, 12))
+        A = G + G.T
+        system = skd.LinearSystem(A=A, b=A @ np.ones(12))
+        with pytest.raises(NotSpdError, match="not SPD"):
+            skd.SketchFamily("spectral", system)
+
 
 
 class TestOneSystemPerDataset:
