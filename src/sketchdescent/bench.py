@@ -198,6 +198,16 @@ class ExperimentPlan:
                 "method 'ssd' has no momentum; use 'ssdm' for gamma != 0"
             )
         parse_family(self.family)
+        # The solver settings are refused here, before any dataset is
+        # built; sd and cg run at gamma 0 whatever the plan's gammas.
+        for gamma in dict.fromkeys(gamma for _, _, gamma in self.cells()):
+            self._solver_config(gamma).validate()
+
+    def _solver_config(self, gamma: float, seed: int = 0) -> SolverConfig:
+        """The SolverConfig one repetition of a cell at gamma runs with."""
+        return SolverConfig(omega=self.omega, gamma=gamma, tol=self.tol,
+                            max_iters=self.max_iters, seed=seed, x0=self.x0,
+                            check_every=self.check_every)
 
     def cells(self) -> list[tuple]:
         """(dataset, rule, gamma) coordinates in deterministic order."""
@@ -310,15 +320,7 @@ def _run_cell(plan: ExperimentPlan, system: LinearSystem,
         rep_seed = derive_seed(plan.seed, dataset.label, rule_label,
                                repr(float(gamma)), rep)
         rep_seeds.append(rep_seed)
-        cfg = SolverConfig(
-            omega=plan.omega,
-            gamma=gamma,
-            tol=plan.tol,
-            max_iters=plan.max_iters,
-            seed=rep_seed,
-            x0=plan.x0,
-            check_every=plan.check_every,
-        )
+        cfg = plan._solver_config(gamma, rep_seed)
         try:
             traces.append(run_method(plan.method, system, family, rule, cfg))
         except DivergenceError:

@@ -59,26 +59,22 @@ def _values_by_token(lines: list[str]) -> list[float]:
 
 
 def _values_bulk(text: str) -> np.ndarray | None:
-    """Array-layout values of a comment-free body, None if one is bad.
+    """Array-layout values of a comment-free body, None if one may be misread.
 
     np.fromstring makes no string object per token, but it reads a blank
     text as [-1.0], "-nan" unsigned and "nan(123)" as NaN, and refuses
-    "1_000": a blank or refused text, or one with a NaN, goes by float()'s
-    rules through np.array over the split tokens.
+    "1_000" and fullwidth digits: a blank or refused text, or one with a
+    NaN, is left to the token walk, which follows float().
     """
-    if not text.isspace():
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a partial read only warns
-            try:
-                values = np.fromstring(text, sep=" ")
-            except (ValueError, DeprecationWarning):
-                values = None
-        if values is not None and not np.isnan(values).any():
-            return values
-    try:
-        return np.array(text.split(), dtype=np.float64)
-    except ValueError:
+    if text.isspace():
         return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a partial read only warns
+        try:
+            values = np.fromstring(text, sep=" ")
+        except (ValueError, DeprecationWarning):
+            return None
+    return None if np.isnan(values).any() else values
 
 
 def _entries_by_token(path, M: np.ndarray, entries: list[str],
@@ -109,12 +105,12 @@ def _entries_by_token(path, M: np.ndarray, entries: list[str],
 
 
 def _entries_bulk(M: np.ndarray, entries: list[str], symmetric: bool) -> bool:
-    """Write coordinate entries into M with one fancy-indexed assignment.
+    """Write coordinate entries into M as the file-order walk would.
 
-    Returns False, leaving M untouched, when any entry is malformed or out
-    of bounds, or when two writes hit one position (the mirror of an
-    off-diagonal symmetric entry included): the file-order loop owns those
-    cases, its errors and its last-write-wins result.
+    Each entry writes its position, then its mirror when symmetric; of the
+    writes to one position only the last, in that order, is applied. Returns
+    False, leaving M untouched, when any entry is malformed or out of
+    bounds: the walk raises those errors, naming the entry.
     """
     if not all(map(_THREE_FIELDS.fullmatch, entries)):
         return False
@@ -128,14 +124,14 @@ def _entries_bulk(M: np.ndarray, entries: list[str], symmetric: bool) -> bool:
     m, n = M.shape
     if not (np.all((i >= 0) & (i < m)) and np.all((j >= 0) & (j < n))):
         return False
+    pos = i * n + j
     if symmetric:
-        off = i != j
-        i, j, v = (np.concatenate((i, j[off])), np.concatenate((j, i[off])),
-                   np.concatenate((v, v[off])))
-    pos = np.sort(i * n + j)
-    if np.any(pos[1:] == pos[:-1]):
-        return False
-    M[i, j] = v
+        pos = np.column_stack((pos, j * n + i)).ravel()
+        v = np.repeat(v, 2)
+    # A position's first write in reverse order is its last in file order.
+    pos, v = pos[::-1], v[::-1]
+    first = np.unique(pos, return_index=True)[1]
+    M.flat[pos[first]] = v[first]
     return True
 
 
@@ -148,13 +144,16 @@ def load_matrix_market(path) -> np.ndarray:
     rather than guessed at.
 
     The size line is read from the file line by line and the body after
-    it in one read, so the body is never copied. Every value is converted
-    by one numpy call (_values_bulk for the array layout), then placed
-    with index arrays, or for a symmetric array with one boolean
-    upper-triangle mask, once into M and once into M.T. When a bulk step
-    fails, the tokens are walked again one at a time, which raises the
-    error naming the line or entry at fault (or, for coordinate entries
-    that write one position twice, applies them in file order).
+    it in one read, so the body is never copied; a negative size is
+    refused. Each layout has one bulk path. An array body is converted by
+    np.fromstring (_values_bulk) and placed by one reshape, or for a
+    symmetric array by one boolean upper-triangle mask, once into M and
+    once into M.T. Coordinate entries are converted by one numpy call per
+    column and placed by one flat-index assignment that keeps each
+    position's last write in file order, mirrors included. Only input the
+    bulk step refuses is walked one token at a time: the walk follows
+    float() where fromstring does not (see _values_bulk), and raises the
+    error naming the line or entry at fault.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()
@@ -179,18 +178,22 @@ def load_matrix_market(path) -> np.ndarray:
             raise MalformedFileError(f"{path}: no size line")
         rest = fh.read()
 
+    fields = "m n nnz" if layout == "coordinate" else "m n"
+    if len(size) != len(fields.split()):
+        raise MalformedFileError(f"{path}: {layout} size line needs {fields}")
+    dims = [_int(tok, "in size line") for tok in size]
+    if min(dims) < 0:
+        raise MalformedFileError(
+            f"{path}: size line {' '.join(size)!r} has a negative size")
+    m, n = dims[:2]
+    if symmetry == "symmetric" and m != n:
+        raise MalformedFileError(f"{path}: symmetric matrix must be square")
+
     if layout == "coordinate":
-        if len(size) != 3:
-            raise MalformedFileError(f"{path}: coordinate size line needs m n nnz")
-        m = _int(size[0], "in size line")
-        n = _int(size[1], "in size line")
-        nnz = _int(size[2], "in size line")
-        if symmetry == "symmetric" and m != n:
-            raise MalformedFileError(f"{path}: symmetric matrix must be square")
         entries = _data_lines(rest)
-        if len(entries) != nnz:
+        if len(entries) != dims[2]:
             raise MalformedFileError(
-                f"{path}: declared {nnz} entries, found {len(entries)}"
+                f"{path}: declared {dims[2]} entries, found {len(entries)}"
             )
         M = np.zeros((m, n))
         if not _entries_bulk(M, entries, symmetry == "symmetric"):
@@ -199,12 +202,6 @@ def load_matrix_market(path) -> np.ndarray:
 
     # Dense array layout: column-major values, lower triangle only when
     # symmetric.
-    if len(size) != 2:
-        raise MalformedFileError(f"{path}: array size line needs m n")
-    m = _int(size[0], "in size line")
-    n = _int(size[1], "in size line")
-    if symmetry == "symmetric" and m != n:
-        raise MalformedFileError(f"{path}: symmetric matrix must be square")
     # Comment lines may sit between values; only then is the body filtered
     # line by line before the split.
     text = "\n".join(_data_lines(rest)) if "%" in rest else rest

@@ -15,6 +15,11 @@ j = tau-1 .. q-1 (0-based sort position tau-1+j above uses j = 0 .. q-tau).
 Those weights drive both the capped threshold and the rate certificates in
 the theory module, so they are computed carefully and tested against exact
 rational arithmetic.
+
+Solvers bind a rule once per run (bind_choice). select and Selection run one
+step outside a solver and stay public: the benchmark tracer patches
+sampling.select by name and reads Selection.losses and .zero_losses, and the
+sampling-rules demo and acceptance test 01 call select.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ __all__ = [
     "uniform", "greedy", "max_distance", "capped", "parse_rule",
     "gs_expectation_weights", "subset_max_expectation",
     "capped_threshold", "capped_candidates", "rule_expectation",
-    "draw_sample", "DrawStream", "sample_size", "choose", "select",
+    "draw_sample", "DrawStream", "sample_size", "select",
 ]
 
 # Uniforms one DrawStream refill may draw, at most: 128 KiB of doubles.
@@ -353,12 +358,6 @@ def sample_size(rule, q: int) -> int:
     raise InvalidConfigError(f"unknown rule type {type(rule).__name__}")
 
 
-def choose(rule, losses: np.ndarray, stream: DrawStream, sample=None):
-    """bind_choice(rule, q) applied once to the losses of the ascending
-    sample, or of all q indices when sample is None (a full scan)."""
-    return bind_choice(rule, losses.size)(losses, stream, sample)
-
-
 def bind_choice(rule, q: int):
     """The rule's choice on a family of q indices, bound once per run.
 
@@ -400,9 +399,9 @@ def select(rule, family, x: np.ndarray,
     """Run one selection step of the rule on the family at x.
 
     Draws the sample (none for a full scan), evaluates its losses, counts
-    their zeros and hands them to :func:`choose`. rng is the run's
-    DrawStream, or a generator that this step alone draws from; both give
-    the same draws.
+    their zeros and applies :func:`bind_choice` to them once. rng is the
+    run's DrawStream, or a generator that this step alone draws from; both
+    give the same draws.
     """
     q = family.q
     stream = rng if isinstance(rng, DrawStream) else DrawStream(rng)
@@ -410,7 +409,7 @@ def select(rule, family, x: np.ndarray,
     sample = None if tau == q else stream.sample(q, tau)
     losses = family.losses(x, sample)
     zero = losses.size - int(np.count_nonzero(losses))  # a NaN is nonzero
-    chosen = choose(rule, losses, stream, sample)
+    chosen = bind_choice(rule, q)(losses, stream, sample)
     if chosen is None:
         return Selection(None, losses, zero)
     i, loss, f, thr, cand = chosen

@@ -337,7 +337,10 @@ class TestBuildOnce:
         assert builds == {"system": 2, "family": 2}
 
     @pytest.mark.parametrize("overrides", [
-        {"family": "block:0"}, {"family": "block:-3"}, {"seed": -1}])
+        {"family": "block:0"}, {"family": "block:-3"}, {"seed": -1},
+        {"omega": 3.0}, {"tol": -1.0}, {"max_iters": 2.5},
+        {"check_every": 0}, {"x0": "nope"},
+        {"method": "ssdm", "gammas": [0.0, -0.5]}])
     def test_refused_plan_builds_nothing(self, builds, overrides):
         plan = small_plan(**overrides)
         with pytest.raises(InvalidConfigError):
@@ -345,6 +348,14 @@ class TestBuildOnce:
         with pytest.raises(InvalidConfigError):
             skd.run_experiment(plan)
         assert builds == {"system": 0, "family": 0}
+
+    @pytest.mark.parametrize("method", ["sd", "cg"])
+    def test_classical_method_ignores_the_gammas(self, builds, method):
+        plan = small_plan(method=method, gammas=[-0.5, 7.0], reps=1,
+                          datasets=[gen_dataset(8, 8, spd=True)], tol=1e-6)
+        plan.validate()
+        assert skd.run_experiment(plan).rows[0].gamma == 0.0
+        assert builds["system"] == 1
 
     def test_classical_method_builds_no_family(self, builds):
         plan = small_plan(method="cg", datasets=[gen_dataset(8, 8, spd=True)],

@@ -84,6 +84,17 @@ class TestExitCodes:
         assert code == 1
         assert "sketchbench:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("header, size", [
+        ("coordinate real general", "-1 2 0"), ("array real general", "-1 -2")])
+    def test_negative_matrix_size_exits_one(self, tmp_path, capsys, header,
+                                            size):
+        path = tmp_path / "neg.mtx"
+        path.write_text(f"%%MatrixMarket matrix {header}\n{size}\n")
+        assert run_cli("--matrix", str(path), "--reps", "1") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sketchbench: ") and "negative size" in err
+        assert "Traceback" not in err
+
     def test_negative_seed_exits_one(self, capsys):
         assert run_cli("--gen", "20x5", "--seed", "-1") == 1
         err = capsys.readouterr().err

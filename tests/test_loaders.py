@@ -205,6 +205,10 @@ HOSTILE = ["1_000", "nan", "-Infinity", "1e400", "1.5e-400", "+.5", "5.",
            "\uff11\uff12", "-0.0"]
 
 
+FULLWIDTH = str.maketrans("0123456789", "\uff10\uff11\uff12\uff13\uff14"
+                          "\uff15\uff16\uff17\uff18\uff19")
+
+
 class TestBulkMatrixMarket:
     """The bulk parse returns exactly what a token-by-token reader does."""
 
@@ -212,7 +216,7 @@ class TestBulkMatrixMarket:
         path = write_lines(tmp_path, "g.mtx", [
             "%%MatrixMarket matrix array real general", "3 3", *HOSTILE])
         assert_same_array(load_matrix_market(path), reference_load(path))
-        assert by_token_calls == []
+        assert by_token_calls == ["_values_by_token"]
 
     def test_array_symmetric_hostile_tokens(self, tmp_path, by_token_calls):
         path = write_lines(tmp_path, "s.mtx", [
@@ -220,7 +224,7 @@ class TestBulkMatrixMarket:
         M = load_matrix_market(path)
         assert_same_array(M, reference_load(path))
         assert M[0, 2] == M[2, 0] == -np.inf
-        assert by_token_calls == []
+        assert by_token_calls == ["_values_by_token"]
 
     def test_coordinate_hostile_tokens(self, tmp_path, by_token_calls):
         # fullwidth and underscored indices parse like int() reads them
@@ -291,21 +295,21 @@ class TestBulkMatrixMarket:
             f"2 2 {len(entries)}", *entries])
         M = load_matrix_market(path)
         assert_same_array(M, reference_load(path))
-        assert by_token_calls == ["_entries_by_token"]
+        assert by_token_calls == []
 
     @pytest.mark.parametrize("token, value", [
         ("-nan", -np.nan), ("1_000", 1000.0), ("１２", 12.0)])
     def test_tokens_the_fast_parse_misreads(self, tmp_path, by_token_calls,
                                             token, value):
         # np.fromstring drops the sign of "-nan" and refuses the other two;
-        # the values still follow float(), with no token walk.
+        # the token walk reads them by float().
         path = write_lines(tmp_path, "f.mtx", [
             "%%MatrixMarket matrix array real general", "2 2",
             "1.5 -0.0", token, "2.5"])
         M = load_matrix_market(path)
         assert_same_array(M, reference_load(path))
         assert np.array([value]).tobytes() == M[0, 1:].tobytes()
-        assert by_token_calls == []
+        assert by_token_calls == ["_values_by_token"]
 
     def test_blank_body_holds_no_values(self, tmp_path):
         # np.fromstring reads a whitespace-only text as [-1.0]
@@ -313,6 +317,73 @@ class TestBulkMatrixMarket:
             raises_at(tmp_path, [
                 "%%MatrixMarket matrix array real general", "1 1", body],
                 MalformedFileError, "expected 1 values, found 0")
+
+
+class TestLoaderFuzz:
+    """Seeded well-formed files of every layout and symmetry, each loaded
+    byte for byte as reference_load reads it."""
+
+    FILES = 400
+    INDEX_SPELLINGS = [str, lambda k: f"+{k}", lambda k: f"0{k}",
+                       lambda k: str(k).translate(FULLWIDTH)]
+
+    @staticmethod
+    def value(rng):
+        if rng.random() < 0.2:
+            return HOSTILE[rng.integers(len(HOSTILE))]
+        return f"{rng.standard_normal() * 10.0 ** rng.integers(-5, 6):.17g}"
+
+    def body(self, rng, layout, symmetric, m, n):
+        """Data lines after the size line; coordinate entries may repeat."""
+        if layout == "array":
+            count = n * (n + 1) // 2 if symmetric else m * n
+            tokens = [self.value(rng) for _ in range(count)]
+            lines = []
+            while tokens:
+                take = int(rng.integers(1, 4))
+                seps = rng.choice([" ", "\t", "  ", " \t "], size=take)
+                lines.append("".join(f"{sep}{tok}" for sep, tok
+                                     in zip(seps, tokens[:take])))
+                tokens = tokens[take:]
+            return lines
+        entries = []
+        for _ in range(int(rng.integers(0, m * n + 3))):
+            i, j = int(rng.integers(1, m + 1)), int(rng.integers(1, n + 1))
+            if symmetric and rng.random() < 0.8:
+                i, j = max(i, j), min(i, j)
+            spell = self.INDEX_SPELLINGS
+            entries.append(f"{spell[rng.integers(len(spell))](i)}\t"
+                           f"{spell[rng.integers(len(spell))](j)} "
+                           f"{self.value(rng)}")
+        if entries and rng.random() < 0.5:  # repeat one position
+            entries.append(entries[rng.integers(len(entries))].rsplit(None, 1)[0]
+                           + f" {self.value(rng)}")
+        return entries
+
+    def test_fuzzed_files_match_the_reference(self, tmp_path, by_token_calls):
+        rng = np.random.default_rng(18)
+        for k in range(self.FILES):
+            layout = ("array", "coordinate")[k % 2]
+            symmetric = bool(k // 2 % 2)
+            m = n = int(rng.integers(1, 6))
+            if not symmetric:
+                n = int(rng.integers(1, 6))
+            lines = self.body(rng, layout, symmetric, m, n)
+            size = f"{m} {n}" + (f" {len(lines)}" if layout == "coordinate"
+                                 else "")
+            for _ in range(int(rng.integers(0, 3))):
+                lines.insert(int(rng.integers(len(lines) + 1)),
+                             rng.choice(["% comment", "", "  % indented"]))
+            symmetry = "symmetric" if symmetric else "general"
+            path = write_lines(
+                tmp_path, f"f{k}.mtx",
+                [f"%%MatrixMarket matrix {layout} real {symmetry}", size,
+                 *lines], newline=("\n", "\r\n", "\r")[k // 4 % 3])
+            del by_token_calls[:]
+            assert_same_array(load_matrix_market(path), reference_load(path))
+            if layout == "coordinate":
+                # Hostile spellings and repeated positions stay in bulk.
+                assert by_token_calls == []
 
 
 def raises_at(tmp_path, lines, error, message):
@@ -366,6 +437,17 @@ class TestMatrixMarketErrors:
             "%%MatrixMarket matrix coordinate real general", "2 2 2",
             "1 1 1.0", "2 2"],
             MalformedFileError, "entry 2 has 2 fields, expected 3")
+
+    @pytest.mark.parametrize("header, size", [
+        ("coordinate real general", "-1 2 0"),
+        ("coordinate real general", "2 2 -1"),
+        ("coordinate real symmetric", "-2 -2 0"),
+        ("array real general", "-1 -2"),
+        ("array real symmetric", "-2 -2"),
+    ])
+    def test_negative_size_names_the_size_line(self, tmp_path, header, size):
+        raises_at(tmp_path, [f"%%MatrixMarket matrix {header}", size, "1"],
+                  MalformedFileError, f"size line {size!r} has a negative size")
 
     def test_first_fault_in_file_order_wins(self, tmp_path):
         raises_at(tmp_path, [

@@ -538,7 +538,7 @@ class TestSelectContract:
 
 
 class TestChoose:
-    """sampling.choose on hand-made loss vectors."""
+    """sampling.bind_choice on hand-made loss vectors."""
 
     RULES = ["maxdist", "capped:0.5,1,m", "capped:0.5,1,m,exact",
              "capped:0.3,2,m,exact"]
@@ -546,36 +546,40 @@ class TestChoose:
     @pytest.mark.parametrize("rule", RULES)
     def test_full_scan_of_zeros_is_solved(self, rule):
         stream = DrawStream(make_rng(0))
-        assert sampling.choose(skd.parse_rule(rule), np.zeros(5), stream) is None
+        choice = sampling.bind_choice(skd.parse_rule(rule), 5)
+        assert choice(np.zeros(5), stream) is None
 
     @pytest.mark.parametrize("rule", RULES)
     def test_nan_among_zeros_is_chosen(self, rule):
         losses = np.array([0.0, 0.0, np.nan, 0.0])
-        chosen = sampling.choose(skd.parse_rule(rule), losses,
-                                 DrawStream(make_rng(0)))
+        chosen = sampling.bind_choice(skd.parse_rule(rule), 4)(
+            losses, DrawStream(make_rng(0)))
         assert chosen[0] == 2 and math.isnan(chosen[1])
 
     def test_nan_in_a_sample_is_chosen(self):
-        chosen = sampling.choose(skd.greedy(3), np.array([0.0, np.nan, 0.0]),
-                                 DrawStream(make_rng(0)), np.array([1, 4, 6]))
+        chosen = sampling.bind_choice(skd.greedy(3), 3)(
+            np.array([0.0, np.nan, 0.0]), DrawStream(make_rng(0)),
+            np.array([1, 4, 6]))
         assert chosen[0] == 4 and math.isnan(chosen[1])
 
     def test_all_zero_sample_returns_its_first_index(self):
         sample = np.array([2, 5, 7])
-        chosen = sampling.choose(skd.greedy(3), np.zeros(3),
-                                 DrawStream(make_rng(0)), sample)
+        chosen = sampling.bind_choice(skd.greedy(3), 3)(
+            np.zeros(3), DrawStream(make_rng(0)), sample)
         assert chosen == (2, 0.0, 0.0, None, 0)
 
     def test_ties_go_to_the_smallest_index(self):
         stream = DrawStream(make_rng(0))
         losses = np.array([0.3, 0.9, 0.1, 0.9, 0.9])
-        assert sampling.choose(skd.max_distance(), losses, stream)[0] == 1
+        assert sampling.bind_choice(skd.max_distance(), 5)(
+            losses, stream)[0] == 1
         sample = np.array([0, 3, 6, 8, 9])
-        assert sampling.choose(skd.greedy(5), losses, stream, sample)[0] == 3
+        assert sampling.bind_choice(skd.greedy(5), 5)(
+            losses, stream, sample)[0] == 3
         # Equal losses admit every index; the pick is floor(u * 5).
         u = make_rng(1).random()
-        chosen = sampling.choose(skd.capped(exact=True), np.full(5, 0.4),
-                                 DrawStream(make_rng(1)))
+        chosen = sampling.bind_choice(skd.capped(exact=True), 5)(
+            np.full(5, 0.4), DrawStream(make_rng(1)))
         assert chosen[0] == int(u * 5) and chosen[4] == 5
 
     @pytest.mark.parametrize("rule", RULES[1:])
@@ -583,8 +587,8 @@ class TestChoose:
         parsed = skd.parse_rule(rule)
         losses = np.random.default_rng(3).exponential(size=40)
         losses[[4, 17]] = 0.0
-        index, loss, f, thr, count = sampling.choose(
-            parsed, losses, DrawStream(make_rng(5)))
+        index, loss, f, thr, count = sampling.bind_choice(parsed, 40)(
+            losses, DrawStream(make_rng(5)))
         assert f == rule_expectation(losses, parsed)
         assert thr == capped_threshold(losses, parsed)
         cand = capped_candidates(losses, parsed)
@@ -593,12 +597,10 @@ class TestChoose:
 
     def test_greedy_f_is_the_chosen_loss(self):
         losses = np.array([0.2, 0.7, 0.5])
-        assert sampling.choose(skd.max_distance(), losses,
-                               DrawStream(make_rng(0))) == (1, 0.7, 0.7, None, 0)
+        assert sampling.bind_choice(skd.max_distance(), 3)(
+            losses, DrawStream(make_rng(0))) == (1, 0.7, 0.7, None, 0)
 
     def test_unknown_rule_type_refused(self):
-        with pytest.raises(InvalidConfigError):
-            sampling.choose(object(), np.ones(3), DrawStream(make_rng(0)))
         with pytest.raises(InvalidConfigError):
             sampling.bind_choice(object(), 3)
         with pytest.raises(InvalidConfigError):
@@ -615,7 +617,8 @@ def same_float(a, b) -> bool:
 
 class TestBoundChoice:
     """bind_choice(rule, q), bound once and applied step after step, equals
-    the choice written out in dense_reference, and choose is that binding."""
+    the choice written out in dense_reference, and a binding made afresh
+    for each step's losses makes the same choice."""
 
     Q = 12
     RULES = [skd.greedy(1), skd.greedy(3), skd.max_distance()] + [
@@ -649,13 +652,14 @@ class TestBoundChoice:
             seen = losses if sample is None else losses[sample]
             got = choice(seen, streams[0], sample)
             want = reference_choose(rule, seen, streams[1], sample)
-            via_choose = sampling.choose(rule, seen, streams[2], sample)
+            fresh = sampling.bind_choice(rule, seen.size)(seen, streams[2],
+                                                          sample)
             if want is None:
-                assert got is None and via_choose is None
+                assert got is None and fresh is None
                 continue
             index, loss, f, thr, count = got
             assert (index, count) == (want[0], want[3])
             assert same_float(loss, want[1]) and same_float(f, want[2])
             if isinstance(rule, skd.CappedRule):
                 assert same_float(thr, reference_threshold(seen, rule))
-            assert repr(via_choose) == repr(got)
+            assert repr(fresh) == repr(got)
