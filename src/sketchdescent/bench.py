@@ -35,7 +35,7 @@ from .errors import (
     NotSpdError,
     SizeLimitError,
 )
-from .linalg import SpdFactor, is_bitwise_symmetric, is_integer
+from .linalg import SpdFactor, check_integer, is_bitwise_symmetric
 from .loaders import load_libsvm, load_matrix_market
 from .problems import GenSpec, LinearSystem, gen_arrays, loaded_arrays
 from .rng import derive_seed
@@ -69,10 +69,7 @@ class DatasetSpec:
                 raise InvalidConfigError(f"{self.kind} dataset needs a path")
         else:
             raise InvalidConfigError(f"unknown dataset kind {self.kind!r}")
-        if self.m_limit is not None and not (is_integer(self.m_limit)
-                                             and self.m_limit >= 1):
-            raise InvalidConfigError(
-                f"m_limit must be an integer >= 1, got {self.m_limit!r}")
+        check_integer(self.m_limit, "m_limit", 1, optional=True)
 
     @property
     def label(self) -> str:
@@ -185,23 +182,25 @@ class ExperimentPlan:
             raise InvalidConfigError("plan has no sampling rules")
         if not self.gammas:
             raise InvalidConfigError("plan has no gamma values")
-        for name in ("reps", "workers"):
-            value = getattr(self, name)
-            if not (is_integer(value) and value >= 1):
-                raise InvalidConfigError(
-                    f"{name} must be an integer >= 1, got {value!r}")
-        if not (is_integer(self.seed) and self.seed >= 0):
-            raise InvalidConfigError(
-                f"seed must be an integer >= 0, got {self.seed!r}")
+        check_integer(self.reps, "reps", 1)
+        check_integer(self.workers, "workers", 1)
+        check_integer(self.seed, "seed", 0)
         if self.method == "ssd" and any(g != 0.0 for g in self.gammas):
             raise InvalidConfigError(
                 "method 'ssd' has no momentum; use 'ssdm' for gamma != 0"
             )
         parse_family(self.family)
-        # The solver settings are refused here, before any dataset is
-        # built; sd and cg run at gamma 0 whatever the plan's gammas.
+        # Refused before any dataset is built: bad solver settings and cells
+        # sharing a series file. sd and cg run at gamma 0 whatever the gammas.
         for gamma in dict.fromkeys(gamma for _, _, gamma in self.cells()):
             self._solver_config(gamma).validate()
+        family = self.family if self.method in ("ssd", "ssdm") else "-"
+        names = [_series_name(ds.label, self.method, family,
+                              "-" if rule is None else rule.label, gamma)
+                 for ds, rule, gamma in self.cells()]
+        for name in names:
+            if names.count(name) > 1:
+                raise InvalidConfigError(f"cells share the series file {name}.csv")
 
     def _solver_config(self, gamma: float, seed: int = 0) -> SolverConfig:
         """The SolverConfig one repetition of a cell at gamma runs with."""
@@ -244,10 +243,17 @@ class ResultRow:
 
     @property
     def series_name(self) -> str:
-        raw = f"{self.dataset}_{self.method}_{self.family}_{self.rule}_g{self.gamma:g}"
-        for ch in ":,/\\ ":
-            raw = raw.replace(ch, "-")
-        return raw
+        return _series_name(self.dataset, self.method, self.family, self.rule,
+                            self.gamma)
+
+
+def _series_name(dataset: str, method: str, family: str, rule: str,
+                 gamma: float) -> str:
+    """One cell's series file stem; ':,/\\ ' each become '-'."""
+    raw = f"{dataset}_{method}_{family}_{rule}_g{gamma:g}"
+    for ch in ":,/\\ ":
+        raw = raw.replace(ch, "-")
+    return raw
 
 
 def _pad(values: np.ndarray, length: int) -> np.ndarray:
@@ -262,8 +268,7 @@ def _pad(values: np.ndarray, length: int) -> np.ndarray:
 
 def _aggregate(traces: list, diverged: int, coord, plan: ExperimentPlan,
                rep_seeds: list) -> ResultRow:
-    dataset, rule, gamma = coord
-    rule_label = rule.label if rule is not None else "-"
+    dataset, rule_label, gamma = coord
     if traces:
         longest = max(traces, key=lambda t: t.ks.size)
         L = longest.ks.size
@@ -325,7 +330,8 @@ def _run_cell(plan: ExperimentPlan, system: LinearSystem,
             traces.append(run_method(plan.method, system, family, rule, cfg))
         except DivergenceError:
             diverged += 1
-    return _aggregate(traces, diverged, coord, plan, rep_seeds)
+    return _aggregate(traces, diverged, (dataset, rule_label, gamma), plan,
+                      rep_seeds)
 
 
 @dataclass

@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (
+    InvalidConfigError,
     InvalidInputError,
     NotPsdError,
     NotSpdError,
@@ -53,6 +54,14 @@ def as_vector(v, name: str = "v") -> np.ndarray:
 def is_integer(v) -> bool:
     """True for a Python or numpy integer; a bool is not one."""
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def check_integer(value, name: str, low: int, optional: bool = False) -> None:
+    """Refuse a setting unless it is an integer >= low, or None if optional."""
+    if not (optional and value is None
+            or is_integer(value) and value >= low):
+        raise InvalidConfigError(
+            f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def is_bitwise_symmetric(A: np.ndarray) -> bool:

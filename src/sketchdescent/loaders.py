@@ -16,12 +16,11 @@ import numpy as np
 
 from .errors import (
     EmptyMatrixError,
-    InvalidConfigError,
     MalformedFileError,
     ParseError,
     UnsupportedFormatError,
 )
-from .linalg import is_integer
+from .linalg import check_integer
 
 
 def _float(token: str, where: str) -> float:
@@ -254,10 +253,8 @@ def load_libsvm(path, m_limit: int | None = None,
     largest index seen unless n_features pins it. m_limit caps how many rows
     are read. Both must be integers of at least 1 when given.
     """
-    for name, value in (("m_limit", m_limit), ("n_features", n_features)):
-        if value is not None and not (is_integer(value) and value >= 1):
-            raise InvalidConfigError(
-                f"{name} must be an integer >= 1, got {value!r}")
+    check_integer(m_limit, "m_limit", 1, optional=True)
+    check_integer(n_features, "n_features", 1, optional=True)
     rows: list[dict[int, float]] = []
     max_index = 0
     with open(path, "r", encoding="utf-8") as fh:

@@ -74,14 +74,13 @@ import hashlib
 import numpy as np
 
 from .errors import InvalidConfigError
-from .linalg import is_integer
+from .linalg import check_integer, is_integer
 
 
 def make_rng(seed: int) -> np.random.Generator:
     """Fresh PCG64 generator for a nonnegative integer seed; a float or a
     bool is refused, not truncated."""
-    if not (is_integer(seed) and seed >= 0):
-        raise InvalidConfigError(f"seed must be an integer >= 0, got {seed!r}")
+    check_integer(seed, "seed", 0)
     return np.random.Generator(np.random.PCG64(int(seed)))
 
 

@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidConfigError
-from .linalg import is_integer
+from .linalg import check_integer
 from .rng import subset_uniforms, uniform_subsets
 
 __all__ = [
@@ -56,7 +56,7 @@ class GreedyRule:
     tau: int | None = 1
 
     def __post_init__(self):
-        _check_tau(self.tau)
+        check_integer(self.tau, "tau", 1, optional=True)
 
     def resolve_tau(self, q: int) -> int:
         tau = q if self.tau is None else self.tau
@@ -93,8 +93,8 @@ class CappedRule:
     def __post_init__(self):
         if not 0.0 <= self.theta <= 1.0:
             raise InvalidConfigError(f"theta must be in [0, 1], got {self.theta}")
-        _check_tau(self.tau1)
-        _check_tau(self.tau2)
+        check_integer(self.tau1, "tau", 1, optional=True)
+        check_integer(self.tau2, "tau", 1, optional=True)
 
     @property
     def label(self) -> str:
@@ -103,13 +103,6 @@ class CappedRule:
 
         tag = f"capped:{self.theta:g},{show(self.tau1)},{show(self.tau2)}"
         return tag + (",exact" if self.exact else "")
-
-
-def _check_tau(tau) -> None:
-    """Refuse a subset size that is neither None (the whole family) nor an
-    integer >= 1; a float or a bool is not an integer."""
-    if tau is not None and not (is_integer(tau) and tau >= 1):
-        raise InvalidConfigError(f"tau must be an integer >= 1, got {tau!r}")
 
 
 def uniform() -> GreedyRule:

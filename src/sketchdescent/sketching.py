@@ -40,34 +40,35 @@ no coupling, and keeps U' b as ``Utb`` beside ``eigvals`` and ``eigvecs``,
 so a solver can read c = lambda y - U' b elementwise and step one
 coordinate of y at a time.
 
-A run binds its step once, for every kind: bind_step returns pick(x, c),
-which chooses the index, and move(x, i), which returns the next iterate
-and the length t of the step taken along D[:, i].
+Each kind has one evaluation path: losses and a run's pick share the
+reader _losses (0.5 c_s^2 / d_s on a vector family, c from the run's
+maintained linear values when it has them), and evaluate shares its
+block and full kernels, _block (rows C, K_i^+ r_C, loss) and _full (u with
+A u = A x - b, B u, loss). Apart on purpose: the vector evaluate with
+apply_update, the reference for the run's vector move, and the diagonal move.
 
-- pick draws the rule's sample of tau indices from the run's DrawStream
-  (none when tau is q) and hands their losses to sampling.bind_choice, the
-  one code that makes a rule's choice. A vector family's losses are
-  0.5 c_s^2 / d_s, read from the run's maintained linear values c when it
-  has them, else from exact ones; a block family's come from losses. The
-  full family's one loss comes from evaluate, whose result its move then
-  applies, so a full step solves with A once.
-- move on a vector family is the arithmetic of evaluate and apply_update,
-  x - (omega step) ((c_i / d_i) D[:, i]) with c_i exact, and t is
-  omega step c_i / d_i; block and full moves are apply_update of
-  evaluate. A zero c_i (or loss) leaves x as it is and counts a zero step.
-  t is None there, and on block, full and diagonal families, which have
-  no coupling to move c by.
-- On a diagonal family x holds y = U'x, and move writes the one
-  coordinate y_i -= omega c_i / lambda_i in Python floats (lambda and U'b
-  bound as lists, y_i read once): numpy's IEEE operations in the same
-  order, without its scalar dispatch. Without momentum a step changes loss
-  i alone, so the run keeps its losses L = 0.5 c c / lambda, built by one
-  scan of the start: pick reads L, or L_s for a sample, as it is, and move
-  rewrites L_i from the new y_i in the scan's expression order, so L
-  equals a fresh scan bit for bit and is never recomputed (a correction
-  of U'b within a run would change every c_i and have to rebuild L).
-  Heavy ball moves every coordinate, so its pick reads c elementwise
-  every step (O(tau) for a sample, no product) and nothing is kept.
+A run binds its step once: bind_step returns pick(x, c), which hands the
+losses of the rule's sample of tau indices (drawn from the run's
+DrawStream; none when tau is q) to sampling.bind_choice, the one code
+that makes a rule's choice, and move(x, i), which returns the next
+iterate and the length t of the step taken along D[:, i]. The full pick
+holds evaluate's result for its move: one A-solve per step.
+
+- A vector move is x - (omega step) ((c_i / d_i) D[:, i]) with c_i exact,
+  as evaluate and apply_update compute it, and t = omega step c_i / d_i;
+  block and full moves apply evaluate's step. A zero c_i (or loss) leaves
+  x as it is and counts a zero step; t is None there and on block, full
+  and diagonal families, which have no coupling to move c by.
+- On a diagonal family x holds y = U'x, and move writes y_i -= omega
+  c_i / lambda_i in Python floats (lambda and U'b bound as lists, y_i read
+  once): numpy's IEEE operations in the same order, without its scalar
+  dispatch. Without momentum a step changes loss i alone, so the run
+  keeps its losses L, read once at the start; pick reads L (or L_s) as it
+  is, and move rewrites L_i from the new y_i in the reader's expression
+  order, so L equals a fresh read bit for bit (a correction of U'b within
+  a run would change every c_i and have to rebuild L). Heavy ball moves
+  every coordinate, so its pick reads c = lambda y - U'b afresh each step
+  (O(tau) for a sample, no product with U) and nothing is kept.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidInputError
-from .linalg import is_integer, pinv_psd
+from .linalg import check_integer, is_integer, pinv_psd
 from .problems import LinearSystem
 from .sampling import bind_choice
 
@@ -160,12 +161,8 @@ class SketchFamily:
         if kind == "row":
             self.q = m
             W = A.T  # w_i = A' e_i is row i of A
-            if Bf.is_identity:
-                Binv_W = W
-                d = np.einsum("ij,ij->i", A, A)
-            else:
-                Binv_W = Bf.solve(W)
-                d = np.einsum("ij,ij->i", A, Binv_W.T)
+            Binv_W = Bf.solve(W)
+            d = np.einsum("ij,ij->i", A, Binv_W.T)
         elif kind == "lsqcol":
             self.q = n
             W = A.T @ A  # column i is A' A e_i
@@ -186,20 +183,15 @@ class SketchFamily:
             self.diagonal = Bf is Af and self.g_equals_b
             W = None if self.diagonal else U * lam  # w_i = lambda_i u_i
             if self.diagonal:
-                Binv_W = U  # B^{-1} W = A^{-1} U Lambda = U
-                d = lam
+                Binv_W, d = U, lam  # B^{-1} W = A^{-1} U Lambda = U
             elif Bf.is_identity:
-                Binv_W = W
-                d = lam * lam
+                Binv_W, d = W, lam * lam
             else:
                 Binv_W = Bf.solve(U)  # B^{-1} U until scaled by lam below
                 d = lam * lam * np.einsum("ij,ij->j", U, Binv_W)
                 Binv_W *= lam
         elif kind == "block":
-            if not (is_integer(block_size) and block_size >= 1):
-                raise InvalidConfigError(
-                    f"block sketches need an integer block_size >= 1, "
-                    f"got {block_size!r}")
+            check_integer(block_size, "block_size", 1)
             if block_size > m:
                 raise InvalidConfigError(
                     f"block_size {block_size} exceeds row count {m}"
@@ -211,7 +203,7 @@ class SketchFamily:
             self._pinvs = []
             for C in self.blocks:
                 Ac = A[C]
-                K = Ac @ (Ac.T if Bf.is_identity else Bf.solve(Ac.T))
+                K = Ac @ Bf.solve(Ac.T)
                 self._pinvs.append(pinv_psd(0.5 * (K + K.T)))
         else:  # full
             self.q = 1
@@ -243,9 +235,7 @@ class SketchFamily:
         """
         A, b = self.system.A, self.system.b
         if self.kind == "row":
-            if indices is None:
-                return A @ x - b
-            return A[indices] @ x - b[indices]
+            return A @ x - b if indices is None else A[indices] @ x - b[indices]
         if self.kind == "lsqcol":
             return _column_dots(A, indices, A @ x - b)
         c = _column_dots(self.eigvecs, indices, x)
@@ -265,26 +255,35 @@ class SketchFamily:
             unsigned = indices.view(np.uintp)
             if unsigned.size and unsigned[unsigned.argmax()] >= self.q:
                 raise InvalidInputError(f"index out of range for q={self.q}")
-        if self.kind in VECTOR_KINDS:
-            c = self.linear_values(x, indices)
-            d = self.denominators
-            return 0.5 * c * c / (d if indices is None else d[indices])
-        if indices is None:
-            indices = np.arange(self.q)
-        A, b = self.system.A, self.system.b
-        out = np.empty(indices.size)
+        return self._losses(x, None, indices)
+
+    def _losses(self, x: np.ndarray, c, s) -> np.ndarray:
+        """Losses at x of the indices s (all q when None), every kind; a
+        vector family's from c, the linear values at s, when given."""
         if self.kind == "block":
-            for j, i in enumerate(indices):
-                C = self.blocks[i]
-                res_c = A[C] @ x - b[C]
-                out[j] = 0.5 * float(res_c @ (self._pinvs[i] @ res_c))
-            return out
-        # full
-        res = A @ x - b
-        u = self._Af.solve(res)
-        val = 0.5 * self.system.B_factor.quad(u)
-        out[:] = val
-        return out
+            return np.array([self._block(i, x)[2]
+                             for i in (range(self.q) if s is None else s)])
+        if self.kind == "full":
+            return np.full(self.q if s is None else s.size, self._full(x)[2])
+        if c is None:
+            c = self.linear_values(x, s)
+        d = self.denominators
+        return 0.5 * c * c / (d if s is None else d[s])
+
+    def _block(self, i: int, x: np.ndarray):
+        """Block i's rows C, K_i^+ r_C and loss 1/2 r_C' K_i^+ r_C at x."""
+        C = self.blocks[i]
+        res_c = self.system.A[C] @ x - self.system.b[C]
+        y = self._pinvs[i] @ res_c
+        return C, y, 0.5 * float(res_c @ y)
+
+    def _full(self, x: np.ndarray):
+        """u with A u = A x - b, B u, and the full sketch's loss 1/2 u' B u
+        at x, clamped at zero as B_factor.quad is (NaN stays NaN)."""
+        sys = self.system
+        u = self._Af.solve(sys.A @ x - sys.b)
+        Bu = sys.B_factor.apply(u)
+        return u, Bu, 0.5 * max(float(u @ Bu), 0.0)
 
     def evaluate(self, i: int, x: np.ndarray) -> SketchEval:
         """Loss, G-gradient direction and exact step for index i at x.
@@ -308,37 +307,26 @@ class SketchFamily:
             step = 1.0 if self.g_equals_b else self.steps[i]
             return SketchEval(i, loss, direction, step, c)
         if self.kind == "block":
-            C = self.blocks[i]
-            A = sys.A
-            res_c = A[C] @ x - sys.b[C]
-            y = self._pinvs[i] @ res_c
-            loss = 0.5 * float(res_c @ y)
-            w = A[C].T @ y
+            C, y, loss = self._block(i, x)
             if loss == 0.0:
                 return SketchEval(i, 0.0, np.zeros(sys.n), None)
+            Ac = sys.A[C]
+            w = Ac.T @ y
             direction = self._Gf.solve(w)
-            if self.g_equals_b:
-                step = 1.0
-            else:
-                num = float(w @ direction)
-                v = A[C] @ direction
-                step = num / float(v @ (self._pinvs[i] @ v))
+            step = 1.0
+            if not self.g_equals_b:
+                v = Ac @ direction
+                step = float(w @ direction) / float(v @ (self._pinvs[i] @ v))
             return SketchEval(i, loss, direction, step)
-        # full
-        res = sys.A @ x - sys.b
-        u = self._Af.solve(res)
-        Bu = sys.B_factor.apply(u)
-        loss = 0.5 * max(float(u @ Bu), 0.0)  # clamped as B_factor.quad is
+        u, Bu, loss = self._full(x)
         if loss == 0.0:
             return SketchEval(i, 0.0, np.zeros(sys.n), None)
         if self.g_equals_b:  # G^{-1} B u is u itself
-            direction = u
-            step = 1.0
+            direction, step = u, 1.0
         else:
             direction = self._Gf.solve(Bu)
-            num = float(Bu @ direction)
-            den = float(direction @ sys.B_factor.apply(direction))
-            step = num / den
+            step = (float(Bu @ direction)
+                    / float(direction @ sys.B_factor.apply(direction)))
         return SketchEval(i, loss, direction, step)
 
     def bind_step(self, rule, tau: int, stream, counts: dict, omega: float,
@@ -353,43 +341,35 @@ class SketchFamily:
         q = self.q
         sample = stream.sample if tau < q else None
         choose = bind_choice(rule, q)
+        d = self.denominators  # a diagonal family's is eigvals itself
+        read, scan = self._losses, self.kind in VECTOR_KINDS
         kept = held = None
-        if self.kind == "block":
-            def read(x, c, s):
-                return self.losses(x, s)
-        elif self.kind == "full":
+        if self.kind == "full":
             held = []
 
             def read(x, c, s):
                 held.append(self.evaluate(0, x))
                 return np.array([held[-1].loss])
-        else:
-            d = self.denominators  # a diagonal family's is eigvals itself
-            if self.diagonal:
-                Utb = self.Utb
+        elif self.diagonal:
+            Utb = self.Utb
 
-                def linear_values(y, s=None):
-                    return d * y - Utb if s is None else d[s] * y[s] - Utb[s]
-            else:
-                linear_values = self.linear_values
-
-            def read(x, c, s):
-                if s is not None:
-                    cs = linear_values(x, s) if c is None else c[s]
-                    return 0.5 * cs * cs / d[s]
-                if c is None:
-                    counts["full_scans"] += 1
-                    c = linear_values(x)
-                return 0.5 * c * c / d
-            if self.diagonal and not heavy:
+            def read(y, c, s):  # c read in eigen-coordinates
+                c = d * y - Utb if s is None else d[s] * y[s] - Utb[s]
+                return self._losses(None, c, s)
+            if not heavy:
+                counts["full_scans"] += 1
                 kept = read(x, None, None)
 
         def pick(x, c):
             counts["losses_read"] += tau
-            if sample is None:
-                return choose(read(x, c, None) if kept is None else kept, stream)
-            s = sample(q, tau)
-            return choose(read(x, c, s) if kept is None else kept[s], stream, s)
+            s = None if sample is None else sample(q, tau)
+            if kept is not None:
+                return choose(kept if s is None else kept[s], stream, s)
+            if s is None and c is None and scan:  # a scan of all q values
+                counts["full_scans"] += 1
+            elif s is not None and c is not None:
+                c = c[s]
+            return choose(read(x, c, s), stream, s)
 
         if self.kind not in VECTOR_KINDS:
             def move(x, i):
@@ -415,9 +395,10 @@ class SketchFamily:
                 return y, None
         else:
             dirs, steps = self.direction_matrix, self.steps
+            linear = self.linear_values
 
             def move(x, i):
-                ci = float(linear_values(x, i))
+                ci = float(linear(x, i))
                 if ci == 0.0:
                     # Zero loss: the exact line search is 0/0, so x stays.
                     counts["zero_steps"] += 1

@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceError, InvalidConfigError, SizeLimitError
-from .linalg import as_vector, is_integer, pinv_psd
+from .linalg import as_vector, check_integer, pinv_psd
 from .problems import PINV_SIZE_LIMIT, LinearSystem, resolve_x_star
 from .rng import make_rng
 from .sampling import CappedRule, DrawStream, rule_expectation, sample_size
@@ -102,16 +102,9 @@ class SolverConfig:
             raise InvalidConfigError(f"gamma must be finite and >= 0, got {self.gamma}")
         if not 0.0 <= self.tol < math.inf:
             raise InvalidConfigError(f"tol must be finite and >= 0, got {self.tol}")
-        if not (is_integer(self.seed) and self.seed >= 0):
-            raise InvalidConfigError(
-                f"seed must be an integer >= 0, got {self.seed!r}")
-        if not is_integer(self.max_iters) or self.max_iters < 0:
-            raise InvalidConfigError(
-                f"max_iters must be an integer >= 0, got {self.max_iters!r}")
-        if self.check_every is not None and not (
-                is_integer(self.check_every) and self.check_every >= 1):
-            raise InvalidConfigError(
-                f"check_every must be an integer >= 1, got {self.check_every!r}")
+        check_integer(self.seed, "seed", 0)
+        check_integer(self.max_iters, "max_iters", 0)
+        check_integer(self.check_every, "check_every", 1, optional=True)
         if isinstance(self.x0, str) and self.x0 not in X0_PRESETS:
             raise InvalidConfigError(
                 f"unknown x0 preset {self.x0!r}; choose from {X0_PRESETS}"

@@ -1,5 +1,6 @@
 import csv
 import gc
+import re
 import tracemalloc
 
 import numpy as np
@@ -348,6 +349,41 @@ class TestBuildOnce:
         with pytest.raises(InvalidConfigError):
             skd.run_experiment(plan)
         assert builds == {"system": 0, "family": 0}
+
+    @pytest.mark.parametrize("overrides, name", [
+        ({"rules": [skd.parse_rule("uniform"), skd.parse_rule("greedy:1")]},
+         "gen-20x8_ssd_row_uniform_g0"),
+        ({"rules": [skd.parse_rule("maxdist"), skd.parse_rule("greedy:m")]},
+         "gen-20x8_ssd_row_maxdist_g0"),
+        ({"method": "ssdm", "gammas": [0.3, 0.3000001]},
+         "gen-20x8_ssdm_row_uniform_g0.3"),
+        ({"datasets": [skd.DatasetSpec(kind="mtx", path="one/spd.mtx"),
+                       skd.DatasetSpec(kind="mtx", path="two/spd.mtx")]},
+         "mtx-spd.mtx_ssd_row_uniform_g0"),
+        ({"method": "cg", "datasets": [gen_dataset(8, 8, spd=True)] * 2},
+         "gen-8x8-spd_cg_-_-_g0"),
+    ])
+    def test_cells_sharing_a_series_file_refused(self, builds, overrides,
+                                                 name):
+        plan = small_plan(**overrides)
+        with pytest.raises(InvalidConfigError,
+                           match=re.escape(f"series file {name}.csv")):
+            plan.validate()
+        with pytest.raises(InvalidConfigError):
+            skd.run_experiment(plan)
+        assert builds == {"system": 0, "family": 0}
+
+    def test_series_names_unchanged(self, tmp_path):
+        plan = small_plan(method="ssdm", gammas=[0.0, 0.3],
+                          rules=[skd.parse_rule("greedy:4"),
+                                 skd.parse_rule("capped:0.5,1,m,exact")],
+                          reps=1)
+        skd.emit_plot_data(skd.run_experiment(plan), tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "gen-20x8_ssdm_row_capped-0.5-1-m-exact_g0.3.csv",
+            "gen-20x8_ssdm_row_capped-0.5-1-m-exact_g0.csv",
+            "gen-20x8_ssdm_row_greedy-4_g0.3.csv",
+            "gen-20x8_ssdm_row_greedy-4_g0.csv"]
 
     @pytest.mark.parametrize("method", ["sd", "cg"])
     def test_classical_method_ignores_the_gammas(self, builds, method):

@@ -34,6 +34,16 @@ class TestExitCodes:
         assert run_cli(*BASE, "--seed", "-1") == 1
         assert "seed must be an integer >= 0" in capsys.readouterr().err
 
+    def test_cells_sharing_a_series_file_exit_one(self, monkeypatch, capsys):
+        def no_build(*args, **kwargs):
+            raise AssertionError("a system was built")
+        monkeypatch.setattr(bench, "build_system", no_build)
+        assert run_cli(*BASE, "--rule", "uniform", "--rule", "greedy:1") == 1
+        assert "gen-16x6_ssd_row_uniform_g0.csv" in capsys.readouterr().err
+        assert run_cli(*BASE, "--method", "ssdm",
+                       "--gamma", "0.3,0.3000001") == 1
+        assert "gen-16x6_ssdm_row_uniform_g0.3.csv" in capsys.readouterr().err
+
     def test_success_writes_csv_and_meta(self, tmp_path, capsys):
         out = tmp_path / "run.csv"
         code = run_cli(*BASE, "--out", str(out))

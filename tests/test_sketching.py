@@ -405,6 +405,24 @@ class TestFamilyStructure:
                 fam.losses(x, np.array(bad))
         assert fam.losses(x, np.array([0, fam.q - 1])).shape == (2,)
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_losses_empty_and_repeated_indices(self, kind):
+        # The block read builds its array from a list and the full read
+        # fills one: an empty index array still gives a float64 (0,), and
+        # a repeated index reads its loss again, as dense_reference does.
+        system, fam = family_on(kind, 12, 6, seed=4,
+                                block_size=3 if kind == "block" else None)
+        x = np.random.default_rng(5).standard_normal(system.n)
+        empty = fam.losses(x, np.array([], dtype=np.float64))
+        assert empty.shape == (0,) and empty.dtype == np.float64
+        indices = [fam.q - 1, 0, fam.q - 1, 0, 0]
+        got = fam.losses(x, np.array(indices))
+        assert got.shape == (5,) and got.dtype == np.float64
+        for j, i in enumerate(indices):
+            want = generic_evaluate(fam, i, x).loss
+            assert abs(got[j] - want) <= 1e-9 * max(1.0, abs(want))
+        np.testing.assert_allclose(got, fam.losses(x)[indices], rtol=1e-13)
+
     def test_curvature_matrix_full_equals_metric_weight(self):
         # the generating sketch S = A compresses nothing: its curvature is
         # exactly the metric weight, independent of which SPD B is chosen

@@ -26,19 +26,22 @@ G = I (the steepest descent geometry) at the steepest descent tolerance,
 whose one rule stands in for its second. A block or full run checks every
 iteration by default, so those instances skip the check_every=1 run. The
 grid and spectral instances carry B = G = A, under which a spectral family
-steps in eigen-coordinates; the last lines run the 120-dim SPD instance's
-spectral family under the identity geometry (B = G = I), which keeps its
-linear values through the coupling, under the five small rules plus the
-two extra runs. --seed sets every solver seed. BLAS is pinned to one
-thread, as in the benchmark, so the digests do not depend on the core
-count.
+steps in eigen-coordinates; then come the 120-dim SPD instance's spectral
+family under the identity geometry (B = G = I), which keeps its linear
+values through the coupling, under the five small rules plus the two
+extra runs. The last trace lines run the same way on two families whose
+builds take their own branches: the 300x60 row instance's columns under
+B = G = I (lsqcol-id, whose identity build sums W*W in a different order
+than a solve would), and its blocks of 10 rows under B = G = A'A
+(block-normal, a weighted G on a block family). --seed sets every solver
+seed. BLAS is pinned to one thread, as in the benchmark, so the digests
+do not depend on the core count.
 
-After the trace lines come the theory lines: for every instance above,
-plus blocks of 10 rows of the 300x60 row instance under B = G = A'A
-(a weighted G^{-1/2} on a block family), the SHA-256 of
-spectral_report(family, rule).to_text() for each rule the instance runs,
-then of verify_inequalities(family, trials=100, seed=--seed).to_text().
-The whole script takes about 20 s on one core.
+After the trace lines come the theory lines: for every instance above, in
+the same order, the SHA-256 of spectral_report(family, rule).to_text() for
+each rule the instance runs, then of verify_inequalities(family,
+trials=100, seed=--seed).to_text(). The whole script takes about 30 s on
+one core.
 """
 
 from __future__ import annotations
@@ -104,8 +107,8 @@ def instances():
     rows = skd.generate(skd.GenSpec("gaussian", 300, 60, seed=2))
     yield "row", skd.SketchFamily("row", rows), SMALL_RULES, {}
     AtA = rows.A.T @ rows.A
-    yield "lsqcol", skd.SketchFamily(
-        "lsqcol", with_metric(rows, 0.5 * (AtA + AtA.T))), SMALL_RULES, {}
+    normal = with_metric(rows, 0.5 * (AtA + AtA.T))
+    yield "lsqcol", skd.SketchFamily("lsqcol", normal), SMALL_RULES, {}
     spd = skd.generate(skd.GenSpec("gaussian-normal-equations", 600, 120, seed=3))
     yield "cd", skd.SketchFamily("row", with_metric(spd, spd.A)), SMALL_RULES, {}
     yield "spectral", skd.SketchFamily(
@@ -116,16 +119,15 @@ def instances():
     yield "full", skd.SketchFamily("full", steepest), FULL_RULES, \
         {"tol": SD_TOL}
     yield "spectral-id", skd.SketchFamily("spectral", spd), SMALL_RULES, {}
+    yield "lsqcol-id", skd.SketchFamily("lsqcol", rows), SMALL_RULES, {}
+    yield "block-normal", skd.SketchFamily("block", normal, block_size=10), \
+        SMALL_RULES, {}
 
 
 def theory_texts(insts, seed: int):
     """(label, text) of each instance's spectral reports and inequality
     checks."""
-    rows = skd.generate(skd.GenSpec("gaussian", 300, 60, seed=2))
-    AtA = rows.A.T @ rows.A
-    weighted = skd.SketchFamily("block", with_metric(rows, 0.5 * (AtA + AtA.T)),
-                                block_size=10)
-    for name, family, rules in insts + [("block-normal", weighted, SMALL_RULES)]:
+    for name, family, rules in insts:
         label = f"{name}/{family.kind}"
         for text in rules:
             report = skd.spectral_report(family, skd.parse_rule(text))
