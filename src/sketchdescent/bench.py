@@ -70,6 +70,7 @@ class DatasetSpec:
         else:
             raise InvalidConfigError(f"unknown dataset kind {self.kind!r}")
         check_integer(self.m_limit, "m_limit", 1, optional=True)
+        check_integer(self.data_seed, "data_seed", 0)
 
     @property
     def label(self) -> str:

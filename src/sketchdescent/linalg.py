@@ -32,20 +32,11 @@ from .errors import (
 DEFAULT_EIG_CUTOFF = 1e-12
 
 
-def as_matrix(M, name: str = "M") -> np.ndarray:
-    """Coerce to a 2-d float64 ndarray, rejecting non-finite entries."""
-    A = np.asarray(M, dtype=np.float64)
-    if A.ndim != 2:
-        raise InvalidInputError(f"{name} must be 2-d, got ndim={A.ndim}")
-    if A.size and not np.isfinite(A).all():
-        raise InvalidInputError(f"{name} contains NaN or Inf")
-    return A
-
-
-def as_vector(v, name: str = "v") -> np.ndarray:
+def as_array(v, ndim: int, name: str) -> np.ndarray:
+    """Coerce to an ndim-d float64 ndarray, rejecting non-finite entries."""
     A = np.asarray(v, dtype=np.float64)
-    if A.ndim != 1:
-        raise InvalidInputError(f"{name} must be 1-d, got ndim={A.ndim}")
+    if A.ndim != ndim:
+        raise InvalidInputError(f"{name} must be {ndim}-d, got ndim={A.ndim}")
     if A.size and not np.isfinite(A).all():
         raise InvalidInputError(f"{name} contains NaN or Inf")
     return A
@@ -80,7 +71,7 @@ def check_symmetric(M, rtol: float = 1e-12, name: str = "M") -> np.ndarray:
     C-ordered half-sum 0.5 M + 0.5 M.T, which never overflows and has the
     bits of (M + M.T)/2 wherever a half-entry is not subnormal.
     """
-    A = as_matrix(M, name)
+    A = as_array(M, 2, name)
     m, n = A.shape
     if m != n:
         raise InvalidInputError(f"{name} must be square, got {m}x{n}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -134,6 +135,17 @@ def _entries_bulk(M: np.ndarray, entries: list[str], symmetric: bool) -> bool:
     return True
 
 
+@contextmanager
+def _open_text(path):
+    """path opened as UTF-8 text; bytes that do not decode, wherever the
+    reader meets them, raise ParseError naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_matrix_market(path) -> np.ndarray:
     """Read a Matrix Market file into a dense array.
 
@@ -154,7 +166,7 @@ def load_matrix_market(path) -> np.ndarray:
     float() where fromstring does not (see _values_bulk), and raises the
     error naming the line or entry at fault.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         header = fh.readline()
         if not header.startswith("%%MatrixMarket"):
             raise UnsupportedFormatError(f"{path}: missing MatrixMarket banner")
@@ -257,7 +269,7 @@ def load_libsvm(path, m_limit: int | None = None,
     check_integer(n_features, "n_features", 1, optional=True)
     rows: list[dict[int, float]] = []
     max_index = 0
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, SizeLimitError
-from .linalg import (SpdFactor, as_matrix, as_vector, check_symmetric,
+from .linalg import (SpdFactor, as_array, check_integer, check_symmetric,
                      is_integer)
 from .rng import make_rng, standard_normal
 
@@ -66,8 +66,8 @@ class LinearSystem:
     label: str = ""
 
     def __post_init__(self):
-        self.A = as_matrix(self.A, "A")
-        self.b = as_vector(self.b, "b")
+        self.A = as_array(self.A, 2, "A")
+        self.b = as_array(self.b, 1, "b")
         m, n = self.A.shape
         if m == 0 or n == 0:
             raise InvalidInputError("A must have at least one row and one column")
@@ -92,7 +92,7 @@ class LinearSystem:
             self.G = self._G_factor.matrix
         self._A_factor = self._B_factor if self.B is self.A else None
         if self.x_star is not None:
-            self.x_star = as_vector(self.x_star, "x_star")
+            self.x_star = as_array(self.x_star, 1, "x_star")
             if self.x_star.shape != (n,):
                 raise InvalidInputError(
                     f"x_star has length {self.x_star.size}, expected {n}"
@@ -182,6 +182,7 @@ class GenSpec:
             raise InvalidInputError(
                 "gaussian-normal-equations needs m >= n for an SPD product"
             )
+        check_integer(self.seed, "seed", 0)
 
     @property
     def label(self) -> str:
@@ -216,7 +217,7 @@ def loaded_arrays(A, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     Zero rows carry no information and break row sketches, so they are
     dropped with a warning. x* is drawn from the seeded normal stream.
     """
-    A = as_matrix(A, "A")
+    A = as_array(A, 2, "A")
     keep = np.einsum("ij,ij->i", A, A) > 0.0
     dropped = int(A.shape[0] - keep.sum())
     if dropped:

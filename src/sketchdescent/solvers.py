@@ -10,7 +10,7 @@ the heavy ball term and keeps the linear values c through the coupling
 (below). On a diagonal family (spectral with B = G = A) x holds y = U'x,
 and x = U y is formed only at checkpoints, at the all-zero stop, for the
 Cesaro loss and at the end, unless the run ends at a checkpoint, whose x
-is returned.
+the recorder keeps and the run returns.
 
 The loop is tested against a step-by-step run through the public
 evaluate and apply_update, with a selection written apart from
@@ -22,19 +22,21 @@ full-sketch solver, and conjugate gradients is algebraically the heavy ball
 iteration whose step and momentum coefficients are chosen adaptively
 instead of held fixed.
 
-Residuals, errors and wall times are recorded at checkpoints, where every
-solver also checks that the iterate is finite and within DIVERGENCE_NORM
-of the problem's scale, max(1, ||x0||, ||x*||), and runs the stopping test
-||A x - b|| <= tol, all in _Recorder.checkpoint; x0's own row gives the
-reference error of rel_errors. Vector families
-default to a checkpoint every 100 iterations, which spreads its O(m n)
-products over 100 O(n) iterations; everything else checks every
-iteration. A diagonal step costs far less than O(n), so there the
-checkpoints (U y, the residual, the B-norm error: three n x n products
-each) take about as long as the steps between them. A run that stops
-between checkpoints because it can take no further step (every loss
-zero, or no curvature left along the steepest descent or CG direction)
-records its last iterate there.
+Every solver keeps its books in one _Recorder: a list of checkpoint rows,
+one per recorded iterate, from which finish builds the trace's arrays.
+A checkpoint checks that the iterate is finite and within DIVERGENCE_NORM
+of the problem's scale, max(1, ||x0||, ||x*||), records it, keeps its x,
+and runs the stopping test ||A x - b|| <= tol; x0's own row, the first,
+gives the reference error of rel_errors. Vector families default to a
+checkpoint every 100 iterations, which spreads its O(m n) products over
+100 O(n) iterations; everything else checks every iteration. A diagonal
+step costs far less than O(n), so there the checkpoints (U y, the
+residual, the B-norm error: three n x n products each) take about as long
+as the steps between them. Every run that can take no further step at k
+(every loss zero, or no curvature left along the steepest descent or CG
+direction) ends by one rule, _Recorder.end: k is checkpointed unless it
+has its checkpoint already, and the run converged only if that checkpoint
+meets tol.
 
 A rule that reads more than one loss per iteration (greedy tau > 1, max
 distance, capped) on a family that caches its coupling K' keeps the q
@@ -45,9 +47,8 @@ ends because every maintained loss is zero. The chosen index's own value
 is always computed exactly, and a selected loss that is NaN or infinite
 stops the run at once. A full scan finds every loss zero when the largest
 one is zero (losses are >= 0; a NaN maximum is not zero). A run whose
-exact losses are all zero ends there with a checkpoint, and is reported
-converged only if that checkpoint's true residual meets tol: c_i can round
-to zero while ||A x - b|| is still above it.
+exact losses are all zero ends by the end rule: c_i can round to zero
+while ||A x - b|| is still above tol.
 
 Every run tallies its steps in IterationTrace.counts (losses read, zero
 steps, full scans, capped candidates); the counts change no other field.
@@ -57,12 +58,13 @@ from __future__ import annotations
 
 import math
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DivergenceError, InvalidConfigError, SizeLimitError
-from .linalg import as_vector, check_integer, pinv_psd
+from .linalg import as_array, check_integer, pinv_psd
 from .problems import PINV_SIZE_LIMIT, LinearSystem, resolve_x_star
 from .rng import make_rng
 from .sampling import CappedRule, DrawStream, rule_expectation, sample_size
@@ -70,7 +72,13 @@ from .sketching import VECTOR_KINDS, SketchFamily, check_omega
 
 DIVERGENCE_NORM = 1e12
 
-X0_PRESETS = ("ones1000", "zero", "range")
+# Start-point presets: name -> the start it builds for a system.
+X0_PRESETS = {
+    "ones1000": lambda system: np.full(system.n, 1000.0),
+    "zero": lambda system: np.zeros(system.n),
+    "range": lambda system: project_onto_gradient_span(
+        system, np.full(system.n, 1000.0)),
+}
 
 COUNT_KEYS = ("losses_read", "zero_steps", "full_scans", "candidates")
 
@@ -107,7 +115,7 @@ class SolverConfig:
         check_integer(self.check_every, "check_every", 1, optional=True)
         if isinstance(self.x0, str) and self.x0 not in X0_PRESETS:
             raise InvalidConfigError(
-                f"unknown x0 preset {self.x0!r}; choose from {X0_PRESETS}"
+                f"unknown x0 preset {self.x0!r}; choose from {tuple(X0_PRESETS)}"
             )
 
 
@@ -156,20 +164,13 @@ class IterationTrace:
 
 
 def resolve_x0(cfg_x0, system: LinearSystem) -> np.ndarray:
-    """Start vector from a preset name or an explicit array."""
-    n = system.n
+    """Start vector from a preset name (validated by SolverConfig) or an
+    explicit array."""
     if isinstance(cfg_x0, str):
-        if cfg_x0 == "zero":
-            return np.zeros(n)
-        if cfg_x0 == "ones1000":
-            return 1000.0 * np.ones(n)
-        if cfg_x0 == "range":
-            base = 1000.0 * np.ones(n)
-            return project_onto_gradient_span(system, base)
-        raise InvalidConfigError(f"unknown x0 preset {cfg_x0!r}")
-    x0 = as_vector(np.asarray(cfg_x0, dtype=np.float64).copy(), "x0")
-    if x0.shape != (n,):
-        raise InvalidConfigError(f"x0 has length {x0.size}, expected {n}")
+        return X0_PRESETS[cfg_x0](system)
+    x0 = as_array(np.asarray(cfg_x0, dtype=np.float64).copy(), 1, "x0")
+    if x0.shape != (system.n,):
+        raise InvalidConfigError(f"x0 has length {x0.size}, expected {system.n}")
     return x0
 
 
@@ -187,15 +188,25 @@ def project_onto_gradient_span(system: LinearSystem, x: np.ndarray) -> np.ndarra
     return system.G_factor.solve(A.T @ coeff)
 
 
+# One checkpoint row, one field per IterationTrace array.
+_Row = namedtuple("_Row", "k residual rel_error err_g_sq f_value time selected cesaro_f")
+
+
 class _Recorder:
-    """Accumulates checkpoint rows and assembles the trace."""
+    """A run's books: its checkpoint rows, the x its latest checkpoint
+    recorded, its step counts, and the trace they make.
+
+    to_x forms x from the loop's own vector v (a diagonal run's y = U'x),
+    which checkpoint, end and x_at take; record takes x itself.
+    """
 
     def __init__(self, method: str, system: LinearSystem, x0: np.ndarray,
-                 f_mode: str, track_cesaro: bool):
+                 f_mode: str, track_cesaro: bool, to_x=None):
         self.method = method
         self.system = system
         self.f_mode = f_mode
         self.track_cesaro = track_cesaro
+        self.to_x = to_x or (lambda v: v)
         try:
             self.x_star, self.is_proj = resolve_x_star(system, x0)
         except SizeLimitError:
@@ -210,45 +221,34 @@ class _Recorder:
         self.diverge_norm = DIVERGENCE_NORM * max(
             1.0, float(np.linalg.norm(x0)), float(scale))
         self.t0 = time.perf_counter()
-        self.ks: list[int] = []
-        self.residuals: list[float] = []
-        self.rel_errors: list[float] = []
-        self.err_g_sq: list[float] = []
-        self.f_values: list[float] = []
-        self.times: list[float] = []
-        self.selected: list[int] = []
-        self.cesaro_f: list[float] = []
+        self.rows: list[_Row] = []
+        self.last = (-1, None)  # (k, x) of the latest checkpoint
         self.counts = dict.fromkeys(COUNT_KEYS, 0)
 
     def record(self, k: int, x: np.ndarray, residual: float, f_value: float,
                sel_index: int, cesaro_f: float = np.nan) -> None:
-        self.ks.append(k)
-        self.residuals.append(residual)
-        if self.x_star is None:
-            self.rel_errors.append(np.nan)
-            self.err_g_sq.append(np.nan)
-        else:
+        rel_error = err_g_sq = np.nan
+        if self.x_star is not None:
             err_b = self.system.error_sq_b(x, self.x_star)
-            if len(self.ks) == 1:  # x0's own row: the reference error
+            if not self.rows:  # x0's own row: the reference error
                 self.err0_b = err_b
-            self.rel_errors.append(
-                np.sqrt(err_b / self.err0_b) if self.err0_b > 0.0 else 0.0)
-            self.err_g_sq.append(err_b if self.system.g_equals_b
-                                 else self.system.error_sq_g(x, self.x_star))
-        self.f_values.append(f_value)
-        self.selected.append(sel_index)
-        self.cesaro_f.append(cesaro_f)
-        self.times.append(time.perf_counter() - self.t0)
+            rel_error = np.sqrt(err_b / self.err0_b) if self.err0_b > 0.0 else 0.0
+            err_g_sq = (err_b if self.system.g_equals_b
+                        else self.system.error_sq_g(x, self.x_star))
+        self.rows.append(_Row(k, residual, rel_error, err_g_sq, f_value,
+                              time.perf_counter() - self.t0, sel_index, cesaro_f))
 
-    def checkpoint(self, k: int, x: np.ndarray, tol: float,
+    def checkpoint(self, k: int, v: np.ndarray, tol: float,
                    residual: float | None = None, *, f_value: float,
                    sel_index: int, cesaro_f: float = np.nan) -> bool:
-        """Check x is finite, record it, and say whether the run stops.
+        """Form x from v, check it is finite, record and keep it, and say
+        whether the run stops.
 
         residual defaults to ||A x - b||. Raises DivergenceError for an
         iterate that is not finite or whose norm exceeds DIVERGENCE_NORM
         times the largest of 1, ||x0|| and ||x*||.
         """
+        x = self.to_x(v)
         norm = float(np.linalg.norm(x))
         if not np.isfinite(norm) or norm > self.diverge_norm:
             _diverge(self, k, x, f"iterate norm {norm:.3e} exceeds "
@@ -256,25 +256,41 @@ class _Recorder:
         if residual is None:
             residual = self.system.residual_norm(x)
         self.record(k, x, residual, f_value, sel_index, cesaro_f)
+        self.last = (k, x)
         return residual <= tol
+
+    def end(self, k: int, v: np.ndarray, tol: float,
+            residual: float | None = None, **row) -> bool:
+        """End a run that can take no further step at k: checkpoint k
+        unless it has its checkpoint already, and say whether the run
+        converged, which it did only if that checkpoint meets tol."""
+        return self.rows[-1].k != k and self.checkpoint(k, v, tol, residual, **row)
+
+    def x_at(self, k: int, v: np.ndarray) -> np.ndarray:
+        """The iterate after k updates: the x the latest checkpoint
+        recorded if it was at k, else formed from v."""
+        k_last, x = self.last
+        return x if k_last == k else self.to_x(v)
 
     def finish(self, iterations: int, converged: bool, x: np.ndarray,
                x_cesaro: np.ndarray | None = None,
                diverged: bool = False) -> IterationTrace:
+        ks, residuals, rel_errors, err_g_sq, f_values, times, selected, cesaro_f = (
+            np.array(self.rows, dtype=np.float64).T.copy())
         return IterationTrace(
             method=self.method,
-            ks=np.asarray(self.ks, dtype=np.intp),
-            residuals=np.asarray(self.residuals),
-            rel_errors=np.asarray(self.rel_errors),
-            err_g_sq=np.asarray(self.err_g_sq),
-            f_values=np.asarray(self.f_values),
-            times=np.asarray(self.times),
-            selected=np.asarray(self.selected, dtype=np.intp),
+            ks=ks.astype(np.intp),
+            residuals=residuals,
+            rel_errors=rel_errors,
+            err_g_sq=err_g_sq,
+            f_values=f_values,
+            times=times,
+            selected=selected.astype(np.intp),
             iterations=iterations,
             converged=converged,
             x_final=x.copy(),
             f_mode=self.f_mode,
-            cesaro_f=np.asarray(self.cesaro_f) if self.track_cesaro else None,
+            cesaro_f=cesaro_f if self.track_cesaro else None,
             x_cesaro=None if x_cesaro is None else x_cesaro.copy(),
             x_star=self.x_star,
             x_star_is_projection=self.is_proj,
@@ -301,8 +317,6 @@ def _run_sketched(method: str, system: LinearSystem, family: SketchFamily,
     check_every = cfg.check_every or (100 if vector else 1)
     tau = sample_size(rule, family.q)  # the one rule check, every kind
     exact_f = isinstance(rule, CappedRule)
-    rec = _Recorder(method, system, x0, "expected" if exact_f else "selected",
-                    cfg.track_cesaro)
     track_cesaro = cfg.track_cesaro
     # A diagonal family runs in eigen-coordinates: x below holds y = U'x,
     # and x = U y is formed only where an iterate is recorded or returned.
@@ -310,6 +324,9 @@ def _run_sketched(method: str, system: LinearSystem, family: SketchFamily,
 
     def to_x(v):
         return v if U is None else U @ v
+
+    rec = _Recorder(method, system, x0, "expected" if exact_f else "selected",
+                    track_cesaro, to_x)
 
     def cesaro_loss(xsum, k):
         if not track_cesaro or k == 0:
@@ -342,7 +359,6 @@ def _run_sketched(method: str, system: LinearSystem, family: SketchFamily,
     x_sum = np.zeros_like(x)
     last_sel = -1
     last_f = np.nan
-    x_rec = None  # x as the latest checkpoint in the loop formed it
     k = 0
     converged = False
     while k < max_iters:
@@ -353,13 +369,11 @@ def _run_sketched(method: str, system: LinearSystem, family: SketchFamily,
             c = linear_values(x)
             chosen = pick(x, c)
         if chosen is None:
-            # Every loss is exactly zero. The run ends there, converged only
-            # if the true residual meets tol: c can round to zero first. A
-            # k checkpointed already did not meet it and is not recorded twice.
+            # Every loss is exactly zero, but the run has converged only if
+            # the true residual meets tol: c can round to zero first.
             k -= 1
-            converged = rec.ks[-1] != k and rec.checkpoint(
-                k, (x_rec := to_x(x)), tol, f_value=0.0, sel_index=last_sel,
-                cesaro_f=cesaro_loss(x_sum, k))
+            converged = rec.end(k, x, tol, f_value=0.0, sel_index=last_sel,
+                                cesaro_f=cesaro_loss(x_sum, k))
             break
         i, loss, last_f, _, candidates = chosen
         counts["candidates"] += candidates
@@ -380,8 +394,8 @@ def _run_sketched(method: str, system: LinearSystem, family: SketchFamily,
             x_sum += x
         if k % check_every and k < max_iters:
             continue
-        if rec.checkpoint(k, (x_rec := to_x(x)), tol, f_value=last_f,
-                          sel_index=last_sel, cesaro_f=cesaro_loss(x_sum, k)):
+        if rec.checkpoint(k, x, tol, f_value=last_f, sel_index=last_sel,
+                          cesaro_f=cesaro_loss(x_sum, k)):
             converged = True
             break
         if c is not None and k < max_iters:
@@ -390,8 +404,7 @@ def _run_sketched(method: str, system: LinearSystem, family: SketchFamily,
             if heavy:
                 counts["full_scans"] += 1
                 c_prev = linear_values(x_prev)
-    # A run that ends at a checkpoint returns the x that checkpoint formed.
-    x = x_rec if rec.ks[-1] == k and x_rec is not None else to_x(x)
+    x = rec.x_at(k, x)
     x_cesaro = None
     if track_cesaro:
         x_cesaro = to_x(x_sum / k) if k > 0 else x.copy()
@@ -450,12 +463,10 @@ def run_sd(system: LinearSystem, cfg: SolverConfig | None = None) -> IterationTr
         Ares = A @ res
         den = float(res @ Ares)
         if den <= 0.0:
-            # No descent left (res is zero, or A not positive along it): the
-            # run ends at the last iterate, with a checkpoint.
+            # No descent left: res is zero, or A is not positive along it.
             k -= 1
-            converged = rec.ks[-1] != k and rec.checkpoint(
-                k, x, cfg.tol, float(np.linalg.norm(res)), f_value=f_of(res),
-                sel_index=0)
+            converged = rec.end(k, x, cfg.tol, float(np.linalg.norm(res)),
+                                f_value=f_of(res), sel_index=0)
             break
         alpha = float(res @ res) / den
         x = x - (cfg.omega * alpha) * res
@@ -501,10 +512,9 @@ def run_cg_momentum(system: LinearSystem, cfg: SolverConfig | None = None) -> It
         Ap = A @ p
         pAp = float(p @ Ap)
         if pAp <= 0.0:
-            # As in run_sd: the run ends at the last iterate, checkpointed.
+            # No curvature left along p, as in run_sd.
             k -= 1
-            converged = rec.ks[-1] != k and rec.checkpoint(
-                k, x, cfg.tol, f_value=f_of(x), sel_index=0)
+            converged = rec.end(k, x, cfg.tol, f_value=f_of(x), sel_index=0)
             break
         alpha = uu / pAp
         x = x + alpha * p

@@ -46,7 +46,7 @@ from .errors import (
     NumericalFailureError,
     SizeLimitError,
 )
-from .linalg import DEFAULT_EIG_CUTOFF, sym_eig
+from .linalg import DEFAULT_EIG_CUTOFF, is_integer, sym_eig
 from .problems import resolve_x_star
 from .rng import make_rng, standard_normal
 from .sampling import CappedRule, GreedyRule, rule_expectation
@@ -596,8 +596,8 @@ def verify_inequalities(family: SketchFamily, rules=None, trials: int = 1000,
     a violation above rtol marks the entry failed.
     """
     sys = family.system
-    if trials < 1:
-        raise InvalidInputError("trials must be >= 1")
+    if not (is_integer(trials) and trials >= 1):
+        raise InvalidInputError(f"trials must be an integer >= 1, got {trials!r}")
     _check_size(family)
     if rules is None:
         rules = [GreedyRule(1)] + ([

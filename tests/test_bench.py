@@ -84,6 +84,14 @@ class TestDatasetSpec:
             with pytest.raises(InvalidConfigError, match="m_limit must be"):
                 skd.DatasetSpec(kind=kind, path="data.txt", m_limit=m_limit)
 
+    @pytest.mark.parametrize("data_seed", [-3, 2.5, True])
+    def test_bad_data_seed_refused_before_the_file_is_read(self, data_seed):
+        for kind in ("mtx", "libsvm"):
+            with pytest.raises(InvalidConfigError,
+                               match="data_seed must be an integer >= 0"):
+                skd.DatasetSpec(kind=kind, path="/nonexistent/data.txt",
+                                data_seed=data_seed)
+
     def test_numpy_integer_row_limit_accepted(self):
         spec = skd.DatasetSpec(kind="mtx", path="data.txt",
                                m_limit=np.int64(3))

@@ -192,3 +192,37 @@ class TestGrid:
                            "--max-iters", "300", "--tol", "1e-8",
                            "--x0", preset)
             assert code == 0
+
+
+class TestFileInputs:
+    @pytest.mark.parametrize("flag, data", [
+        ("--matrix", b"%%MatrixMarket matrix array real general\n1 1\n\xff\n"),
+        ("--libsvm", b"1 1:1\n-1 2:\xff\n"),
+    ])
+    def test_undecodable_file_exits_one(self, tmp_path, capsys, flag, data):
+        path = tmp_path / "bytes.txt"
+        path.write_bytes(data)
+        assert run_cli(flag, str(path), "--reps", "1") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"sketchbench: {path}: not UTF-8")
+        assert "Traceback" not in err
+
+    def test_negative_seed_refused_before_the_file_is_read(self, capsys):
+        assert run_cli("--matrix", "/nonexistent/nowhere.mtx",
+                       "--seed", "-1") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sketchbench: data_seed must be an integer >= 0")
+
+    def test_bad_gamma_list_exits_one(self, capsys):
+        assert run_cli(*BASE, "--method", "ssdm", "--gamma", "0.1,x") == 1
+        assert "bad gamma list '0.1,x'" in capsys.readouterr().err
+
+    def test_libsvm_dataset_end_to_end(self, tmp_path, capsys):
+        path = tmp_path / "rows.txt"
+        path.write_text("".join(f"{(-1) ** r} {r % 3 + 1}:1.5 4:{r + 1}\n"
+                                for r in range(12)))
+        assert run_cli("--libsvm", str(path), "--reps", "1",
+                       "--max-iters", "2000", "--tol", "1e-6") == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [r["dataset"] for r in rows] == ["libsvm:rows.txt"]
+        assert rows[0]["success"] == "1"  # the one repetition converged

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from sketchdescent.errors import InvalidInputError, NotPsdError, NotSpdError
-from sketchdescent.linalg import SpdFactor, check_symmetric, pinv_psd, sym_eig
+from sketchdescent.linalg import (SpdFactor, as_array, check_symmetric,
+                                  pinv_psd, sym_eig)
 
 
 def random_symmetric(n, seed):
@@ -129,6 +130,14 @@ class TestSpdFactor:
         assert np.array_equal(f.apply(v), v)
         assert np.allclose(f.dense(), np.eye(4))
         assert f.quad(v) == float(v @ v)
+
+    def test_identity_needs_a_dimension(self):
+        with pytest.raises(InvalidInputError, match="needs a dimension"):
+            SpdFactor()
+
+    def test_identity_eig(self):
+        w, V = SpdFactor(None, 3).eig()
+        assert np.array_equal(w, np.ones(3)) and np.array_equal(V, np.eye(3))
 
     def test_solve_diagonal(self):
         f = SpdFactor(np.diag([2.0, 4.0]))
@@ -271,3 +280,26 @@ class TestSharedMatrix:
             out = check_symmetric(M)
         assert np.isfinite(out).all() and np.array_equal(out, out.T)
         assert out.tobytes() == (0.5 * M + 0.5 * M.T).tobytes()
+
+
+class TestAsArray:
+    @pytest.mark.parametrize("value, ndim, name, message", [
+        (np.ones(3), 2, "A", "A must be 2-d, got ndim=1"),
+        (np.ones((2, 2)), 1, "x0", "x0 must be 1-d, got ndim=2"),
+        ([[1.0, np.nan]], 2, "A", "A contains NaN or Inf"),
+        ([1.0, -np.inf], 1, "b", "b contains NaN or Inf"),
+    ])
+    def test_refusals(self, value, ndim, name, message):
+        with pytest.raises(InvalidInputError) as info:
+            as_array(value, ndim, name)
+        assert str(info.value) == message
+
+    def test_coerces_to_float64(self):
+        out = as_array([[1, 2], [3, 4]], 2, "A")
+        assert out.dtype == np.float64 and out.shape == (2, 2)
+
+
+class TestPinvRefusal:
+    def test_negative_definite_is_not_psd(self):
+        with pytest.raises(NotPsdError):
+            pinv_psd(-np.eye(3))

@@ -538,3 +538,88 @@ class TestLibsvmRowLimit:
         path = write(tmp_path, "d.txt", "1 1:1\n1 2:1\n1 3:1\n")
         M = load_libsvm(path, m_limit=np.int64(2), n_features=np.int32(4))
         assert M.shape == (2, 4)
+
+
+class TestHeaderRefusals:
+    @pytest.mark.parametrize("banner", [
+        "%%MatrixMarket matrix array real",  # four fields
+        "%%MatrixMarket vector array real general",  # not a matrix
+    ])
+    def test_malformed_banner(self, tmp_path, banner):
+        path = write(tmp_path, "b.mtx", f"{banner}\n1 1\n1.0\n")
+        with pytest.raises(UnsupportedFormatError, match="malformed banner"):
+            load_matrix_market(path)
+
+    def test_unsupported_layout(self, tmp_path):
+        path = write(tmp_path, "l.mtx",
+                     "%%MatrixMarket matrix sparse real general\n1 1\n1.0\n")
+        with pytest.raises(UnsupportedFormatError, match="layout 'sparse'"):
+            load_matrix_market(path)
+
+    def test_unsupported_symmetry(self, tmp_path):
+        path = write(tmp_path, "s.mtx",
+                     "%%MatrixMarket matrix array real hermitian\n1 1\n1.0\n")
+        with pytest.raises(UnsupportedFormatError, match="symmetry 'hermitian'"):
+            load_matrix_market(path)
+
+    def test_size_line_field_count(self, tmp_path):
+        path = write(tmp_path, "c.mtx",
+                     "%%MatrixMarket matrix coordinate real general\n2 2\n")
+        with pytest.raises(MalformedFileError, match="needs m n nnz"):
+            load_matrix_market(path)
+
+    def test_symmetric_must_be_square(self, tmp_path):
+        path = write(tmp_path, "r.mtx",
+                     "%%MatrixMarket matrix array real symmetric\n2 3\n")
+        with pytest.raises(MalformedFileError, match="must be square"):
+            load_matrix_market(path)
+
+    def test_save_refuses_a_vector(self, tmp_path):
+        with pytest.raises(MalformedFileError, match="2-d"):
+            save_matrix_market(np.ones(3), tmp_path / "v.mtx")
+
+
+class TestLibsvmRefusals:
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = write(tmp_path, "d.txt", "1 1:2\n\n   \n-1 2:3\n")
+        assert np.array_equal(load_libsvm(path), [[2.0, 0.0], [0.0, 3.0]])
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("1 1:2 3\n", MalformedFileError, "is not index:value"),
+        ("1 0:2\n", MalformedFileError, "index 0 < 1"),
+        ("1\n-1\n", EmptyMatrixError, "no features"),
+        ("1 1:0\n-1 2:0.0\n", EmptyMatrixError, "all-zero features"),
+    ])
+    def test_refused(self, tmp_path, text, error, message):
+        path = write(tmp_path, "d.txt", text)
+        with pytest.raises(error, match=message):
+            load_libsvm(path)
+
+    def test_index_above_declared_features(self, tmp_path):
+        path = write(tmp_path, "d.txt", "1 1:1 3:1\n")
+        with pytest.raises(MalformedFileError, match="exceeds declared"):
+            load_libsvm(path, n_features=2)
+
+
+class TestUndecodableBytes:
+    """A byte that is not UTF-8 is a ParseError naming the file, wherever
+    the reader meets it."""
+
+    @pytest.mark.parametrize("data", [
+        b"%%MatrixMarket matrix array real general\xff\n1 1\n1.0\n",
+        b"%%MatrixMarket matrix array real general\n1 \xff1\n1.0\n",
+        b"%%MatrixMarket matrix array real general\n1 1\n1.0\xff\n",
+        b"%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 \xff\n",
+    ])
+    def test_matrix_market(self, tmp_path, data):
+        path = tmp_path / "u.mtx"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match=re.escape(f"{path}: not UTF-8")):
+            load_matrix_market(path)
+
+    @pytest.mark.parametrize("data", [b"1 1:\xff\n", b"1 1:1\n-1 2:1 \xfe\n"])
+    def test_libsvm(self, tmp_path, data):
+        path = tmp_path / "u.txt"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match=re.escape(f"{path}: not UTF-8")):
+            load_libsvm(path)

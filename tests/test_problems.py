@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 import sketchdescent as skd
-from sketchdescent.errors import InvalidInputError, NotSpdError
+from sketchdescent.errors import (
+    InvalidConfigError,
+    InvalidInputError,
+    NotSpdError,
+    SizeLimitError,
+)
 from sketchdescent.linalg import SpdFactor, pinv_psd
 from sketchdescent.problems import CONSISTENCY_TOL, gen_arrays, loaded_arrays
 from sketchdescent.rng import make_rng, standard_normal
@@ -27,6 +32,12 @@ class TestGenSpec:
     def test_non_integer_sizes_refused(self, m, n):
         with pytest.raises(InvalidInputError, match="must be integers"):
             skd.GenSpec("gaussian", m, n)
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, True])
+    def test_bad_seed_refused_at_construction(self, seed):
+        with pytest.raises(InvalidConfigError,
+                           match="seed must be an integer >= 0"):
+            skd.GenSpec("gaussian", 4, 3, seed=seed)
 
     def test_numpy_integer_sizes_accepted(self):
         spec = skd.GenSpec("gaussian", np.int64(4), np.int32(3))
@@ -235,3 +246,30 @@ class TestResolveXStar:
         star, projected = skd.resolve_x_star(system, np.zeros(4))
         assert not projected
         assert np.array_equal(star, system.x_star)
+
+
+class TestLinearSystemRefusals:
+    def test_empty_matrix(self):
+        with pytest.raises(InvalidInputError, match="at least one row"):
+            skd.LinearSystem(A=np.zeros((0, 3)), b=np.zeros(0))
+
+    def test_b_of_the_wrong_length(self):
+        with pytest.raises(InvalidInputError, match="b has length 2"):
+            skd.LinearSystem(A=np.eye(3), b=np.ones(2))
+
+    def test_x_star_of_the_wrong_length(self):
+        with pytest.raises(InvalidInputError, match="x_star has length 2"):
+            skd.LinearSystem(A=np.eye(3), b=np.ones(3), x_star=np.ones(2))
+
+    @pytest.mark.parametrize("name", ["error_sq_g", "error_sq_b"])
+    def test_errors_need_a_solution(self, name):
+        system = skd.LinearSystem(A=np.eye(3), b=np.ones(3))
+        with pytest.raises(InvalidInputError, match="stores no solution"):
+            getattr(system, name)(np.zeros(3))
+
+    def test_solution_not_reconstructed_above_desk_scale(self):
+        A = np.ones((2001, 2))
+        A[:, 1] = np.arange(2001.0)
+        system = skd.LinearSystem(A=A, b=A @ np.ones(2))
+        with pytest.raises(SizeLimitError, match="store x_star"):
+            skd.resolve_x_star(system, np.zeros(2))

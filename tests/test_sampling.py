@@ -386,6 +386,10 @@ class TestRules:
                      "capped:0.5,1,m", "capped:0.25,2,5,exact"):
             assert skd.parse_rule(text).label == text
 
+    def test_expectation_refuses_what_is_not_a_rule(self):
+        with pytest.raises(InvalidConfigError, match="unknown rule type object"):
+            rule_expectation(np.ones(3), object())
+
     def test_parse_rule_errors(self):
         for text in ("nope", "greedy:x", "capped:0.5", "capped:a,1,2",
                      "capped:0.5,1,2,fast"):

@@ -481,3 +481,21 @@ class TestOneIndexLinearValue:
             assert np.ndim(one) == 0
             assert abs(one - want) <= tol[i]
             assert abs(fam.evaluate(i, x).linear - want) <= tol[i]
+
+
+class TestFamilyRefusals:
+    def test_block_size_above_row_count(self):
+        system = gaussian_system(6, 4, seed=3)
+        with pytest.raises(InvalidConfigError, match="exceeds row count 6"):
+            skd.SketchFamily("block", system, block_size=7)
+
+    def test_zero_column_has_no_column_sketch(self):
+        A = np.array([[1.0, 0.0, 2.0], [3.0, 0.0, 1.0], [0.5, 0.0, 4.0]])
+        system = skd.LinearSystem(A=A, b=A @ np.ones(3), x_star=np.ones(3))
+        with pytest.raises(InvalidInputError, match="zero denominator"):
+            skd.SketchFamily("lsqcol", system)
+
+    def test_block_family_has_no_w_matrix(self):
+        _, fam = family_on("block", 12, 5, seed=4, block_size=3)
+        with pytest.raises(InvalidInputError, match="w_matrix undefined"):
+            fam.w_matrix()

@@ -101,6 +101,19 @@ class TestResolveX0:
         assert np.array_equal(resolve_x0("ones1000", system),
                               1000.0 * np.ones(5))
 
+    def test_unknown_preset_refused_by_validate(self):
+        with pytest.raises(InvalidConfigError) as info:
+            skd.SolverConfig(x0="nope").validate()
+        assert str(info.value) == ("unknown x0 preset 'nope'; choose from "
+                                   "('ones1000', 'zero', 'range')")
+
+    def test_projection_refused_above_desk_scale(self):
+        A = np.ones((2001, 2))
+        A[:, 1] = np.arange(2001.0)
+        system = skd.LinearSystem(A=A, b=A @ np.ones(2), x_star=np.ones(2))
+        with pytest.raises(SizeLimitError):
+            skd.project_onto_gradient_span(system, np.zeros(2))
+
     def test_explicit_vector_is_copied(self):
         system = gaussian_system(8, 5, seed=1)
         v = np.arange(5.0)
@@ -576,6 +589,16 @@ class TestStopsBetweenCheckpoints:
             assert list(trace.ks) == [0]
             assert np.array_equal(trace.x_final, [0.0])
 
+    @pytest.mark.parametrize("run", [skd.run_sd, skd.run_cg_momentum])
+    def test_start_meeting_tol_takes_no_step(self, run):
+        b = np.array([2.0, -1.0])
+        system = skd.LinearSystem(A=np.diag([2.0, 1.0]), b=b,
+                                  x_star=np.array([1.0, -1.0]))
+        trace = run(system, skd.SolverConfig(x0=np.array([1.0, -1.0])))
+        assert trace.converged and trace.iterations == 0
+        assert list(trace.ks) == [0] and trace.final_residual() == 0.0
+        assert np.array_equal(trace.x_final, [1.0, -1.0])
+
 
 class TestConjugateGradients:
     def test_identity_system_one_step(self):
@@ -670,7 +693,7 @@ class TestCheckpointErrors:
         rec.record(1, x, 0.5, 0.25, 0)
         assert len(calls) == quads
         monkeypatch.setattr(SpdFactor, "quad", quad)
-        assert rec.err_g_sq[-1] == system.error_sq_g(x, rec.x_star)
+        assert rec.rows[-1].err_g_sq == system.error_sq_g(x, rec.x_star)
 
     @pytest.mark.parametrize("rule, cfg", [
         ("greedy:5", skd.SolverConfig(check_every=10)),

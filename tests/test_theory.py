@@ -130,6 +130,10 @@ class TestSpectralReport:
         assert lo0 <= lo2 <= lo3
         assert lo3 == lo5  # floored at q - tau + 1 once tau-1 losses vanish
 
+    def test_constants_refuse_what_is_not_a_rule(self):
+        with pytest.raises(InvalidConfigError, match="unknown rule type object"):
+            sandwich_constants(1.0, 3.0, 1.0, 10, object())
+
     def test_size_limit(self):
         A = np.random.default_rng(5).standard_normal((5, 501))
         system = skd.LinearSystem(A=A, b=A @ np.ones(501))
@@ -339,6 +343,12 @@ class TestCesaroBound:
         # num = (1-0.4)^2 + 2*0.4 = 1.16; den = 2*(2-0.4-0.4-1) = 0.4
         assert got == pytest.approx(2.9, rel=1e-12)
 
+    def test_error_bound_needs_a_step(self):
+        _, fam = identity_row_family(3)
+        with pytest.raises(InvalidInputError, match="k must be >= 1"):
+            skd.predicted_rates(skd.spectral_report(fam)).cesaro_error_bound(
+                0, 1.0)
+
     def test_k_doubling_halves(self):
         _, fam = family_on("row", 10, 5, seed=15)
         rep = skd.spectral_report(fam)
@@ -427,6 +437,13 @@ class TestVerifyInequalities:
         _, fam = family_on("row", 8, 4, seed=20)
         with pytest.raises(InvalidInputError):
             skd.verify_inequalities(fam, trials=0)
+
+    @pytest.mark.parametrize("trials", [2.5, True, 3.0])
+    def test_trial_count_must_be_an_integer(self, trials):
+        _, fam = family_on("row", 8, 4, seed=20)
+        with pytest.raises(InvalidInputError,
+                           match="trials must be an integer >= 1"):
+            skd.verify_inequalities(fam, trials=trials)
 
 
 class TestSharedSpectra:

@@ -95,7 +95,7 @@ def reference_run(method, system, family, rule, cfg, gamma):
             chosen = select(c)
         if chosen is None:
             k -= 1
-            if rec.ks[-1] != k:
+            if rec.rows[-1].k != k:
                 res = system.residual_norm(x)
                 converged = res <= cfg.tol
                 rec.record(k, x, res, 0.0, last_sel, cesaro_loss(x_sum, k))
@@ -185,7 +185,7 @@ def eigen_reference_run(method, system, family, rule, cfg, gamma):
         chosen = reference_pick(rule, family.q, stream, losses_of, counts)
         if chosen is None:
             k -= 1
-            if rec.ks[-1] != k:
+            if rec.rows[-1].k != k:
                 x = U @ y
                 res = system.residual_norm(x)
                 converged = res <= cfg.tol
