@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import csv
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
@@ -134,24 +133,25 @@ def build_system(dataset: DatasetSpec, family_kind: str,
                 return system()
         metric = {"spectral": "system", "full": "system",
                   "lsqcol": "normal"}.get(family_kind, "identity")
-    if metric == "system":
-        try:
-            # The spectral family reads A's eigendecomposition, so that is
-            # B's SPD check, and no Cholesky is made until a solve. A factor
-            # of A's half-sum (A not bitwise symmetric) would not serve as
-            # A's own, so such an A is checked by Cholesky.
-            if family_kind == "spectral" and is_bitwise_symmetric(A):
-                return system(SpdFactor(A, eig_check=True))
-            return system(A)
-        except (InvalidInputError, NotSpdError):
-            raise InvalidConfigError(
-                f"{needs} needs an SPD matrix; {dataset.label} is not"
-            ) from None
-    if metric == "normal":
-        # numpy's A'A is bitwise symmetric, so B's one symmetry check keeps
-        # it as it is: the half-sum would have the same bytes.
-        return system(A.T @ A)
-    return system()
+    if metric == "identity":
+        return system()
+    try:
+        if metric == "normal":
+            # numpy's A'A is bitwise symmetric, so B's one symmetry check
+            # keeps it as it is: the half-sum would have the same bytes.
+            return system(A.T @ A)
+        # The spectral family reads A's eigendecomposition, so that is B's
+        # SPD check, and no Cholesky is made until a solve. A factor of A's
+        # half-sum (A not bitwise symmetric) would not serve as A's own, so
+        # such an A is checked by Cholesky.
+        if family_kind == "spectral" and is_bitwise_symmetric(A):
+            return system(SpdFactor(A, eig_check=True))
+        return system(A)
+    except (InvalidInputError, NotSpdError):
+        what = ("an SPD A'A (full column rank)" if metric == "normal"
+                else "an SPD matrix")
+        raise InvalidConfigError(
+            f"{needs} needs {what}; {dataset.label} is not") from None
 
 
 @dataclass
@@ -346,6 +346,14 @@ class BenchResult:
         return any(r.diverged > 0 for r in self.rows)
 
 
+def _process_pool(workers: int):
+    """A process pool of the given size. concurrent.futures (and with it
+    multiprocessing) is imported here, by the first parallel run, so the
+    package import loads neither."""
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def run_experiment(plan: ExperimentPlan) -> BenchResult:
     """Execute the full plan.
 
@@ -365,8 +373,7 @@ def run_experiment(plan: ExperimentPlan) -> BenchResult:
     parallel = workers > 1
     rows = []
     reports: dict[str, str] = {}
-    with (ProcessPoolExecutor(max_workers=workers) if parallel
-          else nullcontext()) as pool:
+    with _process_pool(workers) if parallel else nullcontext() as pool:
         mapper = pool.map if parallel else map
         for j, dataset in enumerate(plan.datasets):
             system = build_system(dataset, kind, plan.metric)

@@ -69,9 +69,12 @@ never used.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
+
+try:  # hashlib's own blake2b, without the OpenSSL module hashlib loads
+    from _blake2 import blake2b
+except ImportError:  # an interpreter built without _blake2
+    from hashlib import blake2b
 
 from .errors import InvalidConfigError
 from .linalg import check_integer, is_integer
@@ -119,7 +122,7 @@ def derive_seed(base_seed: int, *parts) -> int:
     if not is_integer(base_seed):
         raise InvalidConfigError(f"seed must be an integer, got {base_seed!r}")
     tag = repr(parts).encode("utf-8")
-    digest = hashlib.blake2b(tag, digest_size=8).digest()
+    digest = blake2b(tag, digest_size=8).digest()
     mixed = int(base_seed) ^ int.from_bytes(digest, "big")
     return mixed & 0x7FFFFFFFFFFFFFFF
 

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -53,6 +59,19 @@ def family_on(kind, m, n, seed=0, block_size=None):
     else:
         raise ValueError(kind)
     return system, skd.SketchFamily(kind, system, block_size=block_size)
+
+
+def run_fresh(code: str) -> str:
+    """Run code in a fresh interpreter that imports the package from this
+    checkout, with BLAS pinned to one thread as the benchmark pins it;
+    the code's own assertions must hold. Returns its stdout."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 @pytest.fixture

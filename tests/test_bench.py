@@ -192,7 +192,7 @@ class TestPlanValidation:
                                                  value):
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was started")
-        monkeypatch.setattr(bench, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(bench, "_process_pool", no_pool)
         plan = small_plan(**{field: value})
         with pytest.raises(InvalidConfigError, match=f"{field} must be"):
             plan.validate()
@@ -676,6 +676,19 @@ class TestOneSystemPerDataset:
                                  "gen:12x5 is not"):
             skd.build_system(gen_dataset(12, 5), "row", "system")
 
+    def test_rank_deficient_normal_geometry_refused(self):
+        # A 5 x 20 A has rank 5, so A'A is singular: refused with the
+        # system path's kind of message, not a Cholesky's.
+        ds = gen_dataset(5, 20)
+        with pytest.raises(InvalidConfigError,
+                           match=r"^the lsqcol family needs an SPD A'A \(full "
+                                 r"column rank\); gen:5x20 is not$"):
+            skd.build_system(ds, "lsqcol")
+        with pytest.raises(InvalidConfigError,
+                           match=r"^metric 'normal' needs an SPD A'A \(full "
+                                 r"column rank\); gen:5x20 is not$"):
+            skd.build_system(ds, "row", "normal")
+
 
 class TestPoolSize:
     def test_pool_never_exceeds_cell_count(self, monkeypatch):
@@ -694,7 +707,7 @@ class TestPoolSize:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(bench, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(bench, "_process_pool", InProcessPool)
         two = skd.parse_rule("uniform"), skd.parse_rule("greedy:3")
         result = skd.run_experiment(small_plan(rules=list(two), workers=6))
         assert len(result.rows) == 2

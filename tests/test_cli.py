@@ -121,6 +121,12 @@ class TestExitCodes:
         assert err == (f"sketchbench: the {family} family needs an SPD matrix; "
                        "gen:20x5 is not\n")
 
+    def test_rank_deficient_lsqcol_names_the_family(self, capsys):
+        assert run_cli("--gen", "5x20", "--family", "lsqcol", "--reps", "1") == 1
+        err = capsys.readouterr().err
+        assert err == ("sketchbench: the lsqcol family needs an SPD A'A "
+                       "(full column rank); gen:5x20 is not\n")
+
     @pytest.mark.parametrize("gen, why", [
         ("3x5:spd", "gaussian-normal-equations needs m >= n for an SPD product"),
         ("0x5", "m and n must be at least 1"),

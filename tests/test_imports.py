@@ -1,19 +1,17 @@
-"""scipy.linalg is loaded by the first Cholesky, not by the package.
+"""What a package import leaves loaded: scipy.linalg comes with the first
+Cholesky, multiprocessing with the first parallel plan, and no OpenSSL
+module at all.
 
 conftest imports scipy.linalg into the test process, so every check here
 runs its code in a fresh interpreter and reads that interpreter's
 sys.modules.
 """
 
-import os
-import subprocess
-import sys
 import textwrap
-from pathlib import Path
 
 import numpy as np
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+from conftest import run_fresh
 
 
 def loads_scipy_linalg(code: str) -> bool:
@@ -21,16 +19,22 @@ def loads_scipy_linalg(code: str) -> bool:
     the code's own assertions must hold."""
     script = textwrap.dedent(code) + (
         "\nimport sys\nprint('scipy.linalg' in sys.modules)\n")
-    env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1",
-           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    done = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    return done.stdout.split()[-1] == "True"
+    return run_fresh(script).split()[-1] == "True"
 
 
 def test_package_import_does_not_load_scipy_linalg():
     assert not loads_scipy_linalg("import sketchdescent")
+
+
+def test_package_import_loads_no_process_pool_or_openssl():
+    # bench imports its process pool for a parallel plan only, and rng
+    # takes blake2b from _blake2, not through hashlib's _hashlib.
+    run_fresh("""
+        import sys
+        import sketchdescent
+        loaded = {"multiprocessing", "_hashlib"} & set(sys.modules)
+        assert not loaded, loaded
+    """)
 
 
 def test_identity_geometry_row_solve_does_not_load_it():

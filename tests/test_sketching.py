@@ -5,7 +5,7 @@ import sketchdescent as skd
 from sketchdescent.errors import InvalidConfigError, InvalidInputError, NotSpdError
 from sketchdescent.rng import make_rng
 from sketchdescent.sampling import DrawStream
-from sketchdescent.sketching import KINDS, VECTOR_KINDS
+from sketchdescent.sketching import KINDS, VECTOR_KINDS, _rows
 from sketchdescent.solvers import COUNT_KEYS
 
 from conftest import family_on, gaussian_system
@@ -481,6 +481,36 @@ class TestOneIndexLinearValue:
             assert np.ndim(one) == 0
             assert abs(one - want) <= tol[i]
             assert abs(fam.evaluate(i, x).linear - want) <= tol[i]
+
+
+class TestAlignedRowReads:
+    """The screened row scan's exactness assumption (sketching module
+    notes): on a C-ordered float64 A, the read A[4k:4k+4] @ x - b[4k:4k+4]
+    has the bits of the same rows of A @ x - b, and so has the m mod 4
+    tail read through a slice that starts one block early; the stacked
+    read of every block, the run's guard, has the slices' bits. Every
+    shape stays below OpenBLAS's threading threshold (m n < 9216), so the
+    gemv runs on one thread, as the benchmark pins it."""
+
+    @pytest.mark.parametrize("m", [8, 9, 10, 11, 40, 41, 42, 43])
+    @pytest.mark.parametrize("n", [1, 3, 37, 200])
+    def test_block_and_tail_reads_have_the_scan_bits(self, m, n):
+        rng = np.random.default_rng([m, n])
+        A = rng.standard_normal((m, n))
+        b = rng.standard_normal(m)
+        last = m - m % 4 - 4
+        for scale in (1e-8, 1.0, 1e3, 1e12):
+            x = scale * rng.standard_normal(n)
+            scan = A @ x - b
+            stacked = (A[:last + 4].reshape(-1, 4, n) @ x
+                       - b[:last + 4].reshape(-1, 4))
+            for start in range(0, last, 4):
+                block = _rows(A, b, x, start, start + 4)
+                assert block.tobytes() == scan[start:start + 4].tobytes()
+                assert block.tobytes() == stacked[start // 4].tobytes()
+            tail = _rows(A, b, x, last, m)
+            assert tail.tobytes() == scan[last:].tobytes()
+            assert tail[:4].tobytes() == stacked[-1].tobytes()
 
 
 class TestFamilyRefusals:

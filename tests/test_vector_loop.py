@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 import sketchdescent as skd
+from sketchdescent import sketching
 from sketchdescent.sampling import DrawStream, capped_threshold
 from sketchdescent.sketching import VECTOR_KINDS
 from sketchdescent.solvers import COUNT_KEYS, _Recorder, resolve_x0
 
-from conftest import family_on, gaussian_system
+from conftest import family_on, gaussian_system, run_fresh
 from dense_reference import reference_choose
 
 
@@ -263,6 +264,33 @@ TRACE_FIELDS = ("ks", "residuals", "rel_errors", "err_g_sq", "f_values",
                 "selected", "x_final", "cesaro_f", "x_cesaro")
 
 
+def assert_loop_matches_reference(fam, omega, rule, **options):
+    """run_ssdm on fam equals reference_run (eigen_reference_run on a
+    diagonal family) field by field, counts included; options are
+    SolverConfig fields besides omega, which the defaults give tol 1e-11,
+    max_iters 150 and seed 5. Returns the solver's trace."""
+    options = {"tol": 1e-11, "max_iters": 150, "seed": 5, **options}
+    cfg = skd.SolverConfig(omega=omega, **options)
+    system, gamma = fam.system, cfg.gamma
+    got = skd.run_ssdm(system, fam, skd.parse_rule(rule), cfg)
+    # Spectral with B = G = A steps in eigen-coordinates.
+    runner = eigen_reference_run if fam.diagonal else reference_run
+    want, counts = runner("ssdm", system, fam, skd.parse_rule(rule), cfg,
+                          gamma)
+    label = f"{fam.kind} {rule} omega={omega}"
+    assert got.iterations == want.iterations, label
+    assert got.converged == want.converged, label
+    assert got.f_mode == want.f_mode, label
+    for name in TRACE_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        if b is None:
+            assert a is None, (label, name)
+            continue
+        assert np.array_equal(a, b, equal_nan=True), (label, name)
+    assert got.counts == counts, label
+    return got
+
+
 @pytest.mark.parametrize("kind", ["row", "lsqcol", "spectral", "block",
                                   "full"])
 @pytest.mark.parametrize("rule", ["uniform", "greedy:4", "maxdist",
@@ -273,34 +301,199 @@ TRACE_FIELDS = ("ks", "residuals", "rel_errors", "err_g_sq", "f_values",
 def test_loop_equals_one_step_api(kind, rule, gamma, check_every,
                                   track_cesaro):
     for fam, omega in loop_instances(kind):
-        system = fam.system
-        cfg = skd.SolverConfig(omega=omega, gamma=gamma, tol=1e-11,
-                               max_iters=150, seed=5, check_every=check_every,
-                               track_cesaro=track_cesaro)
         if rule == "greedy:4" and fam.q < 4:
             # tau exceeds a one-sketch family: both refuse it.
+            cfg = skd.SolverConfig(omega=omega, gamma=gamma, tol=1e-11,
+                                   max_iters=150, seed=5,
+                                   check_every=check_every,
+                                   track_cesaro=track_cesaro)
             with pytest.raises(skd.InvalidConfigError):
-                skd.run_ssdm(system, fam, skd.parse_rule(rule), cfg)
+                skd.run_ssdm(fam.system, fam, skd.parse_rule(rule), cfg)
             with pytest.raises(skd.InvalidConfigError):
-                reference_run("ssdm", system, fam, skd.parse_rule(rule), cfg,
-                              gamma)
+                reference_run("ssdm", fam.system, fam, skd.parse_rule(rule),
+                              cfg, gamma)
             continue
-        got = skd.run_ssdm(system, fam, skd.parse_rule(rule), cfg)
-        # Spectral with B = G = A steps in eigen-coordinates.
-        runner = eigen_reference_run if fam.diagonal else reference_run
-        want, counts = runner("ssdm", system, fam, skd.parse_rule(rule), cfg,
-                              gamma)
-        label = f"{kind} {rule} omega={omega}"
-        assert got.iterations == want.iterations, label
-        assert got.converged == want.converged, label
-        assert got.f_mode == want.f_mode, label
+        assert_loop_matches_reference(fam, omega, rule, gamma=gamma,
+                                      check_every=check_every,
+                                      track_cesaro=track_cesaro)
+
+
+def tall_rows(m, seed):
+    """A tall m x 8 row family under B = G = I: q > n, so no coupling."""
+    return skd.SketchFamily("row", gaussian_system(m, 8, seed=seed))
+
+
+def screened_instances():
+    """loop_instances("row") plus tall families with m mod 4 = 1, 2, 3."""
+    yield from loop_instances("row")
+    for m in (25, 26, 27):
+        yield tall_rows(m, seed=m), 1.0
+
+
+def full_scan_steps(monkeypatch):
+    """Wrap SketchFamily.linear_values; the list it returns gets, for each
+    scan of all q values, the step it was made for (one more than the
+    single-index reads, one per move, before it)."""
+    steps, moves = [], []
+    original = skd.SketchFamily.linear_values
+
+    def counted(self, x, indices=None):
+        if indices is None:
+            steps.append(len(moves) + 1)
+        else:
+            moves.append(indices)
+        return original(self, x, indices)
+
+    monkeypatch.setattr(skd.SketchFamily, "linear_values", counted)
+    return steps
+
+
+class TestScreenedScan:
+    """Row full-scan picks through the float32 screen (sketching module
+    notes) against the full-scan reference. The screen serves row families
+    of at least sketching._SCREEN_MIN entries; set to 0 it serves every row
+    family here, while reference_run still reads every loss."""
+
+    @pytest.fixture
+    def screened(self, monkeypatch):
+        monkeypatch.setattr(sketching, "_SCREEN_MIN", 0)
+
+    @pytest.mark.parametrize("rule", ["uniform", "greedy:4", "maxdist",
+                                      "capped:0.5,1,m,exact"])
+    @pytest.mark.parametrize("gamma", [0.0, 0.3])
+    @pytest.mark.parametrize("check_every", [None, 1])
+    @pytest.mark.parametrize("track_cesaro", [False, True])
+    def test_loop_equals_one_step_api(self, screened, rule, gamma,
+                                      check_every, track_cesaro):
+        for fam, omega in screened_instances():
+            assert_loop_matches_reference(fam, omega, rule, gamma=gamma,
+                                          check_every=check_every,
+                                          track_cesaro=track_cesaro)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.3])
+    def test_roundoff_floor_hands_back_to_full_scans(self, screened,
+                                                     monkeypatch, gamma):
+        fam = tall_rows(27, seed=27)
+        got = assert_loop_matches_reference(fam, 1.0, "maxdist", tol=0.0,
+                                            max_iters=500, gamma=gamma)
+        assert got.iterations == 500
+        assert got.residuals[-1] < 1e-12 * got.residuals[0]
+        steps = full_scan_steps(monkeypatch)
+        again = skd.run_ssdm(fam.system, fam, skd.max_distance(),
+                             skd.SolverConfig(tol=0.0, max_iters=500, seed=5,
+                                              gamma=gamma))
+        assert np.array_equal(again.x_final, got.x_final)
+        # Screened picks early on; at the floor every pick scans.
+        assert len(steps) < 400
+        assert steps[-100:] == list(range(401, 501))
+
+    def test_divergence_is_caught_where_full_scans_catch_it(self,
+                                                            monkeypatch):
+        fam = tall_rows(26, seed=26)
+        cfg = skd.SolverConfig(gamma=1.5, seed=5)
+        caught = []
+        for minimum in (sketching._SCREEN_MIN, 0):
+            monkeypatch.setattr(sketching, "_SCREEN_MIN", minimum)
+            with pytest.raises(skd.DivergenceError) as exc:
+                skd.run_ssdm(fam.system, fam, skd.max_distance(), cfg)
+            caught.append(exc.value)
+        full, screened = caught
+        assert str(screened) == str(full)
+        assert screened.trace.iterations == full.trace.iterations
+        assert screened.trace.counts == full.trace.counts
         for name in TRACE_FIELDS:
-            a, b = getattr(got, name), getattr(want, name)
-            if b is None:
-                assert a is None, (label, name)
-                continue
-            assert np.array_equal(a, b, equal_nan=True), (label, name)
-        assert got.counts == counts, label
+            a, b = getattr(screened.trace, name), getattr(full.trace, name)
+            assert a is None if b is None else np.array_equal(
+                a, b, equal_nan=True), name
+
+    def test_a_read_that_differs_keeps_full_scans(self, screened,
+                                                  monkeypatch):
+        # The run's guard compares its reads with the first scan's bits:
+        # one read off by an ulp and every later pick is a full scan.
+        reads = []
+
+        def off_by_an_ulp(A, b, x, start, stop):
+            reads.append(start)
+            return np.nextafter(A[start:stop] @ x - b[start:stop], np.inf)
+
+        monkeypatch.setattr(sketching, "_rows", off_by_an_ulp)
+        fam = tall_rows(26, seed=26)
+        assert_loop_matches_reference(fam, 1.0, "maxdist", tol=0.0,
+                                      max_iters=100)
+        assert reads == [20]  # the guard's read of the last block and tail
+
+    @pytest.mark.parametrize("entry", [1e-40, 2.0 ** 127])
+    def test_entries_outside_float32_normal_range_keep_full_scans(
+            self, screened, monkeypatch, entry):
+        # One entry that float32 would hold as a subnormal, or near its
+        # overflow, and the family is never screened: no row is read.
+        reads = []
+        monkeypatch.setattr(sketching, "_rows",
+                            lambda *args: reads.append(args))
+        tall = gaussian_system(26, 8, seed=26)
+        A = tall.A.copy()
+        A[3, 5] = entry
+        system = skd.LinearSystem(A=A, b=A @ tall.x_star, x_star=tall.x_star)
+        assert_loop_matches_reference(skd.SketchFamily("row", system), 1.0,
+                                      "maxdist")
+        assert reads == []
+
+    def test_too_many_candidates_make_a_full_scan(self, screened,
+                                                  monkeypatch):
+        # 64 equal rows tie at every step, so every row reaches the cut and
+        # each pick after the first scans; only the guard reads a slice, at
+        # the first x and at its two probes.
+        reads = []
+        original = sketching._rows
+
+        def counted(*args):
+            reads.append(args[3])
+            return original(*args)
+
+        monkeypatch.setattr(sketching, "_rows", counted)
+        system = skd.LinearSystem(A=np.ones((64, 1)), b=np.full(64, 2.0),
+                                  x_star=np.array([2.0]))
+        fam = skd.SketchFamily("row", system)
+        got = assert_loop_matches_reference(fam, 0.5, "maxdist", tol=0.0,
+                                            max_iters=20)
+        assert got.iterations == 20
+        assert reads == [60, 60, 60]  # the guard's reads of the last block
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.3])
+    def test_most_picks_above_the_constant_are_screened(self, gamma):
+        # In a fresh interpreter with BLAS on one thread, as the benchmark
+        # runs: a 2048 x 128 family sits at the constant, and its maxdist
+        # picks scan A rarely while the trace keeps every bit of a run
+        # that scans at every step.
+        out = run_fresh(f"""
+            import numpy as np
+            import sketchdescent as skd
+            from sketchdescent import sketching
+            system = skd.generate(skd.GenSpec("gaussian", 2048, 128, seed=3))
+            fam = skd.SketchFamily("row", system)
+            assert system.A.size == sketching._SCREEN_MIN
+            scans = []
+            original = skd.SketchFamily.linear_values
+            def counted(self, x, indices=None):
+                scans.append(indices is None)
+                return original(self, x, indices)
+            skd.SketchFamily.linear_values = counted
+            cfg = skd.SolverConfig(tol=0.0, max_iters=400, seed=1,
+                                   gamma={gamma})
+            rule = skd.max_distance()
+            screened = skd.run_ssdm(system, fam, rule, cfg)
+            full = sum(scans)
+            sketching._SCREEN_MIN = system.A.size + 1
+            plain = skd.run_ssdm(system, fam, rule, cfg)
+            assert screened.counts == plain.counts
+            assert screened.counts["full_scans"] == 400
+            for name in ("ks", "residuals", "f_values", "selected",
+                         "err_g_sq", "x_final"):
+                a, b = getattr(screened, name), getattr(plain, name)
+                assert a.tobytes() == b.tobytes(), name
+            print(full)
+        """)
+        assert int(out.split()[-1]) < 100
 
 
 class TestStepCounts:

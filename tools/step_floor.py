@@ -1,21 +1,31 @@
-"""Microseconds per step of the grid's sketched runs, next to a lean floor.
+"""Microseconds per step of the benchmark's sketched runs, next to a lean floor.
 
     python3 tools/step_floor.py [--steps N] [--rounds R] [--seed S]
 
 Run from the root of a checkout: the package is imported from ./src. The
-instance is the trace gate's sketchbench_grid matrix (500-dim, B = G = A),
-so the spectral family steps in eigen-coordinates y = U'x with its index
-losses kept. Each of the trace gate's five grid rules runs run_ssd at
-tol 0 for --steps steps with check_every = --steps, so the only
-checkpoint is the last step's. Beside it runs a lean-numpy loop of the
-same steps: y, lambda and U'b as Python floats, the kept losses as one
+first instance is the trace gate's sketchbench_grid matrix (500-dim,
+B = G = A), so the spectral family steps in eigen-coordinates y = U'x
+with its index losses kept. Each of the trace gate's five grid rules runs
+run_ssd at tol 0 for --steps steps with check_every = --steps, so the
+only checkpoint is the last step's. Beside it runs a lean-numpy loop of
+the same steps: y, lambda and U'b as Python floats, the kept losses as one
 array, every draw of the run made up front in one block by the rng
 module's pinned schemes, and per step only the rule's choice and the one
-coordinate's update. It must end at the package's x_final bit for bit;
-any difference is printed and the script exits 1. The timings are shown,
-not checked: each is the median over --rounds rounds, package and floor
-alternating, of the whole call (set-up, steps, the final U y) divided by
-the steps. BLAS is pinned to one thread, as in the benchmark.
+coordinate's update. Then come row families under B = G = I: the trace
+gate's kaczmarz_fullscan system (2000 x 200, above the size at which a
+full scan is screened in float32) and its 300 x 60 row instance (below
+it), each under maxdist at gamma 0 and 0.3, run the same way by run_ssdm
+for ROW_STEPS = 1,500 steps beside a lean full-scan loop: per step the
+scan A x - b, the argmax of 0.5 c^2 / d, the chosen row's own dot, the
+row step and the heavy-ball term. 1,500 steps stop short of the fullscan
+system's roundoff floor (near step 1,800), where a screened pick can no
+longer decide and every pick scans; the benchmark's solves to tol 1e-10
+end near step 1,900. Every floor must end at the package's x_final bit
+for bit; any difference is printed and the script exits 1. The timings
+are shown, not checked: each is the median over --rounds rounds, package
+and floor alternating, of the whole call (set-up, steps, the final U y on
+the grid) divided by the steps. BLAS is pinned to one thread, as in the
+benchmark.
 """
 
 from __future__ import annotations
@@ -32,11 +42,13 @@ import time  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from trace_gate import GRID_RULES, grid_system  # noqa: E402  (puts ./src first)
+from trace_gate import FULLSCAN, GRID_RULES, ROWS, grid_system  # noqa: E402  (puts ./src first)
 
 import sketchdescent as skd  # noqa: E402
 from sketchdescent.rng import make_rng, uniform_subsets  # noqa: E402
 from sketchdescent.solvers import resolve_x0  # noqa: E402
+
+ROW_STEPS = 1500
 
 
 def floor_run(family, rule, x0: np.ndarray, steps: int, seed: int) -> np.ndarray:
@@ -88,6 +100,40 @@ def floor_run(family, rule, x0: np.ndarray, steps: int, seed: int) -> np.ndarray
     return U @ np.array(y)
 
 
+def row_floor_run(system, x0: np.ndarray, steps: int, gamma: float) -> np.ndarray:
+    """x after maxdist's steps on a row family under B = G = I, each by a
+    full scan; ends early, as the package does, when every loss is zero."""
+    A, b = system.A, system.b
+    d = np.einsum("ij,ij->i", A, A)
+    x = x_prev = x0
+    for _ in range(steps):
+        c = A @ x - b
+        losses = 0.5 * c * c / d
+        i = losses.argmax()
+        if losses[i] == 0.0:
+            break
+        ci = A[i] @ x - b[i]
+        x_next = x if ci == 0.0 else x - (ci / d[i]) * A[i]
+        if gamma:
+            x_next = x_next + gamma * (x - x_prev)
+        x_prev, x = x, x_next
+    return x
+
+
+def timed(runs: dict, rounds: int, steps: int) -> tuple[dict, bool]:
+    """Median us/step of each side's call over alternating rounds, and
+    whether the two sides' last x_final share every bit."""
+    times = {side: [] for side in runs}
+    out = {}
+    for r in range(rounds):
+        for side in (tuple(runs) if r % 2 == 0 else tuple(runs)[::-1]):
+            t0 = time.perf_counter()
+            out[side] = runs[side]()
+            times[side].append((time.perf_counter() - t0) / steps * 1e6)
+    same = out["package"].tobytes() == out["floor"].tobytes()
+    return {side: statistics.median(v) for side, v in times.items()}, same
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--steps", type=int, default=3000)
@@ -100,25 +146,33 @@ def main(argv=None) -> int:
     x0 = resolve_x0(cfg.x0, family.system)
     print(f"{'rule':<24} {'package us/iter':>15} {'floor us/iter':>13} "
           f"{'ratio':>6}  x_final")
-    failed = 0
+    lines = []
     for text in GRID_RULES:
         rule = skd.parse_rule(text)
-        times = {"package": [], "floor": []}
-        out = {}
-        for r in range(args.rounds):
-            sides = ("package", "floor") if r % 2 == 0 else ("floor", "package")
-            for side in sides:
-                t0 = time.perf_counter()
-                if side == "package":
-                    x = skd.run_ssd(family.system, family, rule, cfg).x_final
-                else:
-                    x = floor_run(family, rule, x0, args.steps, args.seed)
-                times[side].append((time.perf_counter() - t0) / args.steps * 1e6)
-                out[side] = x
-        same = out["package"].tobytes() == out["floor"].tobytes()
+        lines.append((text, {
+            "package": lambda rule=rule: skd.run_ssd(
+                family.system, family, rule, cfg).x_final,
+            "floor": lambda rule=rule: floor_run(family, rule, x0, args.steps,
+                                                 args.seed)}, args.steps))
+    for name, spec in (("fullscan", FULLSCAN), ("row", ROWS)):
+        system = skd.generate(spec)
+        rows = skd.SketchFamily("row", system)
+        start = resolve_x0("ones1000", system)
+        for gamma in (0.0, 0.3):
+            row_cfg = skd.SolverConfig(tol=0.0, max_iters=ROW_STEPS,
+                                       check_every=ROW_STEPS,
+                                       seed=args.seed, gamma=gamma)
+            lines.append((f"{name} maxdist g={gamma:g}", {
+                "package": lambda s=system, f=rows, c=row_cfg: skd.run_ssdm(
+                    s, f, skd.max_distance(), c).x_final,
+                "floor": lambda s=system, x=start, g=gamma: row_floor_run(
+                    s, x, ROW_STEPS, g),
+            }, ROW_STEPS))
+    failed = 0
+    for label, runs, steps in lines:
+        us, same = timed(runs, args.rounds, steps)
         failed += not same
-        us = {side: statistics.median(v) for side, v in times.items()}
-        print(f"{text:<24} {us['package']:>15.2f} {us['floor']:>13.2f} "
+        print(f"{label:<24} {us['package']:>15.2f} {us['floor']:>13.2f} "
               f"{us['package'] / us['floor']:>6.2f}  "
               f"{'same bits' if same else 'DIFFERENT'}", flush=True)
     return 1 if failed else 0

@@ -73,6 +73,8 @@ GRID_RULES = ("greedy:20", "greedy:100", "maxdist", "uniform",
 FULLSCAN_RULES = ("maxdist", "capped:0.5,1,m,exact", "greedy:5", "uniform")
 FULL_RULES = ("maxdist",)  # one sketch: every rule picks it
 SD_TOL = 1e-8  # plain CG's true residual stalls near 2e-9 on the SPD instance
+FULLSCAN = skd.GenSpec("gaussian", 2000, 200, seed=1)  # kaczmarz_fullscan's shape
+ROWS = skd.GenSpec("gaussian", 300, 60, seed=2)
 
 
 def grid_system() -> skd.LinearSystem:
@@ -102,9 +104,9 @@ def with_metric(base: skd.LinearSystem, W) -> skd.LinearSystem:
 def instances():
     """(name, family, rules, run options) for every sketched configuration."""
     yield "grid", skd.SketchFamily("spectral", grid_system()), GRID_RULES, {}
-    fullscan = skd.generate(skd.GenSpec("gaussian", 2000, 200, seed=1))
+    fullscan = skd.generate(FULLSCAN)
     yield "fullscan", skd.SketchFamily("row", fullscan), FULLSCAN_RULES, {}
-    rows = skd.generate(skd.GenSpec("gaussian", 300, 60, seed=2))
+    rows = skd.generate(ROWS)
     yield "row", skd.SketchFamily("row", rows), SMALL_RULES, {}
     AtA = rows.A.T @ rows.A
     normal = with_metric(rows, 0.5 * (AtA + AtA.T))
